@@ -42,10 +42,6 @@ class CubicNum:
     def of(m: int, q0=0, q1=0, q2=0) -> "CubicNum":
         return CubicNum(m, (_rat(q0), _rat(q1), _rat(q2)))
 
-    @staticmethod
-    def rational(m: int, q) -> "CubicNum":
-        return CubicNum.of(m, q)
-
     def _check(self, other: "CubicNum") -> None:
         if self.m != other.m:
             raise RadicandMismatch(f"radicands differ: {self.m} vs {other.m}")
@@ -360,10 +356,6 @@ class CubicMatrix:
         ents = [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
         return CubicMatrix(n, n, ents, m)
 
-    def __getitem__(self, ij) -> CubicNum:
-        i, j = ij
-        return self.entries[i][j]
-
     def transpose(self) -> "CubicMatrix":
         ents = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
         return CubicMatrix(self.cols, self.rows, ents, self.m)
@@ -402,9 +394,6 @@ class CubicMatrix:
     def congruence(self, b: "CubicMatrix") -> "CubicMatrix":
         """b^T * self * b."""
         return b.transpose() * self * b
-
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
 
     def det(self) -> CubicNum:
         """Exact determinant via Gaussian elimination over the cubic field."""

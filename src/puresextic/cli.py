@@ -18,15 +18,13 @@ import mpmath
 from . import densities
 from .algebra import CubicMatrix
 from .basis import build_basis, derived_transition, tabulated_transition
-from .field import sextic_field, dual, decompose, disc_valuations, AssumptionViolated
+from .field import AssumptionViolated, carefree_decompose_n, dual, sextic_field
 from .general import general_integral_basis, general_shape_params, wild_data
 from .geometry import (Box3, area_A, count_lattice_M2, count_lattice_M3, error_law_M2,
                        error_law_M3, monte_carlo_volume_M3, volume_V)
 from .gram import gram6, gram_power, shape_gram, shape_params, normalized_shape_diag
-from .harness import EnumSpec, compare, enumerate_C, enumerate_T, report_to_json
+from .harness import compare, report_to_json
 from .types import ALL_TYPES, SexticType, classify, smallest_m_of_type, type_partition_check
-
-Fr = Fraction
 
 
 @dataclass
@@ -89,7 +87,6 @@ def cmd_general_basis(cfg: Config, args) -> int:
     wd = wild_data(args.n, args.m)
     out["S"] = list(wd.S)
     if args.shape:
-        from .general import carefree_decompose_n
         a = carefree_decompose_n(args.n, args.m)
         sp = general_shape_params(args.n, a)
         out["shape_exponents"] = {str(i): [str(e) for e in v] for i, v in sp.items()}
@@ -101,9 +98,9 @@ def cmd_gram(cfg: Config, args) -> int:
     f = sextic_field(args.m)
     g = gram6(f)
     out = {"m": args.m, "type": str(classify(args.m)), "gram": g.to_json()}
-    if args.digits:
-        with mpmath.workdps(args.digits):
-            out["gram_decimal"] = [[mpmath.nstr(x.evaluate(args.digits + 10), args.digits)
+    if cfg.digits:
+        with mpmath.workdps(cfg.digits):
+            out["gram_decimal"] = [[mpmath.nstr(x.evaluate(cfg.digits + 10), cfg.digits)
                                     for x in row] for row in g.entries]
     _emit(cfg, out)
     return 0
@@ -118,7 +115,7 @@ def cmd_shape(cfg: Config, args) -> int:
         "m": args.m,
         "canonical_m": canon.m,
         "type": str(classify(args.m)),
-        "lambdas": sp.to_json(args.digits),
+        "lambdas": sp.to_json(cfg.digits),
         "shape_gram": sg.to_json(),
         "normalized_diagonal_exponents": [mono.to_json() for mono in normalized_shape_diag(canon)],
     }
@@ -273,17 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", action="store_true")
     p.set_defaults(fn=cmd_general_basis)
 
-    p = sub.add_parser("gram")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--digits", type=int, default=0)
-    p.add_argument("--json", action="store_true", help="(default output is already JSON)")
-    p.set_defaults(fn=cmd_gram)
-
-    p = sub.add_parser("shape")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--digits", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_shape)
+    for name, fn in (("gram", cmd_gram), ("shape", cmd_shape)):
+        p = sub.add_parser(name)
+        p.add_argument("--m", type=int, required=True)
+        # SUPPRESS: given here it sets the one global value, absent it leaves it alone
+        p.add_argument("--digits", type=int, default=argparse.SUPPRESS)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("geometry")
     p.add_argument("op", choices=("volume", "count", "area", "count2", "mc", "diagnose"))
@@ -351,7 +343,7 @@ def main(argv=None) -> int:
         densities.set_cache_dir(cfg.cache_dir)
     try:
         return args.fn(cfg, args)
-    except (ValueError, AssumptionViolated) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

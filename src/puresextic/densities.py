@@ -24,13 +24,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .field import factorize, is_prime
+from .field import factorize, is_squarefree
 from .geometry import Box3
 from .types import SexticType, a_case, b_case
 
@@ -300,7 +299,6 @@ def _cached(kind: str, case: int, sign: int, modulus: int, key: tuple[int, ...],
 def n_table(t: SexticType, sign: int, a2: int, a4: int) -> int:
     """#{(a1bar, a3bar, a5bar) in (Z/15552)^3} satisfying the survivor and Type
     conditions, as a product of the mod-64 and mod-243 counts (cached)."""
-    from .field import is_squarefree
     if math.gcd(a2, a4) != 1 or not (is_squarefree(a2) and is_squarefree(a4)):
         raise InvalidPair(f"a2={a2}, a4={a4} must be coprime squarefree")
     c2 = _cached("n2", t.i, sign, 64, (a2, a4), lambda: n2_count(t.i, sign, a2, a4))
@@ -421,14 +419,10 @@ def euler_product(kind: str, prime_bound: int = 10 ** 6,
 # Coefficient functions alpha(n), beta(m, n)
 # ---------------------------------------------------------------------------
 
-def _squarefree_small(n: int) -> bool:
-    return all(e == 1 for e in factorize(n).values()) if n > 1 else n == 1
-
-
 def alpha_terms(t: SexticType, sign: int, n: int) -> list[tuple[Fraction, int]]:
     """alpha(n) as exact terms [(coef, n1)] with value sum coef * n1^(-3/5);
     zero terms list when n is not squarefree."""
-    if n < 1 or not _squarefree_small(n):
+    if n < 1 or not is_squarefree(n):
         return []
     w = Fr(1)
     for l in factorize(n):
@@ -451,7 +445,7 @@ def beta_value(t: SexticType, sign: int, m: int, n: int,
                stated_weight: bool = False) -> Fraction:
     """beta(m, n): the proof/definition weight (l-1)/(l+1) by default; pass
     stated_weight=True for the alternative (l-1)/(l+2) weighting."""
-    if m < 1 or n < 1 or not _squarefree_small(m * n):
+    if m < 1 or n < 1 or not is_squarefree(m * n):
         return Fr(0)
     w = Fr(1)
     for l in factorize(m * n):
@@ -471,22 +465,23 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+def divisor_pairs(lo: int, hi: int, squarefree: bool = True):
+    """(a2, a4) with a2 * a4 = n and n in [max(lo, 1), hi], in `_divisors` order.
+
+    With `squarefree`, only squarefree n, whose two parts are then coprime.
+    """
+    for n in range(max(lo, 1), hi + 1):
+        if not squarefree or is_squarefree(n):
+            for a2 in _divisors(n):
+                yield a2, n // a2
+
+
 # ---------------------------------------------------------------------------
 # Box integrals of the limiting measures
 # ---------------------------------------------------------------------------
 
 _MOD3 = Fr(15552) ** 3
 _MOD2 = Fr(15552) ** 2
-
-
-def _sf_pairs_upto(lo: int, hi: int):
-    """(a2, a4) with a2*a4 in [lo, hi], a2*a4 squarefree (hence coprime parts)."""
-    from .field import is_squarefree
-    for n in range(max(lo, 1), hi + 1):
-        if not is_squarefree(n):
-            continue
-        for a2 in _divisors(n):
-            yield a2, n // a2
 
 
 def _weight(n_product: int, num, den) -> float:
@@ -507,8 +502,7 @@ def mu_box_stated(t: SexticType, sign: int, box: Box3,
     i2 = float(box.r2p) ** (-2 / 15) - float(box.r2) ** (-2 / 15)
     s3 = 0.0
     for n in range(int(box.r3p), int(box.r3) + 1):
-        if _squarefree_small(n):
-            s3 += alpha_value(t, sign, n)
+        s3 += alpha_value(t, sign, n)
     val = float(Fr(25, 124416)) * ep * i1 * i2 * s3
     return {"value": val, "euler_tail": tail}
 
@@ -525,7 +519,7 @@ def mu_box_volume(t: SexticType, sign: int, box: Box3, strict: bool = False,
     i1 = float(box.r1) ** (1 / 15) - float(box.r1p) ** (1 / 15)
     i2 = float(box.r2p) ** (-2 / 15) - float(box.r2) ** (-2 / 15)
     s = 0.0
-    for a2, a4 in _sf_pairs_upto(int(box.r3p), int(box.r3)):
+    for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3)):
         cnt = n_table(t, sign, a2, a4)
         if not cnt:
             continue
@@ -552,11 +546,10 @@ def mu_box_discrete(t: SexticType, sign: int, box: Box3, strict: bool = True,
     pair densities of squarefree coprime tuples (note the strict pair density
     (1-1/l)^2(1+2/l) equals the loose triple density 1-3/l^2+2/l^3).
     """
-    from .field import is_squarefree
     kind = "carefree" if strict else "basic"
     ep, tail = euler_product(kind, prime_bound)
     s = 0.0
-    for a2, a4 in _sf_pairs_upto(int(box.r3p), int(box.r3)):
+    for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3)):
         a3 = 0
         while True:
             a3 += 1
@@ -598,11 +591,10 @@ def nu_box_linear(t: SexticType, sign: int, box: Box3, stated_weight: bool = Fal
 def nu_box_discrete(t: SexticType, sign: int, box: Box3, strict: bool = True,
                     prime_bound: int = 10 ** 6) -> dict:
     """Pair-based asymptotic constant lim #T_cf / N^(1/5) for T-boxes."""
-    from .field import is_squarefree
     kind = "carefree" if strict else "basic"
     ep, tail = euler_product(kind, prime_bound)
     s = 0.0
-    for a2, a4 in _sf_pairs_upto(int(box.r2p), int(box.r2)):
+    for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2)):
         for a3 in range(int(box.r3p), int(box.r3) + 1):
             if not is_squarefree(a3) or math.gcd(a3, a2 * a4) != 1:
                 continue

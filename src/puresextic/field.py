@@ -1,10 +1,13 @@
-"""Carefree decompositions of radicands and the generic discriminant formula.
+"""Integer arithmetic on radicands: factorisation, exact k-th roots, carefree
+decompositions and the generic discriminant formula.
 
 A sixth-power-free m factors uniquely as sign * a1 * a2^2 * a3^3 * a4^4 * a5^5
 with the a_i squarefree and pairwise coprime ("strongly carefree").  This
-module produces that decomposition, the C_i normalising constants, the dual
-(orientation-reversing) involution, and the valuation formula for the field
-discriminant of Q(m^(1/n)) when the wild part is tame enough.
+module produces that decomposition (and its degree-n analogue), the C_i
+normalising constants, the dual (orientation-reversing) involution, and the
+valuation formula for the field discriminant of Q(m^(1/n)) when the wild part
+is tame enough.  The floor and ceiling roots here are the only ones the
+exact code paths use.
 """
 
 from __future__ import annotations
@@ -12,12 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-
-class NotSixthPowerFree(ValueError):
-    pass
 
 
 class NotPowerFree(ValueError):
@@ -129,7 +127,7 @@ def factorize(n: int) -> dict[int, int]:
             continue
         # perfect-power shortcut helps rho on squares
         for e in (2, 3, 5):
-            r = _iroot(v, e)
+            r = iroot(v, e)
             if r ** e == v:
                 stack.extend([r] * e)
                 break
@@ -139,22 +137,53 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+_FLOAT_SEED_BITS = 1000  # below this, n converts to a double without overflow
 
 
 def iroot(n: int, k: int) -> int:
-    return _iroot(n, k)
+    """floor(n^(1/k)) for an int n >= 0 of any size.
+
+    Integer Newton iteration from above (Cohen, GTM 138, section 1.7).  Below
+    _FLOAT_SEED_BITS a double gives the start; a root under 2^40 is then off
+    by at most one and is corrected in integers without a Newton step.
+    """
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    if n.bit_length() < _FLOAT_SEED_BITS:
+        r = round(n ** (1.0 / k))
+        if r < 1 << 40:
+            while r ** k > n:
+                r -= 1
+            while (r + 1) ** k <= n:
+                r += 1
+            return r
+        r += (r >> 32) + 1  # above the root: the double is good to ~2^-44
+    else:
+        r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def floor_root(q, k: int) -> int:
+    """Largest integer r >= 0 with r^k <= q, for an int or Fraction q >= 0.
+
+    Exact: for an integer r, r^k <= q iff r^k <= floor(q).
+    """
+    return iroot(q.numerator // q.denominator, k)
+
+
+def ceil_root(q, k: int) -> int:
+    """Smallest integer r >= 0 with r^k >= q, for an int or Fraction q."""
+    c = max(-(-q.numerator // q.denominator), 0)
+    r = iroot(c, k)
+    return r if r ** k == c else r + 1
 
 
 def is_perfect_square(m: int) -> bool:
@@ -166,8 +195,7 @@ def is_perfect_square(m: int) -> bool:
 
 def is_perfect_cube(m: int) -> bool:
     a = abs(m)
-    r = _iroot(a, 3)
-    return r ** 3 == a if m >= 0 else r ** 3 == a
+    return iroot(a, 3) ** 3 == a
 
 
 def is_irreducible_sextic(m: int) -> bool:
@@ -218,21 +246,21 @@ class CarefreeTuple:
         return {"sign": self.sign, "a": list(self.a)}
 
 
+def carefree_decompose_n(n: int, m: int) -> tuple[int, ...]:
+    """(a_1, ..., a_{n-1}) with |m| = prod a_j^j, a_j squarefree pairwise coprime."""
+    a = [1] * (n - 1)
+    for p, e in factorize(m).items():
+        if e >= n:
+            raise NotPowerFree(f"{p}^{e} divides m={m}: not {n}-th-power-free")
+        a[e - 1] *= p
+    return tuple(a)
+
+
 def decompose(m: int) -> CarefreeTuple:
     """Exponent-class decomposition of a sixth-power-free integer."""
     if m == 0:
         raise ValueError("m must be nonzero")
-    fac = factorize(m)
-    a = [1, 1, 1, 1, 1]
-    for p, e in fac.items():
-        if e >= 6:
-            raise NotSixthPowerFree(f"{p}^{e} divides m={m}")
-        a[e - 1] *= p
-    return CarefreeTuple(1 if m > 0 else -1, tuple(a))
-
-
-def reconstruct(t: CarefreeTuple) -> int:
-    return t.m
+    return CarefreeTuple(1 if m > 0 else -1, carefree_decompose_n(6, m))
 
 
 def dual(t: CarefreeTuple) -> CarefreeTuple:
@@ -258,15 +286,16 @@ def canonicalize(t: CarefreeTuple) -> CarefreeTuple:
     return t if is_canonical(t) else dual(t)
 
 
+def big_c_n(a: tuple[int, ...]) -> tuple[int, ...]:
+    """C_i = prod_j a_j^floor(i*j/n) for i = 0..n-1 (C_0 = 1), where n = len(a) + 1."""
+    n = len(a) + 1
+    return tuple(math.prod(a[j - 1] ** ((i * j) // n) for j in range(1, n))
+                 for i in range(n))
+
+
 def big_c(t: CarefreeTuple) -> tuple[int, int, int, int, int]:
-    """C_i = prod_j a_j^floor(i*j/6), i = 1..5.  C_1 is always 1."""
-    out = []
-    for i in range(1, 6):
-        c = 1
-        for j in range(1, 6):
-            c *= t.a[j - 1] ** ((i * j) // 6)
-        out.append(c)
-    return tuple(out)
+    """C_1..C_5 of the sextic tuple; C_1 is always 1."""
+    return big_c_n(t.a)[1:]
 
 
 @dataclass(frozen=True)
@@ -290,11 +319,6 @@ def sextic_field(m: int) -> SexticField:
         raise InvalidField(f"x^6 - ({m}) is reducible (perfect square or cube)")
     t = decompose(m)
     return SexticField(m, t, big_c(t), is_canonical(t))
-
-
-def field_from_tuple(t: CarefreeTuple) -> SexticField:
-    t.validate()
-    return sextic_field(t.m)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import char_poly_rational, mat_det, mat_solve
-from .field import AssumptionViolated, check_assumption, factorize
+from .field import (InvalidField, _val, big_c_n, carefree_decompose_n, check_assumption,
+                    factorize)
 
 Fr = Fraction
 
@@ -53,32 +54,12 @@ class WildData:
         return tuple(wp.p for wp in self.primes)
 
 
-def carefree_decompose_n(n: int, m: int) -> tuple[int, ...]:
-    """(a_1, ..., a_{n-1}) with |m| = prod a_j^j, a_j squarefree pairwise coprime."""
-    a = [1] * (n - 1)
-    for p, e in factorize(m).items():
-        if e >= n:
-            raise AssumptionViolated(f"{p}^{e} divides m: not {n}-th-power-free")
-        a[e - 1] *= p
-    return tuple(a)
-
-
-def big_c_n(n: int, m: int) -> tuple[int, ...]:
-    """C_i = prod_j a_j^floor(i*j/n) for i = 0..n-1 (C_0 = 1)."""
-    a = carefree_decompose_n(n, m)
-    out = [1]
-    for i in range(1, n):
-        c = 1
-        for j in range(1, n):
-            c *= a[j - 1] ** ((i * j) // n)
-        out.append(c)
-    return tuple(out)
-
-
 def wild_data(n: int, m: int) -> WildData:
     """All section-level quantities: S, r_i, d_i, k_{i,t}, j_{i,t}, b', a', w."""
+    if m == 1 or (m == -1 and n & (n - 1)):  # -1 is an l-th power for odd l | n
+        raise InvalidField(f"x^{n} - ({m}) is reducible")
     check_assumption(n, m)
-    C = big_c_n(n, m)
+    C = big_c_n(carefree_decompose_n(n, m))
     primes = []
     for p, s in sorted(factorize(n).items()):
         if m % p == 0:
@@ -116,15 +97,6 @@ def _k_of(n: int, p: int, d: int, t: int) -> int:
         if n - n // p ** k <= t < n - n // p ** (k + 1):
             return k
     return d
-
-
-def _val(x: int, p: int) -> int:
-    x = abs(x)
-    e = 0
-    while x and x % p == 0:
-        x //= p
-        e += 1
-    return e
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .field import ceil_root, floor_root, iroot
+
 Fr = Fraction
 
 
@@ -50,6 +52,8 @@ class Box3:
         else:
             if self.r1p < 1 or self.r2p < 1 or self.r3p < 1:
                 raise ValueError("T-family boxes live in [1, inf)^3")
+            if any(x.denominator != 1 for x in (self.r2p, self.r2, self.r3p, self.r3)):
+                raise ValueError("T-family boxes need integer R2', R2, R3', R3")
 
     def to_json(self) -> dict:
         def f(x):
@@ -86,81 +90,7 @@ def area_A(M, L1p, L1) -> float:
     return (M / 2) * math.log(L1 / L1p)
 
 
-# --- exact rational interval helpers ---------------------------------------
-
-def _floor_frac(q: Fraction) -> int:
-    return q.numerator // q.denominator
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
-
-
-def _floor_sqrt_frac(q: Fraction) -> int:
-    """Largest integer k >= 0 with k^2 <= q."""
-    if q < 0:
-        return -1
-    k = math.isqrt(q.numerator // q.denominator)
-    while (k + 1) ** 2 * q.denominator <= q.numerator:
-        k += 1
-    while k > 0 and k ** 2 * q.denominator > q.numerator:
-        k -= 1
-    return k
-
-def _ceil_sqrt_frac(q: Fraction) -> int:
-    """Smallest integer k >= 0 with k^2 >= q."""
-    if q <= 0:
-        return 0
-    k = _floor_sqrt_frac(q)
-    return k if k * k * q.denominator == q.numerator else k + 1
-
-
-def _floor_cbrt_frac(q: Fraction) -> int:
-    """Largest integer k with k^3 <= q (q >= 0)."""
-    if q < 0:
-        return -1
-    k = round(float(q) ** (1 / 3)) if q > 0 else 0
-    while k ** 3 * q.denominator > q.numerator:
-        k -= 1
-    while (k + 1) ** 3 * q.denominator <= q.numerator:
-        k += 1
-    return k
-
-
-def _ceil_cbrt_frac(q: Fraction) -> int:
-    if q <= 0:
-        return 0
-    k = _floor_cbrt_frac(q)
-    return k if k ** 3 * q.denominator == q.numerator else k + 1
-
-
-def ifloor_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0 (exact)."""
-    if n < 0:
-        raise ValueError
-    if n == 0:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 # --- exact lattice-point counts ---------------------------------------------
-
-def _floor_root_frac(q: Fraction, k: int) -> int:
-    """Largest integer r >= 0 with r^k <= q."""
-    if q < 0:
-        return -1
-    r = int(float(q) ** (1.0 / k)) + 1 if q > 0 else 0
-    while r ** k * q.denominator > q.numerator:
-        r -= 1
-    while (r + 1) ** k * q.denominator <= q.numerator:
-        r += 1
-    return r
-
 
 def count_lattice_M3(N, L1p, L1, L2p, L2, per_x1=None) -> int:
     """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact.
@@ -175,20 +105,20 @@ def count_lattice_M3(N, L1p, L1, L2p, L2, per_x1=None) -> int:
         return 0
     # x1 caps: x3, x5 >= 1 give x1^5 <= N; if L1p > 0 then x5 >= L1p x1 and
     # x3^3 >= x5/(L2 x1) >= L1p/L2 force x1^10 <= N L2 / L1p^6.
-    cap = _floor_root_frac(N, 5)
+    cap = floor_root(N, 5)
     if L1p > 0:
-        cap = min(cap, _floor_root_frac(N * L2 / L1p ** 6, 10))
+        cap = min(cap, floor_root(N * L2 / L1p ** 6, 10))
     total = 0
     for x1 in range(1, cap + 1):
         fx1 = Fr(x1)
-        lo5 = max(1, _ceil_frac(L1p * fx1))
-        hi5 = min(_floor_frac(L1 * fx1), _floor_root_frac(N / fx1 ** 5, 5))
+        lo5 = max(1, math.ceil(L1p * fx1))
+        hi5 = min(math.floor(L1 * fx1), floor_root(N / fx1 ** 5, 5))
         cnt_here = 0
         for x5 in range(lo5, hi5 + 1):
             fx5 = Fr(x5)
-            lo3 = max(1, _ceil_cbrt_frac(fx5 / (L2 * fx1)))
-            hi3 = min(_floor_cbrt_frac(fx5 / (L2p * fx1)),
-                      _floor_cbrt_frac(N / (fx1 ** 5 * fx5 ** 5)))
+            lo3 = max(1, ceil_root(fx5 / (L2 * fx1), 3))
+            hi3 = min(floor_root(fx5 / (L2p * fx1), 3),
+                      floor_root(N / (fx1 ** 5 * fx5 ** 5), 3))
             if hi3 >= lo3:
                 cnt_here += hi3 - lo3 + 1
         total += cnt_here
@@ -200,7 +130,7 @@ def count_lattice_M3(N, L1p, L1, L2p, L2, per_x1=None) -> int:
 def count_lattice_M3_brute(N, L1p, L1, L2p, L2) -> int:
     """Triple-loop oracle over the full bounding cube (tests only)."""
     N = Fr(N); L1p = Fr(L1p); L1 = Fr(L1); L2p = Fr(L2p); L2 = Fr(L2)
-    top = ifloor_root(int(N), 3) + 2
+    top = iroot(int(N), 3) + 2
     total = 0
     for x1 in range(1, top + 1):
         for x3 in range(1, top + 1):
@@ -222,9 +152,9 @@ def count_lattice_M2(M, L1p, L1) -> int:
     if M < 1 or L1 <= 0 or L1p > L1:
         return 0
     # x5 >= max(1, L1p x1) and x1 x5 <= M cap x1 at M or sqrt(M / L1p)
-    cap = _floor_frac(M)
+    cap = math.floor(M)
     if L1p > 0:
-        cap = min(cap, _floor_sqrt_frac(M / L1p))
+        cap = min(cap, floor_root(M / L1p, 2))
     pn, pd = L1p.numerator, L1p.denominator
     qn, qd = L1.numerator, L1.denominator
     mn, md = M.numerator, M.denominator
@@ -245,8 +175,8 @@ def count_lattice_M2(M, L1p, L1) -> int:
 def count_lattice_M2_brute(M, L1p, L1) -> int:
     M = Fr(M); L1p = Fr(L1p); L1 = Fr(L1)
     total = 0
-    for x1 in range(1, _floor_frac(M) + 1):
-        for x5 in range(1, _floor_frac(M / x1) + 1):
+    for x1 in range(1, math.floor(M) + 1):
+        for x5 in range(1, math.floor(M / x1) + 1):
             if L1p * x1 <= x5 <= L1 * x1:
                 total += 1
     return total

@@ -21,10 +21,10 @@ from fractions import Fraction
 
 import mpmath
 
-from .algebra import CubicMatrix, CubicNum, SexticNum, gram_pair, hermitian_gram, _mpf_frac
+from .algebra import CubicMatrix, CubicNum, gram_pair, hermitian_gram, _mpf_frac
 from .basis import Aux, IntegralBasis, aux_constants, build_basis, derived_transition, power_type_basis
-from .field import SexticField, dual, is_canonical
-from .types import SexticType, classify
+from .field import SexticField
+from .types import SexticType
 
 Fr = Fraction
 
@@ -73,6 +73,9 @@ class Monomial:
         if not isinstance(other, Monomial):
             return NotImplemented
         return self.reduced() == other.reduced()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.reduced().items()))
 
     def value(self, prec: int = 30) -> mpmath.mpf:
         with mpmath.workdps(prec):

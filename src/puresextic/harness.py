@@ -12,17 +12,16 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import densities
-from .field import factorize, is_squarefree
-from .geometry import (Box3, _ceil_frac, _ceil_sqrt_frac, _floor_frac, _floor_root_frac,
-                       _floor_sqrt_frac, _ceil_cbrt_frac, _floor_cbrt_frac,
-                       count_lattice_M2, count_lattice_M3, volume_V)
-from .types import SexticType, classify_array, lookup_tables
+from .densities import divisor_pairs
+from .field import ceil_root, floor_root, is_irreducible_sextic, is_squarefree
+from .geometry import Box3, count_lattice_M2, count_lattice_M3
+from .types import SexticType, lookup_tables
 
 Fr = Fraction
 
@@ -35,22 +34,9 @@ class EnumSpec:
     box: Box3
     carefree: bool = True  # False: all integer tuples in the region (no local conditions)
 
-    def to_json(self) -> dict:
-        return {"N": self.N, "sign": self.sign, "type": str(self.type),
-                "box": self.box.to_json(), "carefree": self.carefree}
-
-
-def _sf_coprime_pairs(lo: int, hi: int):
-    for n in range(max(lo, 1), hi + 1):
-        if not is_squarefree(n):
-            continue
-        for a2 in sorted(densities._divisors(n)):
-            yield a2, n // a2
-
 
 def _tuple_ok(a: tuple[int, int, int, int, int], sign: int, t: SexticType) -> bool:
     """Squarefree, pairwise coprime, x^6 - m irreducible, classifies to (sign, t)."""
-    from .field import is_irreducible_sextic
     for x in (a[0], a[2], a[4]):  # a2, a4 pre-filtered by the caller
         if not is_squarefree(x):
             return False
@@ -76,17 +62,17 @@ def _enum_c_shard(args) -> list[tuple[int, ...]]:
     # a1 cap: a5^2 >= l1p a1^2 and a3^3 >= (a5/a1)/l2 with l2 = R2 a4/a2 give
     # a1^10 <= npair * l2 / l1p^3
     l2 = box.r2 * Fr(a4, a2)
-    cap = _floor_root_frac(npair, 5)
+    cap = floor_root(npair, 5)
     if l1p > 0:
-        cap = min(cap, _floor_root_frac(npair * l2 / l1p ** 3, 10))
+        cap = min(cap, floor_root(npair * l2 / l1p ** 3, 10))
     for a1 in range(1, cap + 1):
-        lo5 = max(1, _ceil_sqrt_frac(l1p * a1 * a1))
-        hi5 = _floor_sqrt_frac(l1 * a1 * a1)
+        lo5 = max(1, ceil_root(l1p * a1 * a1, 2))
+        hi5 = floor_root(l1 * a1 * a1, 2)
         for a5 in range(lo5, hi5 + 1):
             # lambda2^3 = a2 a5 / (a1 a3^3 a4) in [r2p, r2]
-            lo3 = max(1, _ceil_cbrt_frac(Fr(a2 * a5, a1 * a4) / box.r2))
-            hi3 = _floor_cbrt_frac(Fr(a2 * a5, a1 * a4) / box.r2p) if box.r2p > 0 else None
-            bound3 = _floor_cbrt_frac(npair / Fr(a1 ** 5 * a5 ** 5))
+            lo3 = max(1, ceil_root(Fr(a2 * a5, a1 * a4) / box.r2, 3))
+            hi3 = floor_root(Fr(a2 * a5, a1 * a4) / box.r2p, 3) if box.r2p > 0 else None
+            bound3 = floor_root(npair / Fr(a1 ** 5 * a5 ** 5), 3)
             hi3 = bound3 if hi3 is None else min(hi3, bound3)
             for a3 in range(lo3, hi3 + 1):
                 a = (a1, a2, a3, a4, a5)
@@ -104,11 +90,8 @@ def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
     """
     if spec.box.kind != "C":
         raise ValueError("enumerate_C needs a C-family box")
-    shards = [(spec, a2, a4)
-              for a2, a4 in _sf_coprime_pairs(int(spec.box.r3p), int(spec.box.r3))]
-    if not spec.carefree:
-        shards = [(spec, a2, a4) for n in range(int(spec.box.r3p), int(spec.box.r3) + 1)
-                  for a2 in densities._divisors(n) for a4 in [n // a2]]
+    shards = [(spec, a2, a4) for a2, a4 in
+              divisor_pairs(int(spec.box.r3p), int(spec.box.r3), spec.carefree)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_enum_c_shard, shards))
@@ -121,14 +104,11 @@ def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
 def raw_count_C(N: int, box: Box3) -> int:
     """#C(N, box) with no local conditions, via the exact 3d counting kernel."""
     total = 0
-    for n in range(int(box.r3p), int(box.r3) + 1):
-        for a2 in densities._divisors(n):
-            a4 = n // a2
-            npair = Fr(N) / Fr(a2 ** 4 * a4 ** 4)
-            l1p = _sqrt_frac_lower(box.r1p * Fr(a2, a4))
-            l1 = _sqrt_frac_upper(box.r1 * Fr(a2, a4))
-            total += count_lattice_M3(npair, l1p, l1,
-                                      box.r2p * Fr(a4, a2), box.r2 * Fr(a4, a2))
+    for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3), squarefree=False):
+        npair = Fr(N) / Fr(a2 ** 4 * a4 ** 4)
+        l1p = _sqrt_frac_lower(box.r1p * Fr(a2, a4))
+        l1 = _sqrt_frac_upper(box.r1 * Fr(a2, a4))
+        total += count_lattice_M3(npair, l1p, l1, box.r2p * Fr(a4, a2), box.r2 * Fr(a4, a2))
     return total
 
 
@@ -149,13 +129,13 @@ def _enum_t_shard(args) -> list[tuple[int, ...]]:
     box, sign, t = spec.box, spec.sign, spec.type
     out = []
     npair = Fr(spec.N) / Fr(a2 ** 4 * a3 ** 3 * a4 ** 4)
-    mcap = _floor_root_frac(npair, 5)  # a1 a5 <= mcap
+    mcap = floor_root(npair, 5)  # a1 a5 <= mcap
     if mcap < 1:
         return out
-    a1cap = _floor_sqrt_frac(Fr(mcap) / box.r1p)
+    a1cap = floor_root(mcap / box.r1p, 2)
     for a1 in range(1, a1cap + 1):
-        lo5 = max(1, _ceil_frac(box.r1p * a1))
-        hi5 = min(_floor_frac(box.r1 * a1), mcap // a1)
+        lo5 = max(1, math.ceil(box.r1p * a1))
+        hi5 = min(math.floor(box.r1 * a1), mcap // a1)
         for a5 in range(lo5, hi5 + 1):
             if spec.carefree and a1 == a5 and a2 > a4:
                 continue  # ratio-1 leaf: keep the canonical orientation (a4 >= a2)
@@ -170,10 +150,7 @@ def enumerate_T(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
     if spec.box.kind != "T":
         raise ValueError("enumerate_T needs a T-family box")
     shards = []
-    pairs = list(_sf_coprime_pairs(int(spec.box.r2p), int(spec.box.r2))) if spec.carefree \
-        else [(a2, n // a2) for n in range(int(spec.box.r2p), int(spec.box.r2) + 1)
-              for a2 in densities._divisors(n)]
-    for a2, a4 in pairs:
+    for a2, a4 in divisor_pairs(int(spec.box.r2p), int(spec.box.r2), spec.carefree):
         for a3 in range(int(spec.box.r3p), int(spec.box.r3) + 1):
             if spec.carefree and (not is_squarefree(a3) or math.gcd(a3, a2 * a4) != 1):
                 continue
@@ -188,13 +165,10 @@ def enumerate_T(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
 
 def raw_count_T(N: int, box: Box3) -> int:
     total = 0
-    for n in range(int(box.r2p), int(box.r2) + 1):
-        for a2 in densities._divisors(n):
-            a4 = n // a2
-            for a3 in range(int(box.r3p), int(box.r3) + 1):
-                npair = Fr(N) / Fr(a2 ** 4 * a3 ** 3 * a4 ** 4)
-                mcap = _floor_root_frac(npair, 5)
-                total += count_lattice_M2(mcap, box.r1p, box.r1)
+    for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2), squarefree=False):
+        for a3 in range(int(box.r3p), int(box.r3) + 1):
+            mcap = floor_root(Fr(N) / Fr(a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
+            total += count_lattice_M2(mcap, box.r1p, box.r1)
     return total
 
 
@@ -246,7 +220,6 @@ def naive_scan(spec: EnumSpec, limit: int | None = None) -> list[tuple[int, ...]
     out = []
     atab, btab = lookup_tables()
     box = spec.box
-    from .field import is_irreducible_sextic
     for v in idx:
         v = int(v)
         t5 = (int(a1[v]), int(a2[v]), int(a3[v]), int(a4[v]), int(a5[v]))

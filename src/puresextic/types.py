@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import is_irreducible_sextic, is_perfect_cube, is_perfect_square, factorize
+from .field import factorize, is_irreducible_sextic, is_prime
 
 
 class UnclassifiableInput(ValueError):
@@ -92,15 +92,6 @@ def classify(m: int) -> SexticType:
     if m == 0:
         raise UnclassifiableInput("m = 0")
     return SexticType(a_case(m), b_case(m))
-
-
-def classify_checked(m: int) -> SexticType:
-    """classify() plus full validation of the preconditions on m."""
-    if not is_irreducible_sextic(m):
-        raise UnclassifiableInput(f"x^6 - ({m}) reducible")
-    if any(e >= 6 for e in factorize(m).values()):
-        raise UnclassifiableInput(f"m={m} is not sixth-power-free")
-    return classify(m)
 
 
 _MOD = 46656  # 2^6 * 3^6
@@ -187,7 +178,6 @@ def type_partition_check(lo: int, hi: int) -> dict:
 
 
 def _next_prime(p: int) -> int:
-    from .field import is_prime
     q = p + 1
     while not is_prime(q):
         q += 1

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from puresextic.cli import main
+from puresextic.field import is_prime
 
 
 def run(capsys, *argv):
@@ -107,3 +109,34 @@ def test_measure_command(capsys):
 
 def test_invalid_m_exit_1(capsys):
     assert main(["basis", "--m", "64"]) == 1
+
+
+@pytest.mark.parametrize("cmd", ["gram", "shape"])
+def test_digits_before_or_after_the_subcommand(capsys, cmd):
+    _, before = run(capsys, "--digits", "12", cmd, "--m", "2")
+    _, after = run(capsys, cmd, "--m", "2", "--digits", "12")
+    assert before == after
+    data = json.loads(before)
+    assert data["config"]["digits"] == 12
+    assert "gram_decimal" in data if cmd == "gram" else data["lambdas"]["decimal"]
+
+
+def test_basis_of_an_843_digit_m(capsys):
+    m = math.prod(p for p in range(2, 2000) if is_prime(p))
+    assert len(str(m)) == 843
+    code, out = run(capsys, "basis", "--m", str(m))
+    assert code == 0
+    assert json.loads(out)["C"] == [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("m", ["1", "-1"])
+def test_general_basis_rejects_unit_m(capsys, m):
+    assert main(["general-basis", "--n", "6", "--m", m]) == 1
+    assert "reducible" in capsys.readouterr().err
+
+
+def test_fractional_t_box_exit_1(capsys):
+    code = main(["equidist", "--family", "T", "--type", "1,1", "--box", "1,4,3/2,6,1,3",
+                 "--ladder", "10000000", "--prime-bound", "1000"])
+    assert code == 1
+    assert "integer" in capsys.readouterr().err

@@ -1,16 +1,18 @@
+from fractions import Fraction as Fr
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puresextic.field import (AssumptionViolated, CarefreeTuple, NotSixthPowerFree,
-                              big_c, canonicalize, decompose, disc_valuations, dual,
-                              factorize, is_canonical, is_irreducible_sextic,
+from puresextic.field import (AssumptionViolated, CarefreeTuple, NotPowerFree,
+                              big_c, canonicalize, ceil_root, decompose, disc_valuations, dual,
+                              factorize, floor_root, iroot, is_canonical, is_irreducible_sextic,
                               is_squarefree, sextic_field)
 
 
 def test_decompose_examples():
     assert decompose(112) == CarefreeTuple(1, (7, 1, 1, 2, 1))
     assert decompose(-1) == CarefreeTuple(-1, (1, 1, 1, 1, 1))
-    with pytest.raises(NotSixthPowerFree):
+    with pytest.raises(NotPowerFree):
         decompose(2 ** 6 * 5)
 
 
@@ -18,7 +20,7 @@ def test_decompose_roundtrip():
     for m in list(range(2, 400)) + [-5, -64 * 3, 99991]:
         try:
             t = decompose(m)
-        except NotSixthPowerFree:
+        except NotPowerFree:
             continue
         assert t.m == m
         t.validate()
@@ -29,7 +31,7 @@ def test_decompose_roundtrip():
 def test_decompose_reconstruct_property(m):
     try:
         t = decompose(m)
-    except NotSixthPowerFree:
+    except NotPowerFree:
         return
     assert t.m == m
     assert decompose(t.m) == t
@@ -122,3 +124,28 @@ def test_disc_sign_negative_m():
     # n = 6: sign(disc) = sgn(m)
     assert disc_valuations(6, -5).sign() == -1
     assert disc_valuations(6, 5).sign() == 1
+
+
+@given(st.integers(0, 3000), st.integers(1, 60), st.integers(1, 7))
+@settings(max_examples=500, deadline=None)
+def test_roots_match_brute_force(n, d, k):
+    q = Fr(n, d)
+    floor_q = max(r for r in range(n + 2) if r ** k <= q)
+    ceil_q = min(r for r in range(n + 2) if r ** k >= q)
+    assert iroot(n, k) == max(r for r in range(n + 2) if r ** k <= n)
+    assert floor_root(q, k) == floor_q
+    assert ceil_root(q, k) == ceil_q
+
+
+@given(st.one_of(st.integers(0, 10 ** 1200),
+                 st.builds(lambda x, k, e: x ** k + e,
+                           st.integers(1, 10 ** 300), st.integers(2, 9), st.integers(-1, 1))),
+       st.integers(1, 40), st.integers(1, 10 ** 30))
+@settings(max_examples=300, deadline=None)
+def test_roots_bracket_large_inputs(n, k, d):
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    q = Fr(n, d)
+    lo, hi = floor_root(q, k), ceil_root(q, k)
+    assert lo ** k <= q < (lo + 1) ** k
+    assert hi ** k >= q and (hi == 0 or (hi - 1) ** k < q)

@@ -77,3 +77,11 @@ def test_box3_validation():
         Box3(2, 1, 1, 2, 1, 2, kind="T")          # reversed interval
     b = Box3.parse("1,8,1/8,8,1,6", kind="C")
     assert b.r2p == Fr(1, 8)
+
+
+@pytest.mark.parametrize("spec", ["1,4,3/2,6,1,3", "1,4,1,13/2,1,3", "1,4,1,6,3/2,3",
+                                  "1,4,1,6,1,7/2"])
+def test_t_box_needs_integer_a2a4_and_a3_bounds(spec):
+    # the T walks step a2*a4 and a3 over integers; a fractional bound was truncated
+    with pytest.raises(ValueError):
+        Box3.parse(spec, kind="T")

@@ -132,3 +132,10 @@ def test_normalized_diag_dual_reversal():
         nd1 = normalized_shape_diag(sextic_field(t.m))
         nd2 = normalized_shape_diag(sextic_field(dual(t).m))
         assert all(a == b for a, b in zip(nd1, reversed(nd2)))
+
+
+def test_monomial_hash_agrees_with_eq():
+    four = Monomial((4, 1, 1, 1, 1), (Fr(1), Fr(0), Fr(0), Fr(0), Fr(0)))
+    two_squared = Monomial((2, 1, 1, 1, 1), (Fr(2), Fr(0), Fr(0), Fr(0), Fr(0)))
+    assert four == two_squared
+    assert len({four, two_squared}) == 1
