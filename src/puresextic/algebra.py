@@ -1,20 +1,22 @@
 """Exact arithmetic in the cubic and sextic radical rings Q[c]/(c^3-m), Q[t]/(t^6-m).
 
-All coefficients are `fractions.Fraction`, so every operation here is exact.
-Matrices are dense and tiny (at most 6x6); determinants use exact Gaussian
-elimination over the cubic field.  Numeric evaluation (only needed for
-positivity checks and display) goes through mpmath with adaptive precision.
+Ring elements have `fractions.Fraction` coefficients.  The exact linear algebra
+runs in Python ints over one common denominator: Faddeev-LeVerrier
+characteristic polynomials, one fraction-free (Bareiss) elimination for
+rational determinants and solves, and Gram congruences by rational matrices.
+Determinants over the cubic field use Gaussian elimination with the
+closed-form inverse.  Numeric evaluation (display, cross-checks) uses mpmath.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 import mpmath
-
-Rat = Fraction  # exact rational; gcd-reduced with positive denominator by construction
 
 
 class RadicandMismatch(ValueError):
@@ -83,19 +85,18 @@ class CubicNum:
         return self.coeffs[1] == 0 and self.coeffs[2] == 0
 
     def inverse(self) -> "CubicNum":
-        """Multiplicative inverse, via the 3x3 multiplication matrix over Q."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cubic number")
-        a0, a1, a2 = self.coeffs
+        """q'/N(q), with q * q' = N(q) for the adjugate
+        q' = (q0^2 - m q1 q2) + (m q2^2 - q0 q1) c + (q1^2 - q0 q2) c^2.
+
+        So q is invertible iff its norm is not zero.
+        """
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverse of a cubic number of norm 0")
+        q0, q1, q2 = self.coeffs
         m = self.m
-        # columns: self * c^j expressed on (1, c, c^2)
-        rows = [
-            [a0, m * a2, m * a1, Fraction(1)],
-            [a1, a0, m * a2, Fraction(0)],
-            [a2, a1, a0, Fraction(0)],
-        ]
-        sol = _solve3(rows)
-        return CubicNum(m, (sol[0], sol[1], sol[2]))
+        return CubicNum(m, ((q0 * q0 - m * q1 * q2) / n, (m * q2 * q2 - q0 * q1) / n,
+                            (q1 * q1 - q0 * q2) / n))
 
     def __truediv__(self, other) -> "CubicNum":
         if isinstance(other, (int, Fraction)):
@@ -140,22 +141,6 @@ class CubicNum:
 
 def _mpf_frac(q: Fraction) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-
-
-def _solve3(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Solve a 3x3 rational system given as augmented rows."""
-    a = [row[:] for row in rows]
-    n = 3
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +216,16 @@ class SexticNum:
         # Tr(theta^t) = 0 for 1 <= t <= 5
         return 6 * self.coeffs[0]
 
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """6x6 matrix of multiplication by self on the power basis (columns = self*theta^j)."""
-        cols = []
-        for j in range(6):
-            col = (self * SexticNum.theta_power(self.m, j)).coeffs
-            cols.append(col)
-        return [[cols[j][i] for j in range(6)] for i in range(6)]
-
     def char_poly(self) -> list[Fraction]:
         """Characteristic polynomial of the multiplication matrix, x^6 + a5 x^5 + ... + a0.
 
         Returned as [a0, ..., a5, 1].  Integer coefficients certify algebraic
         integrality.
         """
-        return char_poly_rational(self.mult_matrix())
+        return char_poly_rational(mult_matrix(self.m, self.coeffs))
 
     def is_algebraic_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.char_poly())
-
-    def numeric(self, prec: int = 50) -> mpmath.mpf:
-        """Value at the real positive |m|^(1/6) (only meaningful for m > 0)."""
-        with mpmath.workdps(prec):
-            th = mpmath.mpf(self.m) ** (mpmath.mpf(1) / 6)
-            return +sum(_mpf_frac(c) * th ** t for t, c in enumerate(self.coeffs))
 
     def to_json(self) -> list[dict]:
         return [{"num": str(c.numerator), "den": str(c.denominator)} for c in self.coeffs]
@@ -356,59 +327,43 @@ class CubicMatrix:
         ents = [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
         return CubicMatrix(n, n, ents, m)
 
-    def transpose(self) -> "CubicMatrix":
-        ents = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return CubicMatrix(self.cols, self.rows, ents, self.m)
-
     def __mul__(self, other) -> "CubicMatrix":
-        if isinstance(other, (int, Fraction)):
-            ents = [[x * other for x in row] for row in self.entries]
-            return CubicMatrix(self.rows, self.cols, ents, self.m)
-        if self.cols != other.rows:
-            raise ValueError("matrix size mismatch")
-        zero = CubicNum.of(self.m)
-        ents = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            ents.append(row)
-        return CubicMatrix(self.rows, other.cols, ents, self.m)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        ents = [[x * other for x in row] for row in self.entries]
+        return CubicMatrix(self.rows, self.cols, ents, self.m)
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CubicMatrix):
-            return NotImplemented
-        if (self.rows, self.cols, self.m) != (other.rows, other.cols, other.m):
-            return False
-        return all(self.entries[i][j] == other.entries[i][j]
-                   for i in range(self.rows) for j in range(self.cols))
-
     def congruence(self, b: "CubicMatrix") -> "CubicMatrix":
-        """b^T * self * b."""
-        return b.transpose() * self * b
+        """b^T * self * b for a rational b: with self = G0 + G1 c + G2 c^2, the sum of
+        b^T G_s b * c^s, each an integer product over the denominator den(b)^2 den(G)."""
+        if not all(x.is_rational() for row in b.entries for x in row):
+            raise ValueError("congruence needs a rational matrix")
+        bq = [[x.coeffs[0] for x in row] for row in b.entries]
+        db = _den(x for row in bq for x in row)
+        dg = _den(q for row in self.entries for x in row for q in x.coeffs)
+        bi = [_ints(row, db) for row in bq]
+        bt = list(zip(*bi))
+        parts = []
+        for s in range(3):
+            gs = [_ints([x.coeffs[s] for x in row], dg) for row in self.entries]
+            parts.append(_imul(bt, _imul(gs, bi)))
+        den = db * db * dg
+        ents = [[CubicNum(self.m, tuple(Fraction(p[i][j], den) for p in parts))
+                 for j in range(b.cols)] for i in range(b.cols)]
+        return CubicMatrix(b.cols, b.cols, ents, self.m)
 
     def det(self) -> CubicNum:
         """Exact determinant via Gaussian elimination over the cubic field."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
-        a = [[self.entries[i][j] for j in range(n)] for i in range(n)]
+        a = [row[:] for row in self.entries]
         det = CubicNum.of(self.m, 1)
         sign = 1
         for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero():
-                    piv = r
-                    break
+            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
             if piv is None:
                 return CubicNum.of(self.m)
             if piv != col:
@@ -440,58 +395,87 @@ class CubicMatrix:
 # Rational matrices (plain lists of Fractions) and characteristic polynomials
 # ---------------------------------------------------------------------------
 
-def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+def _den(xs: Iterable) -> int:
+    """Least common denominator of ints and Fractions."""
+    return math.lcm(1, *(x.denominator for x in xs))
 
 
-def mat_det(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    a = [row[:] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+def _ints(row: Iterable, d: int) -> list[int]:
+    """d * row as ints, for d a multiple of every denominator in row."""
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _imul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss 1968) Gauss-Jordan elimination, in place, of n integer rows.
+
+    Every entry stays a minor, so each division by the previous pivot is exact.
+    Returns (sign, pivot), det = sign * pivot of the leading n x n block; a
+    nonzero pivot leaves that block pivot * I and the rest pivot * block^-1 * rest.
+    """
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+            return sign, 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        rk = rows[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], rk)]
+        prev = p
+    return sign, prev
 
 
-def mat_solve(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+def mat_det(a: Sequence[Sequence[Fraction]]) -> Fraction:
+    dens = [_den(row) for row in a]
+    sign, p = _bareiss([_ints(row, d) for row, d in zip(a, dens)])
+    return Fraction(sign * p, math.prod(dens))
+
+
+def mat_solve(a: Sequence[Sequence[Fraction]],
+              b: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Solve a * X = b exactly (a square nonsingular)."""
     n = len(a)
-    m = len(b[0])
-    aug = [a[i][:] + b[i][:] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:n + m] for row in aug]
+    rows = [_ints(row, _den(row)) for row in ([*ra, *rb] for ra, rb in zip(a, b))]
+    _, p = _bareiss(rows)
+    if p == 0:
+        raise ZeroDivisionError("singular matrix")
+    return [[Fraction(x, p) for x in row[n:]] for row in rows]
 
 
-def char_poly_rational(a: list[list[Fraction]]) -> list[Fraction]:
-    """Faddeev-LeVerrier: coefficients [c0, ..., c_{n-1}, 1] of det(xI - A)."""
+def mult_matrix(m: int, vec: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Matrix of multiplication by sum vec[t] theta^t on the power basis, theta^n = m:
+    column j is the element times theta^j, entry (i, j) vec[i-j] or m vec[i-j+n]."""
+    n = len(vec)
+    return [[vec[i - j] if i >= j else m * vec[i - j + n] for j in range(n)] for i in range(n)]
+
+
+def char_poly_rational(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
+    """Coefficients [c0, ..., c_{n-1}, 1] of det(xI - A), by Faddeev-LeVerrier in ints.
+
+    On B = dA, d the lcm of A's denominators, the coefficients b_k of det(xI - B)
+    are integers (each division by k is exact); that of x^(n-k) for A is b_k / d^k.
+    """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    am = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    d = _den(x for row in a for x in row)
+    b = [_ints(row, d) for row in a]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(a, am)  # A * M_k with M_1 = I
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
+        mk = _imul(b, mk)  # B * N_k with N_1 = I
+        bk, r = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier division must be exact on an integer matrix"
+        coeffs[n - k] = Fraction(bk, d ** k)
         for i in range(n):
-            am[i][i] += c  # becomes M_{k+1}
+            mk[i][i] += bk  # becomes N_{k+1}
     return coeffs

@@ -20,12 +20,14 @@ densities of squarefree pairwise-coprime tuples).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -227,7 +229,14 @@ def m3_count(j: int, sign: int, a2: int, a3: int, a4: int) -> int:
 
 _CACHE: dict[tuple, int] = {}
 _cache_dir: str | None = os.environ.get("PURESEXTIC_CACHE")
-_SCHEMA = 1
+
+
+@lru_cache(maxsize=1)
+def kernel_version() -> str:
+    """SHA-256 of the count kernels' source and the Type rules they read; keys the disk cache."""
+    here = Path(__file__).parent
+    return hashlib.sha256((here / "densities.py").read_bytes()
+                          + (here / "types.py").read_bytes()).hexdigest()
 
 
 def set_cache_dir(path: str | None) -> None:
@@ -244,11 +253,15 @@ def _disk_path(kind: str, case: int, sign: int) -> str | None:
 
 def _load_disk(kind: str, case: int, sign: int, modulus: int) -> dict:
     path = _disk_path(kind, case, sign)
-    if not path or not os.path.exists(path):
+    if not path:
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != _SCHEMA or data.get("modulus") != modulus:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):  # missing, unreadable or not JSON: a miss, overwritten on store
+        return {}
+    if (not isinstance(data, dict) or data.get("kernel") != kernel_version()
+            or data.get("modulus") != modulus):
         return {}
     return {tuple(k): v for k, v in data.get("entries", [])}
 
@@ -258,7 +271,7 @@ def _store_disk(kind: str, case: int, sign: int, modulus: int, entries: dict) ->
     if not path:
         return
     os.makedirs(_cache_dir, exist_ok=True)
-    payload = {"schema": _SCHEMA, "kind": kind, "case": case, "sign": sign,
+    payload = {"kernel": kernel_version(), "kind": kind, "case": case, "sign": sign,
                "modulus": modulus,
                "entries": sorted([list(k), v] for k, v in entries.items())}
     fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")

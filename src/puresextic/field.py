@@ -30,11 +30,16 @@ class InvalidField(ValueError):
     pass
 
 
+class FactorizationLimit(ValueError):
+    """Brent's rho found no factor within _RHO_LIMIT steps."""
+
+
 # ---------------------------------------------------------------------------
 # Factorization: trial division, then Brent's rho with deterministic Miller-Rabin
 # ---------------------------------------------------------------------------
 
 _TRIAL_LIMIT = 10 ** 6
+_RHO_LIMIT = 1 << 20  # rho steps per split; a prime factor p takes ~sqrt(p), so p up to ~10^12
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -65,7 +70,8 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite odd n."""
+    """A nontrivial factor of composite odd n, within _RHO_LIMIT steps of the walk."""
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -73,6 +79,9 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         x, d, q = y, 1, 1
         r = 1
         while d == 1:
+            if steps > _RHO_LIMIT:
+                raise FactorizationLimit(
+                    f"cannot factor {n}: no factor found in {_RHO_LIMIT} Brent rho steps")
             x = y
             for _ in range(r):
                 y = f(y)
@@ -84,6 +93,7 @@ def _brent_rho(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 d = math.gcd(q, n)
                 k += 128
+            steps += 2 * r
             r *= 2
         if d == n:
             d = 1

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import char_poly_rational, mat_det, mat_solve
+from .algebra import char_poly_rational, mat_det, mat_solve, mult_matrix
 from .field import (InvalidField, _val, big_c_n, carefree_decompose_n, check_assumption,
                     factorize)
 
@@ -192,20 +192,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def element_char_poly(n: int, m: int, vec: list[Fraction]) -> list[Fraction]:
     """Characteristic polynomial of multiplication by sum vec[t] theta^t on the power basis."""
-    cols = []
-    for j in range(n):
-        col = [Fr(0)] * n
-        for t in range(n):
-            if vec[t] == 0:
-                continue
-            k = t + j
-            if k < n:
-                col[k] += vec[t]
-            else:
-                col[k - n] += vec[t] * m
-        cols.append(col)
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return char_poly_rational(mat)
+    return char_poly_rational(mult_matrix(m, vec[:n]))
 
 
 def is_integral_basis_candidate(gb: GeneralBasis) -> bool:

@@ -1,13 +1,14 @@
+import itertools
 import math
 from fractions import Fraction as Fr
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum,
                                 char_poly_rational, gram_pair, hermitian_gram,
-                                mat_det, trace_numeric)
+                                mat_det, mat_solve, trace_numeric)
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -171,3 +172,72 @@ def test_char_poly_companion():
 def test_theta_is_integral():
     assert SexticNum.theta_power(12, 1).char_poly() == \
         [Fr(-12), Fr(0), Fr(0), Fr(0), Fr(0), Fr(0), Fr(1)]
+
+
+# Oracles for the integer core that do not eliminate: the Leibniz formula, and
+# multiplying back.
+
+entry = st.one_of(st.just(Fr(0)), st.fractions(min_value=-20, max_value=20, max_denominator=9))
+
+
+def square(n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+matrices = st.integers(min_value=1, max_value=6).flatmap(square)
+
+
+def leibniz_det(a):
+    n = len(a)
+    total = Fr(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod((a[i][perm[i]] for i in range(n)), start=Fr(1))
+    return total
+
+
+@given(matrices)
+@settings(max_examples=60, deadline=None)
+def test_det_matches_leibniz(a):
+    assert mat_det(a) == leibniz_det(a)
+
+
+@given(matrices)
+@settings(max_examples=25, deadline=None)
+def test_char_poly_matches_leibniz(a):
+    n = len(a)
+    coeffs = char_poly_rational(a)
+    for x in range(-n // 2, n // 2 + 2):  # n + 1 points fix a degree-n polynomial
+        xi_minus_a = [[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+        assert sum(c * x ** k for k, c in enumerate(coeffs)) == leibniz_det(xi_minus_a)
+
+
+@given(matrices, st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_multiplies_back(a, k, data):
+    n = len(a)
+    assume(leibniz_det(a) != 0)
+    b = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    x = mat_solve(a, b)
+    assert [[sum(a[i][t] * x[t][j] for t in range(n)) for j in range(k)] for i in range(n)] == b
+
+
+def test_singular_solve_raises_zero_division():
+    with pytest.raises(ZeroDivisionError, match="singular matrix"):
+        mat_solve([[Fr(1), Fr(2)], [Fr(2), Fr(4)]], [[Fr(1)], [Fr(0)]])
+
+
+@given(st.integers(min_value=-60, max_value=60).filter(lambda m: round(abs(m) ** (1 / 3)) ** 3 != abs(m)),
+       rat, rat, rat)
+@settings(max_examples=60, deadline=None)
+def test_cubic_inverse_multiplies_to_one(m, q0, q1, q2):
+    x = C(m, q0, q1, q2)
+    assume(not x.is_zero())
+    assert x * x.inverse() == C(m, 1)
+
+
+def test_congruence_needs_a_rational_matrix():
+    g = CubicMatrix.identity(5, 2)
+    b = CubicMatrix(2, 2, [[C(5, 1), C(5, 0, 1, 0)], [C(5, 0), C(5, 1)]], 5)
+    with pytest.raises(ValueError, match="rational"):
+        g.congruence(b)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import puresextic
+from puresextic import densities
 from puresextic.cli import main
 from puresextic.field import is_prime
 
@@ -89,7 +94,7 @@ def test_density_cache_dir(tmp_path, capsys):
     assert files, "disk cache was not written"
     for f in files:
         payload = json.loads(f.read_text())
-        assert payload["schema"] == 1
+        assert payload["kernel"] == densities.kernel_version()
         assert payload["modulus"] in (64, 243)
 
 
@@ -109,6 +114,12 @@ def test_measure_command(capsys):
 
 def test_invalid_m_exit_1(capsys):
     assert main(["basis", "--m", "64"]) == 1
+
+
+@pytest.mark.parametrize("m", ["31250", "4"])  # 2 * 5^6; a square
+def test_classify_rejects_m_without_a_pure_sextic_field(capsys, m):
+    assert main(["classify", "--m", m]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("cmd", ["gram", "shape"])
@@ -140,3 +151,32 @@ def test_fractional_t_box_exit_1(capsys):
                  "--ladder", "10000000", "--prime-bound", "1000"])
     assert code == 1
     assert "integer" in capsys.readouterr().err
+
+
+def test_unfactorable_m_exit_1_fast():
+    """A semiprime of two 25-digit primes exhausts the rho budget instead of hanging."""
+    def next_prime(n):
+        while not is_prime(n):
+            n += 1
+        return n
+    m = next_prime(10 ** 24) * next_prime(2 * 10 ** 24)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "puresextic", "classify", "--m", str(m)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot factor")
+
+
+def test_corrupt_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(densities, "_cache_dir", None)  # main() sets it; restore afterwards
+    argv = ["measure", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6"]
+    code, plain = run(capsys, *argv)
+    (tmp_path / "n2_1_p.json").write_text("garbage{")
+    code_cached, cached = run(capsys, "--cache-dir", str(tmp_path), *argv)
+    assert code == code_cached == 0
+    plain, cached = json.loads(plain), json.loads(cached)
+    assert cached.pop("config")["cache_dir"] == str(tmp_path)
+    plain.pop("config")
+    assert cached == plain
+    payload = json.loads((tmp_path / "n2_1_p.json").read_text())
+    assert payload["kernel"] == densities.kernel_version()

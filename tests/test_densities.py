@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as Fr
 
@@ -206,3 +207,22 @@ def test_measure_empty_box_zero():
     degenerate = Box3(2, 2, Fr(1, 8), 8, 1, 6, kind="C")
     assert D.mu_box_stated(t, 1, degenerate, 10 ** 3)["value"] == 0.0
     assert D.mu_box_discrete(t, 1, degenerate, prime_bound=10 ** 3)["value"] == 0.0
+
+
+def test_disk_cache_from_other_kernel_code_is_recomputed(tmp_path, monkeypatch):
+    t = SexticType(1, 1)
+    monkeypatch.setattr(D, "_cache_dir", None)
+    monkeypatch.setattr(D, "_CACHE", {})
+    monkeypatch.setattr(D, "_DISK_SYNCED", set())
+    expected = D.n_table(t, 1, 1, 1)
+    true_n2 = D.n2_count(1, 1, 1, 1)
+    stale = {"schema": 1, "kernel": "written by other kernel code", "kind": "n2", "case": 1,
+             "sign": 1, "modulus": 64, "entries": [[[1, 1], true_n2 + 1]]}
+    (tmp_path / "n2_1_p.json").write_text(json.dumps(stale))
+    monkeypatch.setattr(D, "_cache_dir", str(tmp_path))
+    monkeypatch.setattr(D, "_CACHE", {})
+    monkeypatch.setattr(D, "_DISK_SYNCED", set())
+    assert D.n_table(t, 1, 1, 1) == expected
+    payload = json.loads((tmp_path / "n2_1_p.json").read_text())
+    assert payload["kernel"] == D.kernel_version()
+    assert [[1, 1], true_n2] in payload["entries"]
