@@ -1,7 +1,10 @@
 """Local congruence densities and the limiting-measure integrals.
 
 Residue-level counts over Z/64 and Z/243 (CRT-split, cached) feed the
-coefficient functions and the box integrals of the limiting measures.  For
+coefficient functions and the box integrals of the limiting measures.  Each
+count folds one free coordinate at a time into a histogram of (number of
+p-divisible coordinates, product residue), O(mod^2) per coordinate instead of
+a (Z/mod)^k cube.  For
 primes l >= 5 the carefree survivor set is "at most one coordinate divisible
 by l" (the closed-form convention; the strict squarefree counterpart is also
 computed since it is what actual sixth-power-free tuples satisfy).
@@ -135,41 +138,37 @@ def _free_masks(mod: int, p: int, psq: int) -> tuple[np.ndarray, np.ndarray]:
     return adm, div
 
 
+@lru_cache(maxsize=None)
+def _step(mod: int, p: int, psq: int, e: int, divisible: bool) -> np.ndarray:
+    """step[v, w] = #{r in Z/mod : v_p(r) <= 1, (p | r) == divisible, v * r^e = w}."""
+    r = np.arange(mod, dtype=np.int64)
+    adm, div = _free_masks(mod, p, psq)
+    pw = r[adm & (div == divisible)] ** e % mod
+    step = np.bincount((r[:, None] * mod + r[:, None] * pw % mod).ravel(),
+                       minlength=mod * mod).reshape(mod, mod).astype(np.uint8)  # counts <= mod <= 243
+    step.flags.writeable = False
+    return step
+
+
 def _count_free(mod: int, p: int, psq: int, powers: tuple[int, ...], const: int,
                 in_set: np.ndarray, budget: int) -> int:
     """Count tuples (r_1..r_k) in (Z/mod)^k, each v_p <= 1, at most `budget`
-    divisible by p, with const * prod r_i^powers[i] mod `mod` in `in_set`."""
+    divisible by p, with const * prod r_i^powers[i] mod `mod` in `in_set`.
+
+    A histogram fold: hist[d, v] counts the admissible prefixes with d
+    p-divisible coordinates and product residue v; each coordinate multiplies
+    in through two (mod x mod) transition tables, O(mod^2) per coordinate.
+    """
     if budget < 0:
         return 0
-    r = np.arange(mod, dtype=np.int64)
-    adm, div = _free_masks(mod, p, psq)
-    pw = []
+    hist = np.zeros((budget + 1, mod), dtype=np.int64)
+    hist[0, const % mod] = 1
     for e in powers:
-        v = np.ones(mod, dtype=np.int64)
-        base = r.copy()
-        k = e
-        while k:
-            if k & 1:
-                v = (v * base) % mod
-            base = (base * base) % mod
-            k >>= 1
-        pw.append(v)
-    if len(powers) == 3:
-        t01 = np.mod(np.multiply.outer((const * pw[0]) % mod, pw[1]), mod)
-        prod = np.mod(np.multiply.outer(t01, pw[2]), mod)
-        ok = in_set[prod]
-        d = (div[:, None, None].astype(np.int8) + div[None, :, None] + div[None, None, :])
-        ok &= d <= budget
-        ok &= adm[:, None, None] & adm[None, :, None] & adm[None, None, :]
-        return int(ok.sum())
-    if len(powers) == 2:
-        prod = np.mod(np.multiply.outer((const * pw[0]) % mod, pw[1]), mod)
-        ok = in_set[prod]
-        d = div[:, None].astype(np.int8) + div[None, :]
-        ok &= d <= budget
-        ok &= adm[:, None] & adm[None, :]
-        return int(ok.sum())
-    raise ValueError("2 or 3 free coordinates")
+        v = np.flatnonzero(hist.any(axis=0))  # the residues some prefix reaches
+        new = hist[:, v] @ _step(mod, p, psq, e, False)[v]
+        new[1:] += hist[:-1, v] @ _step(mod, p, psq, e, True)[v]
+        hist = new
+    return int(hist[:, in_set].sum())
 
 
 def _fixed_part(mod: int, p: int, psq: int, residues: tuple[int, ...],

@@ -126,7 +126,10 @@ def factorize(n: int) -> dict[int, int]:
         i = (i + 1) % 8
     if n == 1:
         return out
-    rng = random.Random(0xC0FFEE)  # deterministic: factorization results are reproducible
+    if d * d > n:  # no prime below d is left in n, so n is prime
+        out[n] = 1
+        return out
+    rng = None  # made on the first rho split
     stack = [n]
     while stack:
         v = stack.pop()
@@ -142,6 +145,8 @@ def factorize(n: int) -> dict[int, int]:
                 stack.extend([r] * e)
                 break
         else:
+            if rng is None:
+                rng = random.Random(0xC0FFEE)  # deterministic: factorization results are reproducible
             d = _brent_rho(v, rng)
             stack.extend([d, v // d])
     return out

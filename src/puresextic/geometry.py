@@ -4,8 +4,9 @@ The 3d region M(N, L1', L1, L2', L2) = {x1,x3,x5 > 0 : x1^5 x3^3 x5^5 <= N,
 x5/x1 in [L1', L1], x5/(x3^3 x1) in [L2', L2]} has volume
 (75/8) N^(1/5) (L1^(2/15) - L1'^(2/15)) (L2'^(-2/15) - L2^(-2/15)); its lattice
 points are counted exactly by slicing x1, then x5, then an integer cube-root
-interval for x3.  All interval endpoints are handled in exact rational
-arithmetic so counts agree bit-for-bit with brute force.
+interval for x3.  Each interval endpoint is the floor, ceiling or integer root
+of a quotient of Python ints, cross-multiplied from the numerators and
+denominators of N and the windows, so counts agree bit-for-bit with brute force.
 """
 
 from __future__ import annotations
@@ -96,29 +97,32 @@ def count_lattice_M3(N, L1p, L1, L2p, L2, per_x1=None) -> int:
     """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact.
 
     Slices on x1, then x5 in the ratio interval, then counts x3 in an exact
-    cube-root interval; O(#pairs) time.
+    cube-root interval; O(#pairs) time.  The arguments are ints or Fractions;
+    every window endpoint is a floor or ceiling of a cross-multiplied integer
+    quotient.
     """
     N = Fr(N); L1p = Fr(L1p); L1 = Fr(L1); L2p = Fr(L2p); L2 = Fr(L2)
     if L2p <= 0:
         raise ValueError("L2' must be positive for a finite region")
     if N < 1 or L1 <= 0 or L1p > L1 or L2p > L2:
         return 0
+    n, dn = N.numerator, N.denominator
+    p1, q1, P1, Q1 = L1p.numerator, L1p.denominator, L1.numerator, L1.denominator
+    p2, q2, P2, Q2 = L2p.numerator, L2p.denominator, L2.numerator, L2.denominator
     # x1 caps: x3, x5 >= 1 give x1^5 <= N; if L1p > 0 then x5 >= L1p x1 and
     # x3^3 >= x5/(L2 x1) >= L1p/L2 force x1^10 <= N L2 / L1p^6.
-    cap = floor_root(N, 5)
-    if L1p > 0:
-        cap = min(cap, floor_root(N * L2 / L1p ** 6, 10))
+    cap = iroot(n // dn, 5)
+    if p1 > 0:
+        cap = min(cap, iroot(n * P2 * q1 ** 6 // (dn * Q2 * p1 ** 6), 10))
     total = 0
     for x1 in range(1, cap + 1):
-        fx1 = Fr(x1)
-        lo5 = max(1, math.ceil(L1p * fx1))
-        hi5 = min(math.floor(L1 * fx1), floor_root(N / fx1 ** 5, 5))
+        lo5 = max(1, -(-p1 * x1 // q1))
+        hi5 = min(P1 * x1 // Q1, iroot(n // (dn * x1 ** 5), 5))
         cnt_here = 0
         for x5 in range(lo5, hi5 + 1):
-            fx5 = Fr(x5)
-            lo3 = max(1, ceil_root(fx5 / (L2 * fx1), 3))
-            hi3 = min(floor_root(fx5 / (L2p * fx1), 3),
-                      floor_root(N / (fx1 ** 5 * fx5 ** 5), 3))
+            # x5 / (x1 x3^3) in [L2', L2] and x1^5 x3^3 x5^5 <= N
+            lo3 = max(1, ceil_root(-(-x5 * Q2 // (x1 * P2)), 3))
+            hi3 = min(iroot(x5 * q2 // (x1 * p2), 3), iroot(n // (dn * (x1 * x5) ** 5), 3))
             if hi3 >= lo3:
                 cnt_here += hi3 - lo3 + 1
         total += cnt_here

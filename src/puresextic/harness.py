@@ -1,10 +1,16 @@
 """Enumeration of carefree tuples by discriminant bound, and the comparison harness.
 
-enumerate_C walks the (lambda1^3, lambda2^3, a2 a4) windows exactly (all
-interval endpoints in rational arithmetic, so small-N runs agree with the
-naive full scan set-for-set); enumerate_T walks (a5/a1, a2 a4, a3) windows.
-compare() assembles counts over an N-ladder, fits the growth exponent, and
-reports the empirical constant against every prediction variant.
+enumerate_C walks the (lambda1^3, lambda2^3, a2 a4) windows, one shard per
+(a2, a4) cell; enumerate_T walks the (a5/a1, a2 a4, a3) windows, one shard per
+(a2, a3, a4) cell.  Every window endpoint is the floor, ceiling or integer root
+of a quotient of Python ints, cross-multiplied from the box's numerators and
+denominators, so small-N runs agree with the naive full scan set-for-set.  A
+shard gathers its candidate (a1, a3, a5) as int64 arrays and filters them with
+vector masks: a squarefree sieve sized to the shard's largest coordinate,
+np.gcd for pairwise coprimality, and the Type table on m mod 46656 built from
+per-coordinate residues.  Only the survivors get the exact irreducibility
+check.  compare() assembles counts over an N-ladder, fits the growth exponent,
+and reports the empirical constant against every prediction variant.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ import numpy as np
 
 from . import densities
 from .densities import divisor_pairs
-from .field import ceil_root, floor_root, is_irreducible_sextic, is_squarefree
+from .field import ceil_root, iroot, is_irreducible_sextic, is_squarefree
 from .geometry import Box3, count_lattice_M2, count_lattice_M3
-from .types import SexticType, lookup_tables
+from .types import SexticType, classify_array, lookup_tables
 
 Fr = Fraction
 
@@ -35,50 +41,104 @@ class EnumSpec:
     carefree: bool = True  # False: all integer tuples in the region (no local conditions)
 
 
-def _tuple_ok(a: tuple[int, int, int, int, int], sign: int, t: SexticType) -> bool:
-    """Squarefree, pairwise coprime, x^6 - m irreducible, classifies to (sign, t)."""
-    for x in (a[0], a[2], a[4]):  # a2, a4 pre-filtered by the caller
-        if not is_squarefree(x):
-            return False
-    for i in range(5):
-        for j in range(i + 1, 5):
-            if math.gcd(a[i], a[j]) != 1:
-                return False
-    m = sign * a[0] * a[1] ** 2 * a[2] ** 3 * a[3] ** 4 * a[4] ** 5
-    if not is_irreducible_sextic(m):
-        return False
-    atab, btab = lookup_tables()
-    r = m % 46656
-    return int(atab[r]) == t.i and int(btab[r]) == t.j
+# The largest coordinate a shard may hold.  It sizes the squarefree sieve, keeps
+# products of two coordinates far inside int64, and caps a T shard at about
+# _COORD_LIMIT / 2 candidates (N up to ~1e30 on the unit cell).
+_COORD_LIMIT = 10 ** 6
+
+
+def _check_coordinates(N: int, top: int) -> None:
+    if top > _COORD_LIMIT:
+        raise ValueError(f"N={N} needs tuple coordinates up to {top}, "
+                         f"above the enumeration limit {_COORD_LIMIT}")
+
+
+def _expand(lo: list[int], hi: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(k, v) for every v in [lo[k], hi[k]], in order of k then v."""
+    lo = np.array(lo, dtype=np.int64)
+    n = np.maximum(np.array(hi, dtype=np.int64) - lo + 1, 0)
+    k = np.repeat(np.arange(len(lo)), n)
+    start = np.cumsum(n) - n
+    return k, lo[k] + np.arange(len(k)) - start[k]
+
+
+def _squarefree_sieve(top: int) -> np.ndarray:
+    """sf[n] is True iff n is squarefree, for 0 <= n <= top."""
+    sf = np.ones(top + 1, dtype=bool)
+    sf[0] = False
+    for p in range(2, math.isqrt(top) + 1):
+        sf[p * p::p * p] = False
+    return sf
+
+
+_TYPE_MOD = 46656  # the Type is a function of m mod 2^6 3^6
+
+
+def _type_residues(const: int, a1: np.ndarray, a3: np.ndarray, a5: np.ndarray) -> np.ndarray:
+    """const * a1 * a3^3 * a5^5 mod 46656, reduced after every product (no int64 overflow)."""
+    r = np.full(len(a1), const % _TYPE_MOD, dtype=np.int64)
+    for a, e in ((a1, 1), (a3, 3), (a5, 5)):
+        x = a % _TYPE_MOD
+        for _ in range(e):
+            r = r * x % _TYPE_MOD
+    return r
+
+
+def _select(spec: EnumSpec, a1: np.ndarray, a2: int, a3: np.ndarray, a4: int,
+            a5: np.ndarray) -> list[tuple[int, ...]]:
+    """The candidates (a1[k], a2, a3[k], a4, a5[k]) that meet the spec, as tuples.
+
+    With `carefree`: a1, a3, a5 squarefree, all five pairwise coprime (a2, a4
+    are coprime squarefree already), m of the spec's Type, and x^6 - m
+    irreducible.  The vector masks run first; the exact irreducibility check
+    sees only their survivors.  Without `carefree` every candidate is kept.
+    """
+    sign = spec.sign
+    if spec.carefree and len(a1):
+        sf = _squarefree_sieve(int(max(a1.max(), a3.max(), a5.max())))
+        keep = sf[a1] & sf[a3] & sf[a5]
+        a234 = a3 * (a2 * a4)
+        keep &= (np.gcd(a1, a234) == 1) & (np.gcd(a5, a234) == 1)
+        keep &= (np.gcd(a3, a2 * a4) == 1) & (np.gcd(a1, a5) == 1)
+        acase, bcase = classify_array(_type_residues(sign * a2 ** 2 * a4 ** 4, a1, a3, a5))
+        keep &= (acase == spec.type.i) & (bcase == spec.type.j)
+        a1, a3, a5 = a1[keep], a3[keep], a5[keep]
+    out = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())]
+    if spec.carefree:
+        c = a2 ** 2 * a4 ** 4
+        out = [a for a in out if is_irreducible_sextic(sign * c * a[0] * a[2] ** 3 * a[4] ** 5)]
+    return out
 
 
 def _enum_c_shard(args) -> list[tuple[int, ...]]:
     spec, a2, a4 = args
-    box, N, sign, t = spec.box, Fr(spec.N), spec.sign, spec.type
-    out = []
-    npair = N / Fr(a2 ** 4 * a4 ** 4)
-    l1p = box.r1p * Fr(a2, a4)            # lambda1^3 window: a5^2/a1^2 in [l1p, l1]
-    l1 = box.r1 * Fr(a2, a4)
-    # a1 cap: a5^2 >= l1p a1^2 and a3^3 >= (a5/a1)/l2 with l2 = R2 a4/a2 give
-    # a1^10 <= npair * l2 / l1p^3
-    l2 = box.r2 * Fr(a4, a2)
-    cap = floor_root(npair, 5)
-    if l1p > 0:
-        cap = min(cap, floor_root(npair * l2 / l1p ** 3, 10))
+    box, N = spec.box, spec.N
+    # lambda1^3 = a4 a5^2 / (a1^2 a2) in [p1/q1, P1/Q1]; lambda2^3 = a2 a5 / (a1 a3^3 a4)
+    # in [p2/q2, P2/Q2]; a1^5 a3^3 a5^5 <= npair.  Windows are cross-multiplied in ints.
+    p1, q1, P1, Q1 = box.r1p.numerator, box.r1p.denominator, box.r1.numerator, box.r1.denominator
+    p2, q2, P2, Q2 = box.r2p.numerator, box.r2p.denominator, box.r2.numerator, box.r2.denominator
+    npair = N // (a2 ** 4 * a4 ** 4)
+    # a1 cap: a5^2 >= l1' a1^2 and a3^3 >= (a5/a1)/l2 with l1' = R1' a2/a4 and
+    # l2 = R2 a4/a2 give a1^10 <= npair * l2 / l1'^3 = N R2 / (a2^8 R1'^3)
+    cap = min(iroot(npair, 5), iroot(N * P2 * q1 ** 3 // (a2 ** 8 * Q2 * p1 ** 3), 10))
+    a5cap = min(math.isqrt(P1 * a2 * cap * cap // (Q1 * a4)), iroot(npair, 5))
+    a3cap = min(iroot(a2 * a5cap * q2 // (a4 * p2), 3), iroot(npair, 3))
+    _check_coordinates(N, max(cap, a5cap, a3cap, a2 * a4))
+    pairs, lo3, hi3 = [], [], []
     for a1 in range(1, cap + 1):
-        lo5 = max(1, ceil_root(l1p * a1 * a1, 2))
-        hi5 = floor_root(l1 * a1 * a1, 2)
+        lo5 = max(1, ceil_root(-(-p1 * a2 * a1 * a1 // (q1 * a4)), 2))
+        hi5 = min(math.isqrt(P1 * a2 * a1 * a1 // (Q1 * a4)), iroot(npair // a1 ** 5, 5))
         for a5 in range(lo5, hi5 + 1):
-            # lambda2^3 = a2 a5 / (a1 a3^3 a4) in [r2p, r2]
-            lo3 = max(1, ceil_root(Fr(a2 * a5, a1 * a4) / box.r2, 3))
-            hi3 = floor_root(Fr(a2 * a5, a1 * a4) / box.r2p, 3) if box.r2p > 0 else None
-            bound3 = floor_root(npair / Fr(a1 ** 5 * a5 ** 5), 3)
-            hi3 = bound3 if hi3 is None else min(hi3, bound3)
-            for a3 in range(lo3, hi3 + 1):
-                a = (a1, a2, a3, a4, a5)
-                if not spec.carefree or _tuple_ok(a, sign, t):
-                    out.append(a)
-    return out
+            n, d = a2 * a5, a1 * a4
+            lo = max(1, ceil_root(-(-n * Q2 // (d * P2)), 3))
+            hi = min(iroot(n * q2 // (d * p2), 3), iroot(npair // (a1 * a5) ** 5, 3))
+            if hi >= lo:
+                pairs.append((a1, a5))
+                lo3.append(lo)
+                hi3.append(hi)
+    k, a3 = _expand(lo3, hi3)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)[k]
+    return _select(spec, pairs[:, 0], a2, a3, a4, pairs[:, 1])
 
 
 def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
@@ -126,23 +186,20 @@ def _sqrt_frac_upper(q: Fraction, digits: int = 40) -> Fraction:
 
 def _enum_t_shard(args) -> list[tuple[int, ...]]:
     spec, a2, a3, a4 = args
-    box, sign, t = spec.box, spec.sign, spec.type
-    out = []
-    npair = Fr(spec.N) / Fr(a2 ** 4 * a3 ** 3 * a4 ** 4)
-    mcap = floor_root(npair, 5)  # a1 a5 <= mcap
+    box, N = spec.box, spec.N
+    p1, q1, P1, Q1 = box.r1p.numerator, box.r1p.denominator, box.r1.numerator, box.r1.denominator
+    mcap = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)  # a1 a5 <= mcap
     if mcap < 1:
-        return out
-    a1cap = floor_root(mcap / box.r1p, 2)
-    for a1 in range(1, a1cap + 1):
-        lo5 = max(1, math.ceil(box.r1p * a1))
-        hi5 = min(math.floor(box.r1 * a1), mcap // a1)
-        for a5 in range(lo5, hi5 + 1):
-            if spec.carefree and a1 == a5 and a2 > a4:
-                continue  # ratio-1 leaf: keep the canonical orientation (a4 >= a2)
-            a = (a1, a2, a3, a4, a5)
-            if not spec.carefree or _tuple_ok(a, sign, t):
-                out.append(a)
-    return out
+        return []
+    _check_coordinates(N, max(mcap, a2 * a3 * a4))
+    a1s = range(1, math.isqrt(mcap * q1 // p1) + 1)  # a5 >= R1' a1 and a1 a5 <= mcap
+    i, a5 = _expand([max(1, -(-p1 * a1 // q1)) for a1 in a1s],
+                    [min(P1 * a1 // Q1, mcap // a1) for a1 in a1s])
+    a1 = i + 1
+    if spec.carefree and a2 > a4:
+        keep = a1 != a5  # ratio-1 leaf: keep the canonical orientation (a4 >= a2)
+        a1, a5 = a1[keep], a5[keep]
+    return _select(spec, a1, a2, np.full(len(a1), a3, dtype=np.int64), a4, a5)
 
 
 def enumerate_T(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
@@ -167,7 +224,7 @@ def raw_count_T(N: int, box: Box3) -> int:
     total = 0
     for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2), squarefree=False):
         for a3 in range(int(box.r3p), int(box.r3) + 1):
-            mcap = floor_root(Fr(N) / Fr(a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
+            mcap = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
             total += count_lattice_M2(mcap, box.r1p, box.r1)
     return total
 

@@ -101,26 +101,23 @@ _MOD = 46656  # 2^6 * 3^6
 def lookup_tables() -> tuple[np.ndarray, np.ndarray]:
     """(a_table, b_table) indexed by m mod 46656; 0 marks unclassifiable residues.
 
-    Built from the congruence rules, then checked to be constant on classes
+    a_case reads m mod 64 and b_case m mod 243, so both tables are their values
+    on those residues spread over Z/46656; then checked to be constant on classes
     mod 15552 wherever both representatives admit sixth-power-free integers.
     """
     res = np.arange(_MOD, dtype=np.int64)
-    a = np.zeros(_MOD, dtype=np.int8)
-    b = np.zeros(_MOD, dtype=np.int8)
-    for r in range(_MOD):
-        if r % 64 != 0:
-            a[r] = a_case(r)
-        if r % 729 != 0:
-            b[r] = b_case(r)
-        elif r % 729 == 0:
-            b[r] = 0  # 729 | m cannot happen for sixth-power-free m
+    a64 = np.array([a_case(r) if r else 0 for r in range(64)], dtype=np.int8)
+    b243 = np.array([b_case(r) for r in range(243)], dtype=np.int8)
+    a = a64[res % 64]
+    b = np.where(res % 729 == 0, 0, b243[res % 243]).astype(np.int8)  # 729 | m is not sixth-power-free
     # residues 243, 486 mod 729 carry v_3 = 5 and must be B1 (mod-729 sub-condition)
     assert np.all(b[res % 729 == 243] == 1) and np.all(b[res % 729 == 486] == 1)
-    # constancy on classes mod 15552 (where both lifts are admissible)
-    for r in range(15552):
-        vals_a = {a[r + k * 15552] for k in range(3) if a[r + k * 15552] != 0}
-        vals_b = {b[r + k * 15552] for k in range(3) if b[r + k * 15552] != 0}
-        assert len(vals_a) <= 1 and len(vals_b) <= 1, f"classification not constant mod 15552 at {r}"
+    # constancy on classes mod 15552 (where both lifts are admissible): row k holds r + k * 15552
+    for tab in (a, b):
+        lifts = tab.reshape(3, 15552)
+        top = lifts.max(axis=0)
+        bad = np.flatnonzero(((lifts != 0) & (lifts != top)).any(axis=0))
+        assert bad.size == 0, f"classification not constant mod 15552 at {bad[:1].tolist()}"
     return a, b
 
 

@@ -167,6 +167,18 @@ def test_unfactorable_m_exit_1_fast():
     assert proc.stderr.startswith("error: cannot factor")
 
 
+def test_equidist_beyond_the_coordinate_limit_exit_1_fast():
+    """A ladder point whose tuple coordinates would overflow the sieve fails before enumerating."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "puresextic", "equidist", "--family", "T",
+                           "--type", "1,1", "--sign", "+", "--box", "1,4,1,6,1,3",
+                           "--ladder", str(10 ** 40), "--prime-bound", "1000"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: N={10 ** 40} needs tuple coordinates")
+    assert "Traceback" not in proc.stderr
+
+
 def test_corrupt_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(densities, "_cache_dir", None)  # main() sets it; restore afterwards
     argv = ["measure", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6"]

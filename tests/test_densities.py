@@ -226,3 +226,63 @@ def test_disk_cache_from_other_kernel_code_is_recomputed(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "n2_1_p.json").read_text())
     assert payload["kernel"] == D.kernel_version()
     assert [[1, 1], true_n2] in payload["entries"]
+
+
+def count_free_brute(mod, p, psq, powers, const, in_set, budget):
+    """The (Z/mod)^k outer-product cube that `_count_free` folds into histograms."""
+    import numpy as np
+    if budget < 0:
+        return 0
+    r = np.arange(mod, dtype=np.int64)
+    adm, div = (r % psq) != 0, (r % p) == 0
+    pw = [np.array([pow(int(x), e, mod) for x in r], dtype=np.int64) for e in powers]
+    if len(powers) == 3:
+        t01 = np.mod(np.multiply.outer((const * pw[0]) % mod, pw[1]), mod)
+        prod = np.mod(np.multiply.outer(t01, pw[2]), mod)
+        ok = in_set[prod]
+        d = (div[:, None, None].astype(np.int8) + div[None, :, None] + div[None, None, :])
+        ok &= d <= budget
+        ok &= adm[:, None, None] & adm[None, :, None] & adm[None, None, :]
+        return int(ok.sum())
+    prod = np.mod(np.multiply.outer((const * pw[0]) % mod, pw[1]), mod)
+    ok = in_set[prod]
+    d = div[:, None].astype(np.int8) + div[None, :]
+    ok &= d <= budget
+    ok &= adm[:, None] & adm[None, :]
+    return int(ok.sum())
+
+
+def residue_count_brute(mod, p, fixed, powers, sign, in_set):
+    """Survivor count with the fixed (residue, power) coordinates folded in by hand."""
+    const, ndiv = sign % mod, 0
+    for r, e in fixed:
+        if r % (p * p) == 0:
+            return 0
+        ndiv += r % p == 0
+        const = const * pow(r, e, mod) % mod
+    return count_free_brute(mod, p, p * p, powers, const, in_set, 1 - ndiv)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_residue_counts_match_the_brute_force_cube(sign):
+    """n2/m2 for every A-case and n3/m3 for every B-case (so all 20 Types),
+    on keys with and without a coordinate divisible by 2 or 3."""
+    import numpy as np
+    from puresextic.types import a_case, b_case
+    for i in range(1, 6):
+        in_set = np.array([r != 0 and a_case(r) == i for r in range(64)])
+        for a2, a4 in ((1, 1), (2, 1), (1, 2), (5, 7), (4, 1)):
+            assert D.n2_count(i, sign, a2, a4) == \
+                residue_count_brute(64, 2, ((a2, 2), (a4, 4)), (1, 3, 5), sign, in_set)
+            for a3 in (1, 2, 3):
+                assert D.m2_count(i, sign, a2, a3, a4) == \
+                    residue_count_brute(64, 2, ((a2, 2), (a3, 3), (a4, 4)), (1, 5), sign, in_set)
+    for j in range(1, 5):
+        in_set = np.array([b_case(r) == j for r in range(243)])
+        for a2, a4 in ((1, 1), (1, 3)):
+            assert D.n3_count(j, sign, a2, a4) == \
+                residue_count_brute(243, 3, ((a2, 2), (a4, 4)), (1, 3, 5), sign, in_set)
+        for a2, a4 in ((1, 1), (3, 1), (2, 5)):
+            for a3 in (1, 3, 5, 9):
+                assert D.m3_count(j, sign, a2, a3, a4) == \
+                    residue_count_brute(243, 3, ((a2, 2), (a3, 3), (a4, 4)), (1, 5), sign, in_set)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Fr
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from puresextic.field import (AssumptionViolated, CarefreeTuple, NotPowerFree,
                               big_c, canonicalize, ceil_root, decompose, disc_valuations, dual,
                               factorize, floor_root, iroot, is_canonical, is_irreducible_sextic,
-                              is_squarefree, sextic_field)
+                              is_prime, is_squarefree, sextic_field)
 
 
 def test_decompose_examples():
@@ -44,6 +45,28 @@ def test_factorize_matches_product():
         for p, e in fac.items():
             prod *= p ** e
         assert prod == n
+
+
+def test_factorize_seeds_no_rng_without_a_rho_split(monkeypatch):
+    """Trial division that ends past the square root leaves a prime: no primality
+    test and no rng; the rng is made only when Brent's rho runs."""
+    import random
+
+    from puresextic import field
+
+    def forbidden(*args):
+        raise AssertionError("called")
+    monkeypatch.setattr(random, "Random", forbidden)
+    monkeypatch.setattr(field, "is_prime", forbidden)
+    for n in range(1, 10 ** 5):
+        fac = factorize(n)
+        assert math.prod(p ** e for p, e in fac.items()) == n
+        assert all(is_prime(p) for p in fac)
+    monkeypatch.setattr(field, "is_prime", is_prime)
+    assert factorize(10 ** 12 + 39) == {10 ** 12 + 39: 1}  # above the trial limit: is_prime
+    monkeypatch.undo()
+    p, q = 1000003, 9999991  # two 7-digit primes: the rho split still runs
+    assert factorize(p * q) == {p: 1, q: 1}
 
 
 def test_irreducibility():

@@ -2,10 +2,12 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M2_brute,
                                  count_lattice_M3, count_lattice_M3_brute, error_law_M2,
                                  monte_carlo_volume_M3, volume_V)
+from puresextic.harness import _sqrt_frac_lower, _sqrt_frac_upper
 
 
 def test_volume_examples():
@@ -31,6 +33,20 @@ def test_area_examples():
 ])
 def test_count3_vs_brute(N, l1p, l1, l2p, l2):
     assert count_lattice_M3(N, l1p, l1, l2p, l2) == count_lattice_M3_brute(N, l1p, l1, l2p, l2)
+
+
+positive = st.builds(Fr, st.integers(1, 64), st.integers(1, 16))
+small = st.builds(Fr, st.integers(1, 32), st.integers(4, 32))
+
+
+@given(st.builds(Fr, st.integers(10 ** 3, 10 ** 4), st.integers(1, 4)), small, positive,
+       small, positive)
+@settings(max_examples=30, deadline=None)
+def test_count3_vs_brute_on_40_digit_windows(N, q, w, l2p, l2w):
+    """The ratio windows raw_count_C passes: 40-digit bounds around square roots."""
+    l1p, l1 = _sqrt_frac_lower(q), _sqrt_frac_upper(q + w)
+    assert count_lattice_M3(N, l1p, l1, l2p, l2p + l2w) == \
+        count_lattice_M3_brute(N, l1p, l1, l2p, l2p + l2w)
 
 
 def test_count3_tiny_region_empty():

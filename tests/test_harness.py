@@ -1,13 +1,15 @@
 import json
+import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from puresextic.field import dual, decompose
+from puresextic.field import decompose, dual, is_irreducible_sextic, is_squarefree
 from puresextic.geometry import Box3
-from puresextic.harness import (EnumSpec, compare, enumerate_C, enumerate_T, naive_scan,
-                                raw_count_C, raw_count_T, report_to_json)
-from puresextic.types import SexticType
+from puresextic.harness import (EnumSpec, _select, compare, enumerate_C, enumerate_T,
+                                naive_scan, raw_count_C, raw_count_T, report_to_json)
+from puresextic.types import SexticType, classify
 
 T11 = SexticType(1, 1)
 T22 = SexticType(2, 2)
@@ -100,3 +102,80 @@ def test_report_fields():
         assert key in row
     parsed = json.loads(report_to_json(rep))
     assert parsed["family"] == "T"
+
+
+rationals = st.builds(Fr, st.integers(1, 40), st.integers(1, 12))
+at_least_one = st.builds(lambda x: 1 + x, st.builds(Fr, st.integers(0, 40), st.integers(1, 12)))
+types_ = st.one_of(st.just(T11), st.builds(SexticType, st.integers(1, 5), st.integers(1, 4)))
+ladder_n = st.integers(10 ** 5, 10 ** 6)
+
+
+@st.composite
+def c_boxes(draw):
+    r1p = draw(at_least_one)
+    r2p = draw(st.builds(Fr, st.integers(1, 10), st.integers(8, 80)))
+    r3p = draw(st.integers(0, 3))
+    return Box3(r1p, r1p + draw(rationals), r2p, r2p + draw(rationals), r3p,
+                r3p + draw(st.integers(0, 10)), kind="C")
+
+
+@st.composite
+def t_boxes(draw):
+    r1p = draw(at_least_one)
+    r2p, r3p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return Box3(r1p, r1p + draw(rationals), r2p, r2p + draw(st.integers(0, 10)), r3p,
+                r3p + draw(st.integers(0, 5)), kind="T")
+
+
+@given(ladder_n, st.sampled_from([1, -1]), types_, c_boxes())
+@settings(max_examples=15, deadline=None)
+def test_enumerate_c_matches_naive_scan_on_rational_boxes(N, sign, t, box):
+    spec = EnumSpec(N, sign, t, box)
+    assert enumerate_C(spec) == naive_scan(spec)
+
+
+@given(ladder_n, st.sampled_from([1, -1]), types_, t_boxes())
+@settings(max_examples=15, deadline=None)
+def test_enumerate_t_matches_naive_scan_on_rational_boxes(N, sign, t, box):
+    spec = EnumSpec(N, sign, t, box)
+    assert enumerate_T(spec) == naive_scan(spec)
+
+
+@pytest.mark.parametrize("N", [10 ** 5, 10 ** 7, 3 * 10 ** 8])
+def test_raw_counts_match_on_fractional_windows(N):
+    """carefree=False enumerates exactly the lattice points the counting kernels count."""
+    box_c = Box3(Fr(3, 2), Fr(29, 4), Fr(1, 7), Fr(9, 2), 1, 10, kind="C")
+    box_t = Box3(Fr(5, 3), Fr(13, 2), 1, 10, 1, 5, kind="T")
+    assert len(enumerate_C(EnumSpec(N, 1, T11, box_c, carefree=False))) == raw_count_C(N, box_c)
+    assert len(enumerate_T(EnumSpec(N, 1, T11, box_t, carefree=False))) == raw_count_T(N, box_t)
+
+
+def test_ladder_point_beyond_the_coordinate_limit_raises():
+    with pytest.raises(ValueError, match="enumeration limit"):
+        enumerate_T(EnumSpec(10 ** 40, 1, T11, BOX_T))
+    with pytest.raises(ValueError, match="enumeration limit"):
+        enumerate_C(EnumSpec(10 ** 80, 1, T11, BOX_C))
+
+
+def tuple_ok_reference(a, sign, t):
+    """The per-tuple scalar filter that the enumeration's vector masks replace."""
+    if not all(is_squarefree(x) for x in a):
+        return False
+    if any(math.gcd(a[i], a[j]) != 1 for i in range(5) for j in range(i + 1, 5)):
+        return False
+    m = sign * a[0] * a[1] ** 2 * a[2] ** 3 * a[3] ** 4 * a[4] ** 5
+    return is_irreducible_sextic(m) and classify(m) == t
+
+
+@pytest.mark.parametrize("a2,a4,sign,t", [(1, 1, 1, T11), (2, 5, -1, SexticType(3, 2)),
+                                          (3, 1, -1, SexticType(2, 1)), (1, 7, -1, SexticType(2, 4)),
+                                          (1, 2, 1, SexticType(4, 3)), (5, 2, -1, SexticType(5, 4))])
+def test_vector_masks_match_the_scalar_filter(a2, a4, sign, t):
+    """Every (a1, a3, a5) in [1, 30]^3: squares, shared primes and every Type occur."""
+    import numpy as np
+    grid = np.arange(1, 31, dtype=np.int64)
+    a1, a3, a5 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
+    got = _select(EnumSpec(1, sign, t, BOX_C), a1, a2, a3, a4, a5)
+    want = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())
+            if tuple_ok_reference((x1, a2, x3, a4, x5), sign, t)]
+    assert got == want and got

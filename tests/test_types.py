@@ -51,6 +51,14 @@ def test_classify_mod_15552_constancy():
         assert classify(m) == classify(shifted)
 
 
+def test_lookup_tables_match_the_scalar_rules_on_every_residue():
+    a, b = lookup_tables()
+    assert a.shape == b.shape == (46656,)
+    for r in range(46656):
+        assert a[r] == (a_case(r) if r % 64 else 0), r
+        assert b[r] == (b_case(r) if r % 729 else 0), r
+
+
 def test_classify_array_agrees_with_scalar():
     ms = np.array([2, 17, 45, 112, 270, 54, -2, -17, -112], dtype=np.int64)
     ai, bj = classify_array(ms)
