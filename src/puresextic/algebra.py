@@ -1,11 +1,13 @@
 """Exact arithmetic in the cubic and sextic radical rings Q[c]/(c^3-m), Q[t]/(t^6-m).
 
-Ring elements have `fractions.Fraction` coefficients.  The exact linear algebra
-runs in Python ints over one common denominator: Faddeev-LeVerrier
-characteristic polynomials, one fraction-free (Bareiss) elimination for
-rational determinants and solves, and Gram congruences by rational matrices.
-Determinants over the cubic field use Gaussian elimination with the
-closed-form inverse.  Numeric evaluation (display, cross-checks) uses mpmath.
+Ring elements (CubicNum, SexticNum) have `fractions.Fraction` coefficients.  The
+linear algebra runs in Python ints: Faddeev-LeVerrier characteristic
+polynomials over one common denominator, one fraction-free (Bareiss)
+Gauss-Jordan elimination for rational determinants and solves, and matrices
+over the cubic field (CubicMatrix) stored as three integer matrices over one
+positive denominator.  Their Gram products, congruences and determinants
+(a forward Bareiss elimination over Z[c], dividing exactly through the norm)
+never build a Fraction.  Numeric evaluation (display, cross-checks) uses mpmath.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -68,13 +71,7 @@ class CubicNum:
             a = self.coeffs
             return CubicNum(self.m, (a[0] * r, a[1] * r, a[2] * r))
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        m = self.m
-        # (a0 + a1 c + a2 c^2)(b0 + b1 c + b2 c^2) reduced by c^3 = m
-        c0 = a[0] * b[0] + m * (a[1] * b[2] + a[2] * b[1])
-        c1 = a[0] * b[1] + a[1] * b[0] + m * a[2] * b[2]
-        c2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
-        return CubicNum(m, (c0, c1, c2))
+        return CubicNum(self.m, _mul3(self.coeffs, other.coeffs, self.m))
 
     __rmul__ = __mul__
 
@@ -85,18 +82,14 @@ class CubicNum:
         return self.coeffs[1] == 0 and self.coeffs[2] == 0
 
     def inverse(self) -> "CubicNum":
-        """q'/N(q), with q * q' = N(q) for the adjugate
-        q' = (q0^2 - m q1 q2) + (m q2^2 - q0 q1) c + (q1^2 - q0 q2) c^2.
+        """q'/N(q), with q * q' = N(q) for the adjugate q' of `_adj3`.
 
         So q is invertible iff its norm is not zero.
         """
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of a cubic number of norm 0")
-        q0, q1, q2 = self.coeffs
-        m = self.m
-        return CubicNum(m, ((q0 * q0 - m * q1 * q2) / n, (m * q2 * q2 - q0 * q1) / n,
-                            (q1 * q1 - q0 * q2) / n))
+        return CubicNum(self.m, tuple(x / n for x in _adj3(self.coeffs, self.m)))
 
     def __truediv__(self, other) -> "CubicNum":
         if isinstance(other, (int, Fraction)):
@@ -118,9 +111,7 @@ class CubicNum:
 
     def norm(self) -> Fraction:
         """Field norm N(q0 + q1 c + q2 c^2) = q0^3 + m q1^3 + m^2 q2^3 - 3 m q0 q1 q2."""
-        q0, q1, q2 = self.coeffs
-        m = self.m
-        return q0 ** 3 + m * q1 ** 3 + m * m * q2 ** 3 - 3 * m * q0 * q1 * q2
+        return _norm3(self.coeffs, self.m)
 
     def sign(self) -> int:
         """Exact sign of the value at the real cube root of m.
@@ -137,6 +128,30 @@ class CubicNum:
 
     def __repr__(self) -> str:
         return f"CubicNum(m={self.m}, {self.coeffs[0]} + {self.coeffs[1]}*c + {self.coeffs[2]}*c^2)"
+
+
+# Arithmetic on coefficient triples (q0, q1, q2) of q0 + q1 c + q2 c^2, c^3 = m, for
+# Fraction coefficients (CubicNum) and int coefficients (CubicMatrix) alike.
+
+def _mul3(a: Sequence, b: Sequence, m: int) -> tuple:
+    """(a0 + a1 c + a2 c^2)(b0 + b1 c + b2 c^2) reduced by c^3 = m."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a0 * b0 + m * (a1 * b2 + a2 * b1), a0 * b1 + a1 * b0 + m * a2 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0)
+
+
+def _norm3(q: Sequence, m: int):
+    """The norm of CubicNum.norm, on a triple."""
+    q0, q1, q2 = q
+    return q0 ** 3 + m * q1 ** 3 + m * m * q2 ** 3 - 3 * m * q0 * q1 * q2
+
+
+def _adj3(q: Sequence, m: int) -> tuple:
+    """The adjugate q' = (q0^2 - m q1 q2) + (m q2^2 - q0 q1) c + (q1^2 - q0 q2) c^2,
+    with q * q' = N(q): the product of q's two complex conjugates."""
+    q0, q1, q2 = q
+    return (q0 * q0 - m * q1 * q2, m * q2 * q2 - q0 * q1, q1 * q1 - q0 * q2)
 
 
 def _mpf_frac(q: Fraction) -> mpmath.mpf:
@@ -288,33 +303,74 @@ def gram_pair(x: SexticNum, y: SexticNum) -> CubicNum:
 
 
 def hermitian_gram(basis: Sequence[SexticNum]) -> "CubicMatrix":
-    """Gram matrix of a tuple of sextic numbers under the Minkowski pairing."""
-    n = len(basis)
+    """Gram matrix of a tuple of sextic numbers under the Minkowski pairing.
+
+    The pairing of gram_pair as integer products: with X the coefficients over one
+    denominator D, the c^s-component of the Gram (s = 0, 1, 2) is X diag(w) X^T / D^2,
+    where w_t is the c^s-coefficient of 6 gamma^t.  Only gamma^s and gamma^(s+3) =
+    |m| gamma^s have one, and it is sign(m)^s.
+    """
     m = basis[0].m
-    ents = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            g = gram_pair(basis[i], basis[j])
-            ents[i][j] = g
-            ents[j][i] = g
-    return CubicMatrix(n, n, [[ents[i][j] for j in range(n)] for i in range(n)], m)
+    if any(x.m != m for x in basis):
+        raise RadicandMismatch(f"radicands differ: {sorted({x.m for x in basis})}")
+    d = _den(q for x in basis for q in x.coeffs)
+    xs = [_ints(x.coeffs, d) for x in basis]
+    sgn = 1 if m > 0 else -1
+    parts = []
+    for s in range(3):
+        w, w3 = 6 * sgn ** s, 6 * sgn ** s * abs(m)
+        parts.append([[w * xi[s] * xj[s] + w3 * xi[s + 3] * xj[s + 3] for xj in xs] for xi in xs])
+    return CubicMatrix._of(m, parts, d * d)
 
 
 # ---------------------------------------------------------------------------
 # Dense matrices over the cubic field
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CubicMatrix:
+    """The matrix (G0 + G1 c + G2 c^2) / den: three integer matrices (`parts`) and one
+    positive denominator, in lowest terms, so that equal matrices have equal fields."""
     rows: int
     cols: int
-    entries: list  # list of rows of CubicNum
     m: int
+    parts: tuple  # (G0, G1, G2), each a tuple of int rows
+    den: int
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[CubicNum]], m: int):
+        d = _den(q for row in entries for x in row for q in x.coeffs)
+        self._set(rows, cols, m, [[_ints([x.coeffs[s] for x in row], d) for row in entries]
+                                  for s in range(3)], d)
+
+    def _set(self, rows: int, cols: int, m: int, parts, d: int) -> None:
+        g = math.gcd(d, *chain.from_iterable(chain.from_iterable(parts)))
+        if g > 1:
+            parts = [[[v // g for v in row] for row in p] for p in parts]
+        for name, value in (("rows", rows), ("cols", cols), ("m", m),
+                            ("parts", tuple(tuple(map(tuple, p)) for p in parts)),
+                            ("den", d // g)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, m: int, parts, d: int) -> "CubicMatrix":
+        """(parts[0] + parts[1] c + parts[2] c^2) / d, for integer matrices and d > 0."""
+        out = object.__new__(cls)
+        out._set(len(parts[0]), len(parts[0][0]) if parts[0] else 0, m, parts, d)
+        return out
+
+    @property
+    def entries(self) -> tuple[tuple[CubicNum, ...], ...]:
+        """Rows of CubicNum, built on demand; a read-only view of the matrix."""
+        d, m = self.den, self.m
+        return tuple(tuple(CubicNum(m, (Fraction(a, d), Fraction(b, d), Fraction(c, d)))
+                           for a, b, c in zip(*rows)) for rows in zip(*self.parts))
 
     @staticmethod
     def from_rational(m: int, rows: Sequence[Sequence]) -> "CubicMatrix":
-        ents = [[CubicNum.of(m, _rat(x)) for x in row] for row in rows]
-        return CubicMatrix(len(ents), len(ents[0]), ents, m)
+        rows = [[_rat(x) for x in row] for row in rows]
+        d = _den(x for row in rows for x in row)
+        zero = [[0] * len(row) for row in rows]
+        return CubicMatrix._of(m, ([_ints(row, d) for row in rows], zero, zero), d)
 
     @staticmethod
     def identity(m: int, n: int) -> "CubicMatrix":
@@ -330,65 +386,88 @@ class CubicMatrix:
     def __mul__(self, other) -> "CubicMatrix":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        ents = [[x * other for x in row] for row in self.entries]
-        return CubicMatrix(self.rows, self.cols, ents, self.m)
+        r = _rat(other)
+        return CubicMatrix._of(self.m, [[[v * r.numerator for v in row] for row in p]
+                                        for p in self.parts], self.den * r.denominator)
 
     __rmul__ = __mul__
 
     def congruence(self, b: "CubicMatrix") -> "CubicMatrix":
         """b^T * self * b for a rational b: with self = G0 + G1 c + G2 c^2, the sum of
         b^T G_s b * c^s, each an integer product over the denominator den(b)^2 den(G)."""
-        if not all(x.is_rational() for row in b.entries for x in row):
+        if any(v for p in b.parts[1:] for row in p for v in row):
             raise ValueError("congruence needs a rational matrix")
-        bq = [[x.coeffs[0] for x in row] for row in b.entries]
-        db = _den(x for row in bq for x in row)
-        dg = _den(q for row in self.entries for x in row for q in x.coeffs)
-        bi = [_ints(row, db) for row in bq]
+        bi = b.parts[0]
         bt = list(zip(*bi))
-        parts = []
-        for s in range(3):
-            gs = [_ints([x.coeffs[s] for x in row], dg) for row in self.entries]
-            parts.append(_imul(bt, _imul(gs, bi)))
-        den = db * db * dg
-        ents = [[CubicNum(self.m, tuple(Fraction(p[i][j], den) for p in parts))
-                 for j in range(b.cols)] for i in range(b.cols)]
-        return CubicMatrix(b.cols, b.cols, ents, self.m)
+        return CubicMatrix._of(self.m, [_imul(bt, _imul(g, bi)) for g in self.parts],
+                               b.den * b.den * self.den)
+
+    def _triples(self) -> list[list[tuple[int, int, int]]]:
+        """The numerator matrix den * self, as rows of coefficient triples."""
+        return [list(zip(*rows)) for rows in zip(*self.parts)]
 
     def det(self) -> CubicNum:
-        """Exact determinant via Gaussian elimination over the cubic field."""
+        """Exact determinant: sign * (last pivot) / den^n of the fraction-free
+        elimination over Z[c] of the numerator matrix."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        a = [row[:] for row in self.entries]
-        det = CubicNum.of(self.m, 1)
-        sign = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                return CubicNum.of(self.m)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            p = a[col][col]
-            det = det * p
-            pinv = p.inverse()
-            for r in range(col + 1, n):
-                if a[r][col].is_zero():
-                    continue
-                f = a[r][col] * pinv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det * sign
+        sign, pivots = _zc_bareiss(self._triples(), self.m, pivoting=True)
+        last = pivots[-1] if pivots else (1, 0, 0)
+        dn = self.den ** self.rows
+        return CubicNum(self.m, tuple(Fraction(sign * q, dn) for q in last))
 
     def is_positive_definite(self) -> bool:
-        """Leading principal minors all positive at the real root (exact signs)."""
-        for k in range(1, self.rows + 1):
-            sub = CubicMatrix(k, k, [row[:k] for row in self.entries[:k]], self.m)
-            if sub.det().sign() <= 0:
-                return False
-        return True
+        """Leading principal minors all positive at the real root (exact signs).
+
+        They are the pivots of one elimination without row swaps, over den^k > 0,
+        and the sign of a cubic number is that of its norm (see CubicNum.sign).
+        """
+        _, pivots = _zc_bareiss(self._triples(), self.m, pivoting=False)
+        return all(_norm3(p, self.m) > 0 for p in pivots)
 
     def to_json(self) -> list:
         return [[x.to_json() for x in row] for row in self.entries]
+
+
+def _zc_bareiss(a: list[list[tuple[int, int, int]]], m: int,
+                pivoting: bool) -> tuple[int, list[tuple[int, int, int]]]:
+    """Forward fraction-free (Bareiss 1968) elimination, in place, over Z[c], c^3 = m.
+
+    Step k replaces a[i][j] (i, j > k) by (p a[i][j] - a[i][k] a[k][j]) / prev, with p
+    the pivot a[k][k] and prev the pivot before it.  The quotient is a minor of a,
+    so it lies in Z[c]: dividing is multiplying by prev's adjugate (prev prev' =
+    N(prev)) and then dividing each integer coefficient by N(prev), exactly.
+    Returns (sign, pivots) with sign that of the row permutation and sign * pivots[-1]
+    = det(a).  A zero pivot ends the elimination as the last one returned; without
+    pivoting no row moves, and pivots[k] is the leading principal (k+1)-minor.
+    """
+    n = len(a)
+    sign, pivots = 1, []
+    adj, nrm = (1, 0, 0), 1
+    for k in range(n):
+        if pivoting:
+            r = next((r for r in range(k, n) if any(a[r][k])), k)
+            if r != k:
+                a[k], a[r] = a[r], a[k]
+                sign = -sign
+        p = a[k][k]
+        pivots.append(p)
+        if not any(p):
+            break
+        rk = a[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                x, y = _mul3(p, ri[j], m), _mul3(f, rk[j], m)
+                q = []
+                for v in _mul3((x[0] - y[0], x[1] - y[1], x[2] - y[2]), adj, m):
+                    v, rem = divmod(v, nrm)
+                    assert rem == 0, "Bareiss division must be exact over Z[c]"
+                    q.append(v)
+                ri[j] = tuple(q)
+        adj, nrm = _adj3(p, m), _norm3(p, m)
+    return sign, pivots
 
 
 # ---------------------------------------------------------------------------

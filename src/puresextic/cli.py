@@ -63,7 +63,6 @@ def _parse_sign(s: str) -> int:
 
 
 def cmd_classify(cfg: Config, args) -> int:
-    sextic_field(args.m)  # rejects m that is not sixth-power-free or gives a reducible x^6 - m
     t = classify(args.m)
     _emit(cfg, {"m": args.m, "type": str(t)})
     return 0

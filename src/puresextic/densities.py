@@ -49,15 +49,17 @@ class InvalidPair(ValueError):
 # Primes
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def primes_up_to(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
+    """The primes <= n, sieved once per n per process; the shared array is read-only."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
     sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:
             sieve[p * p:: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    out = np.flatnonzero(sieve).astype(np.int64)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

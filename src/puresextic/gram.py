@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
-from .algebra import CubicMatrix, CubicNum, gram_pair, hermitian_gram, _mpf_frac
+from .algebra import CubicMatrix, CubicNum, SexticNum, hermitian_gram, _mpf_frac
 from .basis import Aux, IntegralBasis, aux_constants, build_basis, derived_transition, power_type_basis
 from .field import SexticField
 from .types import SexticType
@@ -399,16 +400,18 @@ class ShapeGram:
     cert_scale: int                            # 216
 
     def certificate_holds(self) -> bool:
-        """P == C'^T * (216 diag(gamma^t / C_t^2)) * C', exactly."""
+        """P == C'^T * (216 diag(gamma^t / C_t^2)) * C', exactly (computed once)."""
+        return self._certificate
+
+    @cached_property
+    def _certificate(self) -> bool:
         f = self.field
         m = f.m
         s = 1 if m > 0 else -1
         gam = [CubicNum.of(m, 0, s, 0), CubicNum.of(m, 0, 0, 1), CubicNum.of(m, abs(m)),
                CubicNum.of(m, 0, s * abs(m), 0), CubicNum.of(m, 0, 0, abs(m))]
-        d = CubicMatrix.diagonal(m, [gam[t - 1] * Fr(self.cert_scale, f.big_c[t - 1] ** 2)
-                                     for t in range(1, 6)])
-        cmat = CubicMatrix.from_rational(m, [list(r) for r in self.cert_c])
-        return d.congruence(cmat) == self.entries
+        d = CubicMatrix.diagonal(m, [g * Fr(self.cert_scale, c * c) for g, c in zip(gam, f.big_c)])
+        return d.congruence(CubicMatrix.from_rational(m, self.cert_c)) == self.entries
 
     def to_json(self) -> dict:
         return {
@@ -426,24 +429,17 @@ class ShapeGram:
 def shape_gram(f: SexticField) -> ShapeGram:
     """Gram of {alpha_t^perp}, alpha^perp = 6 alpha - tr(alpha), with exact certificate.
 
-    Computed twice: from the perp pairing 36 G_ij - 6 tr_i tr_j, and from the
-    factorisation through the power-type diagonal; both must agree.
+    tr(alpha) = 6 alpha_0, so alpha^perp = 6 (alpha - alpha_0): the perp Gram is 36 x
+    the Gram of the alphas with their theta^0 coefficient dropped.  This is the
+    identity P_ij = 36 G_ij - 6 tr_i tr_j.  Construction checks it against the
+    factorisation through the power-type diagonal, the memoised certificate_holds().
     """
     b = build_basis(f)
     m = f.m
-    alphas = b.elements[1:]
-    rows = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            g = gram_pair(alphas[i], alphas[j]) * 36
-            tt = 6 * alphas[i].trace() * alphas[j].trace()
-            row.append(g - CubicNum.of(m, tt))
-        rows.append(row)
-    p = CubicMatrix(5, 5, rows, m)
+    perp = [SexticNum(m, (Fr(0),) + a.coeffs[1:]) for a in b.elements[1:]]
     trans = derived_transition(b)
     cert_c = tuple(tuple(trans.entries[s][t] for t in range(1, 6)) for s in range(1, 6))
-    sg = ShapeGram(f, b.type, p, cert_c, 216)
+    sg = ShapeGram(f, b.type, hermitian_gram(perp) * 36, cert_c, 216)
     if not sg.certificate_holds():
         raise AssertionError(f"shape certificate failed for m={f.m}")
     return sg

@@ -45,6 +45,10 @@ class EnumSpec:
 # products of two coordinates far inside int64, and caps a T shard at about
 # _COORD_LIMIT / 2 candidates (N up to ~1e30 on the unit cell).
 _COORD_LIMIT = 10 ** 6
+# The most (a1, a5) pairs a C shard may walk in Python, about 5 s of it on a 2-CPU
+# host.  The walk grows like N^(1/5) while the coordinates grow like N^(1/10), so
+# without it a large N stays under _COORD_LIMIT and runs for hours.
+_WALK_LIMIT = 10 ** 6
 
 
 def _check_coordinates(N: int, top: int) -> None:
@@ -124,10 +128,17 @@ def _enum_c_shard(args) -> list[tuple[int, ...]]:
     a5cap = min(math.isqrt(P1 * a2 * cap * cap // (Q1 * a4)), iroot(npair, 5))
     a3cap = min(iroot(a2 * a5cap * q2 // (a4 * p2), 3), iroot(npair, 3))
     _check_coordinates(N, max(cap, a5cap, a3cap, a2 * a4))
-    pairs, lo3, hi3 = [], [], []
+    windows, walk = [], 0
     for a1 in range(1, cap + 1):
         lo5 = max(1, ceil_root(-(-p1 * a2 * a1 * a1 // (q1 * a4)), 2))
         hi5 = min(math.isqrt(P1 * a2 * a1 * a1 // (Q1 * a4)), iroot(npair // a1 ** 5, 5))
+        walk += max(0, hi5 - lo5 + 1)
+        if walk > _WALK_LIMIT:
+            raise ValueError(f"N={N} needs more than {_WALK_LIMIT} (a1, a5) pairs in the C shard "
+                             f"a2={a2}, a4={a4}, above the enumeration limit")
+        windows.append((a1, lo5, hi5))
+    pairs, lo3, hi3 = [], [], []
+    for a1, lo5, hi5 in windows:
         for a5 in range(lo5, hi5 + 1):
             n, d = a2 * a5, a1 * a4
             lo = max(1, ceil_root(-(-n * Q2 // (d * P2)), 3))

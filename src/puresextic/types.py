@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import factorize, is_irreducible_sextic, is_prime
+from .field import factorize, is_irreducible_sextic, is_prime, sextic_field
 
 
 class UnclassifiableInput(ValueError):
@@ -88,10 +88,16 @@ def b_case(m: int) -> int:
 
 
 def classify(m: int) -> SexticType:
-    """The unique Type (Ai, Bj) of a sixth-power-free, non-square, non-cube m."""
+    """The unique Type (Ai, Bj) of a sixth-power-free, non-square, non-cube m.
+
+    Raises UnclassifiableInput when no row matches, and otherwise what
+    sextic_field raises for an m that defines no pure sextic field.
+    """
     if m == 0:
         raise UnclassifiableInput("m = 0")
-    return SexticType(a_case(m), b_case(m))
+    t = SexticType(a_case(m), b_case(m))
+    sextic_field(m)
+    return t
 
 
 _MOD = 46656  # 2^6 * 3^6

@@ -241,3 +241,89 @@ def test_congruence_needs_a_rational_matrix():
     b = CubicMatrix(2, 2, [[C(5, 1), C(5, 0, 1, 0)], [C(5, 0), C(5, 1)]], 5)
     with pytest.raises(ValueError, match="rational"):
         g.congruence(b)
+
+
+# Oracles for the integer-backed CubicMatrix: the Leibniz expansion in CubicNum
+# arithmetic, the pairwise Minkowski pairing, and scaling there and back.
+
+non_cube = st.integers(min_value=-40, max_value=40).filter(
+    lambda m: round(abs(m) ** (1 / 3)) ** 3 != abs(m))
+small = st.one_of(st.just(Fr(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+def cubic_rows(m, n):
+    cubic = st.one_of(st.just(C(m, 0)), st.tuples(small, small, small).map(lambda q: C(m, *q)))
+    return st.lists(st.lists(cubic, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def leibniz_det_cubic(m, a):
+    n = len(a)
+    total = C(m, 0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = C(m, (-1) ** inversions)
+        for i in range(n):
+            term = term * a[i][perm[i]]
+        total = total + term
+    return total
+
+
+@given(non_cube, st.integers(min_value=1, max_value=5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_cubic_det_matches_leibniz(m, n, data):
+    a = data.draw(cubic_rows(m, n))
+    shape = data.draw(st.sampled_from(["random", "zero corner", "dependent row"]))
+    if shape == "zero corner":  # the first pivot must come from a row swap
+        a[0][0] = C(m, 0)
+    elif shape == "dependent row" and n > 1:  # singular: row n-1 = q * row 0
+        q = data.draw(st.tuples(small, small, small).map(lambda t: C(m, *t)))
+        a[n - 1] = [q * x for x in a[0]]
+    det = CubicMatrix(n, n, a, m).det()
+    assert det == leibniz_det_cubic(m, a)
+    if shape == "dependent row" and n > 1:
+        assert det.is_zero()
+
+
+sextic = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), min_size=6, max_size=6)
+
+
+@given(st.integers(min_value=-60, max_value=60).filter(lambda m: m != 0),
+       st.lists(sextic, min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_hermitian_gram_matches_pairwise_gram_pair(m, tuples):
+    basis = [SexticNum.of(m, cs) for cs in tuples]
+    g = hermitian_gram(basis)
+    assert g.rows == g.cols == len(basis)
+    assert [list(row) for row in g.entries] == [[gram_pair(x, y) for y in basis] for x in basis]
+
+
+@given(st.integers(min_value=-60, max_value=60).filter(lambda m: m != 0),
+       st.lists(sextic, min_size=1, max_size=6),
+       st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(lambda r: r != 0))
+@settings(max_examples=60, deadline=None)
+def test_scaling_there_and_back_is_equality(m, tuples, r):
+    g = hermitian_gram([SexticNum.of(m, cs) for cs in tuples])
+    for back in (g * r * (1 / r), (1 / r) * (r * g), g * r.numerator * Fr(1, r.numerator)):
+        assert back == g
+        assert (back.parts, back.den) == (g.parts, g.den)  # one representation in lowest terms
+        assert back.to_json() == g.to_json()
+    scaled = g * r
+    assert [list(row) for row in scaled.entries] == [[x * r for x in row] for row in g.entries]
+    assert scaled == CubicMatrix(g.rows, g.cols, [[x * r for x in row] for row in g.entries], m)
+
+
+@given(non_cube, st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_positive_definite_iff_leading_minors_positive(m, n, data):
+    a = data.draw(cubic_rows(m, n))
+    a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    minors = [leibniz_det_cubic(m, [row[:k] for row in a[:k]]) for k in range(1, n + 1)]
+    assert CubicMatrix(n, n, a, m).is_positive_definite() == all(d.sign() > 0 for d in minors)
+
+
+def test_positive_definite_needs_every_leading_minor():
+    """det [[0, 1], [1, 0]] = -1 and an elimination with row swaps sees pivots 1, 1."""
+    swap = CubicMatrix.from_rational(7, [[0, 1], [1, 0]])
+    assert not swap.is_positive_definite()
+    assert not (swap * -1).is_positive_definite()
+    assert CubicMatrix.from_rational(7, [[2, 1], [1, 2]]).is_positive_definite()

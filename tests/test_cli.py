@@ -179,6 +179,22 @@ def test_equidist_beyond_the_coordinate_limit_exit_1_fast():
     assert "Traceback" not in proc.stderr
 
 
+def test_equidist_beyond_the_c_walk_limit_exit_1_fast():
+    """At N = 10^50 on the criterion-10 box every coordinate is under the coordinate
+    limit, but the (a1, a5) walk has ~10^10 pairs: refused before it starts."""
+    import time
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "puresextic", "equidist", "--family", "C",
+                           "--type", "1,1", "--sign", "+", "--box", "1,8,1/8,8,1,6",
+                           "--ladder", str(10 ** 50)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: N={10 ** 50} needs more than")
+    assert "Traceback" not in proc.stderr
+
+
 def test_corrupt_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(densities, "_cache_dir", None)  # main() sets it; restore afterwards
     argv = ["measure", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6"]

@@ -139,3 +139,18 @@ def test_monomial_hash_agrees_with_eq():
     two_squared = Monomial((2, 1, 1, 1, 1), (Fr(2), Fr(0), Fr(0), Fr(0), Fr(0)))
     assert four == two_squared
     assert len({four, two_squared}) == 1
+
+
+def test_shape_certificate_runs_its_congruence_once(monkeypatch):
+    """shape_gram checks the certificate on construction; certificate_holds() reuses it."""
+    calls = []
+    congruence = CubicMatrix.congruence
+
+    def counting(self, b):
+        calls.append(b)
+        return congruence(self, b)
+
+    monkeypatch.setattr(CubicMatrix, "congruence", counting)
+    sg = shape_gram(sextic_field(8775))
+    assert sg.certificate_holds() and sg.certificate_holds()
+    assert len(calls) == 1

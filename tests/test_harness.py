@@ -157,6 +157,12 @@ def test_ladder_point_beyond_the_coordinate_limit_raises():
         enumerate_C(EnumSpec(10 ** 80, 1, T11, BOX_C))
 
 
+def test_c_walk_beyond_the_pair_limit_raises_and_n_1e25_still_runs():
+    with pytest.raises(ValueError, match="enumeration limit"):
+        enumerate_C(EnumSpec(10 ** 50, 1, T11, BOX_C))
+    assert len(enumerate_C(EnumSpec(10 ** 25, 1, T11, BOX_C))) == 20084
+
+
 def tuple_ok_reference(a, sign, t):
     """The per-tuple scalar filter that the enumeration's vector masks replace."""
     if not all(is_squarefree(x) for x in a):
@@ -179,3 +185,14 @@ def test_vector_masks_match_the_scalar_filter(a2, a4, sign, t):
     want = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())
             if tuple_ok_reference((x1, a2, x3, a4, x5), sign, t)]
     assert got == want and got
+
+
+def test_one_compare_sieves_the_primes_once():
+    from puresextic import densities
+    bound = 12345  # a bound no other test uses, so the cache starts cold for it
+    before = densities.primes_up_to.cache_info()
+    compare("C", T11, 1, BOX_C, [10 ** 6, 10 ** 8], prime_bound=bound)
+    after = densities.primes_up_to.cache_info()
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits >= 3  # euler_product runs 4-5 times per compare
+    assert not densities.primes_up_to(bound).flags.writeable

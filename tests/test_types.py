@@ -80,3 +80,14 @@ def test_negative_m_classification():
     assert classify(-2).i == 1
     assert classify(-17).i == 1
     assert classify(-112).i == 4
+
+
+def test_classify_rejects_m_that_defines_no_pure_sextic_field():
+    from puresextic.field import InvalidField, NotPowerFree
+    with pytest.raises(NotPowerFree):
+        classify(31250)  # 2 * 5^6
+    for m in (4, 8):  # a square and a cube: x^6 - m is reducible
+        with pytest.raises(InvalidField):
+            classify(m)
+    with pytest.raises(UnclassifiableInput):  # the residue check comes first
+        classify(320)
