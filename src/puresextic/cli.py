@@ -62,6 +62,15 @@ def _parse_sign(s: str) -> int:
     raise argparse.ArgumentTypeError("sign must be + or -")
 
 
+def _parse_ladder(s: str) -> list[int]:
+    """N1,N2,...: positive integers written in digits."""
+    for entry in s.split(","):
+        if not (entry.isascii() and entry.isdigit() and int(entry) > 0):
+            raise argparse.ArgumentTypeError(
+                f"ladder entry {entry!r} is not a positive integer; write it in digits")
+    return [int(entry) for entry in s.split(",")]
+
+
 def cmd_classify(cfg: Config, args) -> int:
     t = classify(args.m)
     _emit(cfg, {"m": args.m, "type": str(t)})
@@ -138,9 +147,8 @@ def cmd_geometry(cfg: Config, args) -> int:
         _emit(cfg, {"estimate": est, "standard_error": se,
                     "exact": volume_V(args.N, args.L1p, args.L1, args.L2p, args.L2)})
     elif args.op == "diagnose":
-        ns = [int(x) for x in args.ladder.split(",")]
-        rows3 = error_law_M3(ns, args.L1p, args.L1, args.L2p, args.L2)
-        rows2 = error_law_M2(ns, args.L1p, args.L1)
+        rows3 = error_law_M3(args.ladder, args.L1p, args.L1, args.L2p, args.L2)
+        rows2 = error_law_M2(args.ladder, args.L1p, args.L1)
         if args.csv:
             print("kind,N,count,main_term,scaled_error")
             for r in rows3:
@@ -190,8 +198,7 @@ def cmd_measure(cfg: Config, args) -> int:
 def cmd_equidist(cfg: Config, args) -> int:
     t = _parse_type(args.type)
     box = Box3.parse(args.box, kind=args.family)
-    ladder = [int(x) for x in args.ladder.split(",")]
-    report = compare(args.family, t, args.sign, box, ladder,
+    report = compare(args.family, t, args.sign, box, args.ladder,
                      workers=cfg.workers, prime_bound=args.prime_bound)
     report["config"] = cfg.echo()
     text = report_to_json(report)
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L2p", type=Fraction, default=Fraction(1))
     p.add_argument("--L2", type=Fraction, default=Fraction(2))
     p.add_argument("--samples", type=int, default=10 ** 6)
-    p.add_argument("--ladder", default="1000000,100000000")
+    p.add_argument("--ladder", type=_parse_ladder, default="1000000,100000000")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=cmd_geometry)
 
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--sign", type=_parse_sign, default=1)
     p.add_argument("--box", required=True)
-    p.add_argument("--ladder", required=True, help="N1,N2,...")
+    p.add_argument("--ladder", type=_parse_ladder, required=True, help="N1,N2,...")
     p.add_argument("--prime-bound", type=int, default=10 ** 6)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_equidist)

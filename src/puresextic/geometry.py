@@ -1,12 +1,14 @@
-"""Counting geometry: region volumes, exact lattice-point counts, error diagnostics.
+"""Counting geometry: region volumes, lattice window kernels, exact counts, error diagnostics.
 
 The 3d region M(N, L1', L1, L2', L2) = {x1,x3,x5 > 0 : x1^5 x3^3 x5^5 <= N,
 x5/x1 in [L1', L1], x5/(x3^3 x1) in [L2', L2]} has volume
-(75/8) N^(1/5) (L1^(2/15) - L1'^(2/15)) (L2'^(-2/15) - L2^(-2/15)); its lattice
-points are counted exactly by slicing x1, then x5, then an integer cube-root
-interval for x3.  Each interval endpoint is the floor, ceiling or integer root
-of a quotient of Python ints, cross-multiplied from the numerators and
-denominators of N and the windows, so counts agree bit-for-bit with brute force.
+(75/8) N^(1/5) (L1^(2/15) - L1'^(2/15)) (L2'^(-2/15) - L2^(-2/15)).  Its lattice
+points, and those of the 2d region {x1 x5 <= M, x5/x1 in [L1', L1]}, come from
+one window kernel each, the one lattice walk of the C resp. T family: slice x1,
+then x5, then an integer cube-root interval for x3 (windows_M3), or slice x1
+into an interval for x5 (windows_M2).  Each endpoint is the floor, ceiling or
+integer root of a quotient of Python ints, cross-multiplied from the windows'
+numerators and denominators, so counts agree bit-for-bit with brute force.
 """
 
 from __future__ import annotations
@@ -93,42 +95,88 @@ def area_A(M, L1p, L1) -> float:
 
 # --- exact lattice-point counts ---------------------------------------------
 
-def count_lattice_M3(N, L1p, L1, L2p, L2, per_x1=None) -> int:
-    """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact.
+# The most Python steps one window walk may take, about 5 s of it on a 2-CPU host:
+# (x1, x5) pairs in 3d (an x1 with no x5 counts as one), x1 values in 2d.  A walk
+# grows like N^(1/5) (3d) or M^(1/2) (2d); past the limit it could run for hours.
+_WALK_LIMIT = 10 ** 6
 
-    Slices on x1, then x5 in the ratio interval, then counts x3 in an exact
-    cube-root interval; O(#pairs) time.  The arguments are ints or Fractions;
-    every window endpoint is a floor or ceiling of a cross-multiplied integer
-    quotient.
+
+def windows_M3(n: int, Sp, S, L2p, L2):
+    """The nonempty windows (x1, x5, lo3, hi3) of the lattice points of
+    {x1^5 x3^3 x5^5 <= n, (x5/x1)^2 in [S', S], x5/(x1 x3^3) in [L2', L2]}.
+
+    Each lattice pair (x1, x5) carries the x3 in [lo3, hi3], in order of x1
+    then x5.  n is an int and the windows are ints or Fractions; a nonpositive
+    S' is no lower bound.  Every endpoint is the floor, ceiling or integer root
+    of a quotient of Python ints.  More than _WALK_LIMIT (x1, x5) steps raise
+    ValueError before the first window.
     """
-    N = Fr(N); L1p = Fr(L1p); L1 = Fr(L1); L2p = Fr(L2p); L2 = Fr(L2)
+    Sp, S, L2p, L2 = Fr(Sp), Fr(S), Fr(L2p), Fr(L2)
     if L2p <= 0:
         raise ValueError("L2' must be positive for a finite region")
-    if N < 1 or L1 <= 0 or L1p > L1 or L2p > L2:
-        return 0
-    n, dn = N.numerator, N.denominator
-    p1, q1, P1, Q1 = L1p.numerator, L1p.denominator, L1.numerator, L1.denominator
+    if n < 1 or S <= 0 or Sp > S or L2p > L2:
+        return
+    p1, q1, P1, Q1 = Sp.numerator, Sp.denominator, S.numerator, S.denominator
     p2, q2, P2, Q2 = L2p.numerator, L2p.denominator, L2.numerator, L2.denominator
-    # x1 caps: x3, x5 >= 1 give x1^5 <= N; if L1p > 0 then x5 >= L1p x1 and
-    # x3^3 >= x5/(L2 x1) >= L1p/L2 force x1^10 <= N L2 / L1p^6.
-    cap = iroot(n // dn, 5)
+    # x3, x5 >= 1 give x1^5 <= n; if S' > 0 then x5 >= sqrt(S') x1 and
+    # x3^3 >= x5/(L2 x1) >= sqrt(S')/L2 force x1^10 <= n L2 / S'^3.
+    cap = iroot(n, 5)
     if p1 > 0:
-        cap = min(cap, iroot(n * P2 * q1 ** 6 // (dn * Q2 * p1 ** 6), 10))
-    total = 0
+        cap = min(cap, iroot(n * P2 * q1 ** 3 // (Q2 * p1 ** 3), 10))
+    rows, walk = [], 0
     for x1 in range(1, cap + 1):
-        lo5 = max(1, -(-p1 * x1 // q1))
-        hi5 = min(P1 * x1 // Q1, iroot(n // (dn * x1 ** 5), 5))
-        cnt_here = 0
+        lo5 = max(1, ceil_root(-(-p1 * x1 * x1 // q1), 2))
+        hi5 = min(math.isqrt(P1 * x1 * x1 // Q1), iroot(n // x1 ** 5, 5))
+        walk += max(1, hi5 - lo5 + 1)
+        if walk > _WALK_LIMIT:
+            raise ValueError(f"the region x1^5 x3^3 x5^5 <= {n} needs more than {_WALK_LIMIT} "
+                             f"(x1, x5) steps, above the walk limit")
+        rows.append((x1, lo5, hi5))
+    for x1, lo5, hi5 in rows:
         for x5 in range(lo5, hi5 + 1):
-            # x5 / (x1 x3^3) in [L2', L2] and x1^5 x3^3 x5^5 <= N
             lo3 = max(1, ceil_root(-(-x5 * Q2 // (x1 * P2)), 3))
-            hi3 = min(iroot(x5 * q2 // (x1 * p2), 3), iroot(n // (dn * (x1 * x5) ** 5), 3))
+            hi3 = min(iroot(x5 * q2 // (x1 * p2), 3), iroot(n // (x1 * x5) ** 5, 3))
             if hi3 >= lo3:
-                cnt_here += hi3 - lo3 + 1
-        total += cnt_here
-        if per_x1 is not None:
-            per_x1.append((x1, cnt_here))
-    return total
+                yield x1, x5, lo3, hi3
+
+
+def windows_M2(M: int, L1p, L1):
+    """The nonempty windows (x1, lo5, hi5) of the lattice points of
+    {x1 x5 <= M, x5/x1 in [L1', L1]}: x5 runs over [lo5, hi5], in order of x1.
+
+    M is an int and the window ints or Fractions; a nonpositive L1' is no lower
+    bound.  More than _WALK_LIMIT values of x1 raise ValueError before the first
+    window.
+    """
+    L1p, L1 = Fr(L1p), Fr(L1)
+    if M < 1 or L1 <= 0 or L1p > L1:
+        return
+    # x5 >= max(1, L1' x1) and x1 x5 <= M cap x1 at M or sqrt(M / L1')
+    cap = M if L1p <= 0 else min(M, floor_root(M / L1p, 2))
+    if cap > _WALK_LIMIT:
+        raise ValueError(f"the region x1 x5 <= {M} needs more than {_WALK_LIMIT} values of x1, "
+                         f"above the walk limit")
+    pn, pd, qn, qd = L1p.numerator, L1p.denominator, L1.numerator, L1.denominator
+    for x1 in range(1, cap + 1):
+        lo = -(-pn * x1 // pd)
+        if lo < 1:
+            lo = 1
+        hi = qn * x1 // qd
+        if M // x1 < hi:
+            hi = M // x1
+        if hi >= lo:
+            yield x1, lo, hi
+
+
+def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
+    """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact.
+
+    The arguments are ints or Fractions.  The ratio window x5/x1 in [L1', L1]
+    is the squared window [max(L1', 0)^2, max(L1, 0)^2] of windows_M3.
+    """
+    L1p, L1 = max(Fr(L1p), 0), max(Fr(L1), 0)
+    return sum(hi3 - lo3 + 1 for _, _, lo3, hi3 in
+               windows_M3(math.floor(Fr(N)), L1p ** 2, L1 ** 2, L2p, L2))
 
 
 def count_lattice_M3_brute(N, L1p, L1, L2p, L2) -> int:
@@ -152,28 +200,7 @@ def count_lattice_M3_brute(N, L1p, L1, L2p, L2) -> int:
 
 def count_lattice_M2(M, L1p, L1) -> int:
     """#{(x1,x5) positive integers : x1 x5 <= M, x5/x1 in [L1', L1]}, exact."""
-    M = Fr(M); L1p = Fr(L1p); L1 = Fr(L1)
-    if M < 1 or L1 <= 0 or L1p > L1:
-        return 0
-    # x5 >= max(1, L1p x1) and x1 x5 <= M cap x1 at M or sqrt(M / L1p)
-    cap = math.floor(M)
-    if L1p > 0:
-        cap = min(cap, floor_root(M / L1p, 2))
-    pn, pd = L1p.numerator, L1p.denominator
-    qn, qd = L1.numerator, L1.denominator
-    mn, md = M.numerator, M.denominator
-    total = 0
-    for x1 in range(1, cap + 1):
-        lo = -((-pn * x1) // pd)
-        if lo < 1:
-            lo = 1
-        hi = (qn * x1) // qd
-        hyp = mn // (md * x1)
-        if hyp < hi:
-            hi = hyp
-        if hi >= lo:
-            total += hi - lo + 1
-    return total
+    return sum(hi - lo + 1 for _, lo, hi in windows_M2(math.floor(Fr(M)), L1p, L1))
 
 
 def count_lattice_M2_brute(M, L1p, L1) -> int:

@@ -1,16 +1,17 @@
 """Enumeration of carefree tuples by discriminant bound, and the comparison harness.
 
-enumerate_C walks the (lambda1^3, lambda2^3, a2 a4) windows, one shard per
-(a2, a4) cell; enumerate_T walks the (a5/a1, a2 a4, a3) windows, one shard per
-(a2, a3, a4) cell.  Every window endpoint is the floor, ceiling or integer root
-of a quotient of Python ints, cross-multiplied from the box's numerators and
-denominators, so small-N runs agree with the naive full scan set-for-set.  A
-shard gathers its candidate (a1, a3, a5) as int64 arrays and filters them with
-vector masks: a squarefree sieve sized to the shard's largest coordinate,
-np.gcd for pairwise coprimality, and the Type table on m mod 46656 built from
-per-coordinate residues.  Only the survivors get the exact irreducibility
-check.  compare() assembles counts over an N-ladder, fits the growth exponent,
-and reports the empirical constant against every prediction variant.
+Both families walk geometry's window kernels.  A C cell (a2, a4) is the 3d
+region of (a1, a3, a5) with (a5/a1)^2 in R1 a2/a4, a5/(a1 a3^3) in R2 a4/a2 and
+a1^5 a3^3 a5^5 <= N/(a2^4 a4^4); a T cell (a2, a3, a4) is the 2d region of
+(a1, a5) with a5/a1 in R1 and a1 a5 <= (N/(a2^4 a3^3 a4^4))^(1/5).  The raw
+counts sum the window lengths of every cell.  The enumeration runs one shard
+per carefree cell: it expands the windows into int64 candidate arrays and
+filters them with vector masks (a squarefree sieve sized to the shard's largest
+coordinate, np.gcd for pairwise coprimality, and the Type table on m mod 46656
+built from per-coordinate residues); only the survivors get the exact
+irreducibility check.  compare() assembles counts over an N-ladder, fits the
+growth exponent, and reports the empirical constant against every prediction
+variant.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import densities
 from .densities import divisor_pairs
-from .field import ceil_root, iroot, is_irreducible_sextic, is_squarefree
-from .geometry import Box3, count_lattice_M2, count_lattice_M3
+from .field import iroot, is_irreducible_sextic, is_squarefree
+from .geometry import Box3, count_lattice_M2, windows_M2, windows_M3
 from .types import SexticType, classify_array, lookup_tables
 
 Fr = Fraction
@@ -38,17 +40,12 @@ class EnumSpec:
     sign: int
     type: SexticType
     box: Box3
-    carefree: bool = True  # False: all integer tuples in the region (no local conditions)
 
 
 # The largest coordinate a shard may hold.  It sizes the squarefree sieve, keeps
 # products of two coordinates far inside int64, and caps a T shard at about
 # _COORD_LIMIT / 2 candidates (N up to ~1e30 on the unit cell).
 _COORD_LIMIT = 10 ** 6
-# The most (a1, a5) pairs a C shard may walk in Python, about 5 s of it on a 2-CPU
-# host.  The walk grows like N^(1/5) while the coordinates grow like N^(1/10), so
-# without it a large N stays under _COORD_LIMIT and runs for hours.
-_WALK_LIMIT = 10 ** 6
 
 
 def _check_coordinates(N: int, top: int) -> None:
@@ -57,13 +54,13 @@ def _check_coordinates(N: int, top: int) -> None:
                          f"above the enumeration limit {_COORD_LIMIT}")
 
 
-def _expand(lo: list[int], hi: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(k, v) for every v in [lo[k], hi[k]], in order of k then v."""
-    lo = np.array(lo, dtype=np.int64)
-    n = np.maximum(np.array(hi, dtype=np.int64) - lo + 1, 0)
-    k = np.repeat(np.arange(len(lo)), n)
-    start = np.cumsum(n) - n
-    return k, lo[k] + np.arange(len(k)) - start[k]
+def _expand(windows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) with a row w[k] and v[k] for every window (*w, lo, hi) and every v in
+    [lo, hi], in order of window then v."""
+    w = np.fromiter(chain.from_iterable(windows), dtype=np.int64).reshape(len(windows), -1)
+    n = w[:, -1] - w[:, -2] + 1
+    k = np.repeat(np.arange(len(w)), n)
+    return w[k, :-2], w[k, -2] + np.arange(len(k)) - (np.cumsum(n) - n)[k]
 
 
 def _squarefree_sieve(top: int) -> np.ndarray:
@@ -92,13 +89,13 @@ def _select(spec: EnumSpec, a1: np.ndarray, a2: int, a3: np.ndarray, a4: int,
             a5: np.ndarray) -> list[tuple[int, ...]]:
     """The candidates (a1[k], a2, a3[k], a4, a5[k]) that meet the spec, as tuples.
 
-    With `carefree`: a1, a3, a5 squarefree, all five pairwise coprime (a2, a4
-    are coprime squarefree already), m of the spec's Type, and x^6 - m
-    irreducible.  The vector masks run first; the exact irreducibility check
-    sees only their survivors.  Without `carefree` every candidate is kept.
+    a1, a3, a5 squarefree, all five pairwise coprime (a2, a4 are coprime
+    squarefree already), m of the spec's Type, and x^6 - m irreducible.  The
+    vector masks run first; the exact irreducibility check sees only their
+    survivors.
     """
     sign = spec.sign
-    if spec.carefree and len(a1):
+    if len(a1):
         sf = _squarefree_sieve(int(max(a1.max(), a3.max(), a5.max())))
         keep = sf[a1] & sf[a3] & sf[a5]
         a234 = a3 * (a2 * a4)
@@ -107,49 +104,37 @@ def _select(spec: EnumSpec, a1: np.ndarray, a2: int, a3: np.ndarray, a4: int,
         acase, bcase = classify_array(_type_residues(sign * a2 ** 2 * a4 ** 4, a1, a3, a5))
         keep &= (acase == spec.type.i) & (bcase == spec.type.j)
         a1, a3, a5 = a1[keep], a3[keep], a5[keep]
-    out = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())]
-    if spec.carefree:
-        c = a2 ** 2 * a4 ** 4
-        out = [a for a in out if is_irreducible_sextic(sign * c * a[0] * a[2] ** 3 * a[4] ** 5)]
-    return out
+    c = sign * a2 ** 2 * a4 ** 4
+    return [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())
+            if is_irreducible_sextic(c * x1 * x3 ** 3 * x5 ** 5)]
+
+
+def _run_shards(shard_fn, shards: list, workers: int) -> list[tuple[int, ...]]:
+    """The sorted union of shard_fn over the shards, in `workers` processes if more than one."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(shard_fn, shards))
+    else:
+        parts = map(shard_fn, shards)
+    return sorted(x for part in parts for x in part)
+
+
+def _c_cell(N: int, box: Box3, a2: int, a4: int) -> tuple:
+    """windows_M3's (n, S', S, L2', L2) for the C cell (a2, a4): lambda1^3 =
+    a4 a5^2 / (a1^2 a2) and lambda2^3 = a2 a5 / (a1 a3^3 a4) move R1 by a2/a4 and
+    R2 by a4/a2, and a2^4 a4^4 leaves the bound."""
+    r = Fr(a2, a4)
+    return N // (a2 ** 4 * a4 ** 4), box.r1p * r, box.r1 * r, box.r2p / r, box.r2 / r
 
 
 def _enum_c_shard(args) -> list[tuple[int, ...]]:
     spec, a2, a4 = args
-    box, N = spec.box, spec.N
-    # lambda1^3 = a4 a5^2 / (a1^2 a2) in [p1/q1, P1/Q1]; lambda2^3 = a2 a5 / (a1 a3^3 a4)
-    # in [p2/q2, P2/Q2]; a1^5 a3^3 a5^5 <= npair.  Windows are cross-multiplied in ints.
-    p1, q1, P1, Q1 = box.r1p.numerator, box.r1p.denominator, box.r1.numerator, box.r1.denominator
-    p2, q2, P2, Q2 = box.r2p.numerator, box.r2p.denominator, box.r2.numerator, box.r2.denominator
-    npair = N // (a2 ** 4 * a4 ** 4)
-    # a1 cap: a5^2 >= l1' a1^2 and a3^3 >= (a5/a1)/l2 with l1' = R1' a2/a4 and
-    # l2 = R2 a4/a2 give a1^10 <= npair * l2 / l1'^3 = N R2 / (a2^8 R1'^3)
-    cap = min(iroot(npair, 5), iroot(N * P2 * q1 ** 3 // (a2 ** 8 * Q2 * p1 ** 3), 10))
-    a5cap = min(math.isqrt(P1 * a2 * cap * cap // (Q1 * a4)), iroot(npair, 5))
-    a3cap = min(iroot(a2 * a5cap * q2 // (a4 * p2), 3), iroot(npair, 3))
-    _check_coordinates(N, max(cap, a5cap, a3cap, a2 * a4))
-    windows, walk = [], 0
-    for a1 in range(1, cap + 1):
-        lo5 = max(1, ceil_root(-(-p1 * a2 * a1 * a1 // (q1 * a4)), 2))
-        hi5 = min(math.isqrt(P1 * a2 * a1 * a1 // (Q1 * a4)), iroot(npair // a1 ** 5, 5))
-        walk += max(0, hi5 - lo5 + 1)
-        if walk > _WALK_LIMIT:
-            raise ValueError(f"N={N} needs more than {_WALK_LIMIT} (a1, a5) pairs in the C shard "
-                             f"a2={a2}, a4={a4}, above the enumeration limit")
-        windows.append((a1, lo5, hi5))
-    pairs, lo3, hi3 = [], [], []
-    for a1, lo5, hi5 in windows:
-        for a5 in range(lo5, hi5 + 1):
-            n, d = a2 * a5, a1 * a4
-            lo = max(1, ceil_root(-(-n * Q2 // (d * P2)), 3))
-            hi = min(iroot(n * q2 // (d * p2), 3), iroot(npair // (a1 * a5) ** 5, 3))
-            if hi >= lo:
-                pairs.append((a1, a5))
-                lo3.append(lo)
-                hi3.append(hi)
-    k, a3 = _expand(lo3, hi3)
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)[k]
-    return _select(spec, pairs[:, 0], a2, a3, a4, pairs[:, 1])
+    windows = list(windows_M3(*_c_cell(spec.N, spec.box, a2, a4)))
+    if not windows:
+        return []
+    _check_coordinates(spec.N, max(a2 * a4, *map(max, windows)))
+    a15, a3 = _expand(windows)
+    return _select(spec, a15[:, 0], a2, a3, a4, a15[:, 1])
 
 
 def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
@@ -161,53 +146,36 @@ def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
     """
     if spec.box.kind != "C":
         raise ValueError("enumerate_C needs a C-family box")
-    shards = [(spec, a2, a4) for a2, a4 in
-              divisor_pairs(int(spec.box.r3p), int(spec.box.r3), spec.carefree)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_enum_c_shard, shards))
-    else:
-        parts = [_enum_c_shard(s) for s in shards]
-    out = sorted(x for part in parts for x in part)
-    return out
+    shards = [(spec, a2, a4) for a2, a4 in divisor_pairs(int(spec.box.r3p), int(spec.box.r3))]
+    return _run_shards(_enum_c_shard, shards, workers)
 
 
 def raw_count_C(N: int, box: Box3) -> int:
-    """#C(N, box) with no local conditions, via the exact 3d counting kernel."""
-    total = 0
-    for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3), squarefree=False):
-        npair = Fr(N) / Fr(a2 ** 4 * a4 ** 4)
-        l1p = _sqrt_frac_lower(box.r1p * Fr(a2, a4))
-        l1 = _sqrt_frac_upper(box.r1 * Fr(a2, a4))
-        total += count_lattice_M3(npair, l1p, l1, box.r2p * Fr(a4, a2), box.r2 * Fr(a4, a2))
-    return total
+    """#C(N, box) with no local conditions: the lattice points of every C cell."""
+    return sum(hi3 - lo3 + 1
+               for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3), squarefree=False)
+               for _, _, lo3, hi3 in windows_M3(*_c_cell(N, box, a2, a4)))
 
 
-def _sqrt_frac_lower(q: Fraction, digits: int = 40) -> Fraction:
-    """Rational lower bound for sqrt(q), exact when q is a perfect square."""
-    num = math.isqrt(q.numerator * q.denominator * 10 ** (2 * digits))
-    return Fr(num, q.denominator * 10 ** digits)
-
-
-def _sqrt_frac_upper(q: Fraction, digits: int = 40) -> Fraction:
-    num = math.isqrt(q.numerator * q.denominator * 10 ** (2 * digits))
-    exact = Fr(num, q.denominator * 10 ** digits)
-    return exact if exact * exact == q else exact + Fr(1, 10 ** digits)
+def _t_cells(N: int, box: Box3, carefree: bool):
+    """(a2, a3, a4, bound on a1 a5) for each T cell of the box that holds a tuple
+    under N; with `carefree`, the cells of carefree tuples only."""
+    for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2), carefree):
+        for a3 in range(int(box.r3p), int(box.r3) + 1):
+            mcap = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
+            if mcap and (not carefree or (is_squarefree(a3) and math.gcd(a3, a2 * a4) == 1)):
+                yield a2, a3, a4, mcap
 
 
 def _enum_t_shard(args) -> list[tuple[int, ...]]:
-    spec, a2, a3, a4 = args
-    box, N = spec.box, spec.N
-    p1, q1, P1, Q1 = box.r1p.numerator, box.r1p.denominator, box.r1.numerator, box.r1.denominator
-    mcap = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)  # a1 a5 <= mcap
-    if mcap < 1:
+    spec, a2, a3, a4, mcap = args
+    _check_coordinates(spec.N, max(mcap, a2 * a3 * a4))
+    windows = list(windows_M2(mcap, spec.box.r1p, spec.box.r1))
+    if not windows:
         return []
-    _check_coordinates(N, max(mcap, a2 * a3 * a4))
-    a1s = range(1, math.isqrt(mcap * q1 // p1) + 1)  # a5 >= R1' a1 and a1 a5 <= mcap
-    i, a5 = _expand([max(1, -(-p1 * a1 // q1)) for a1 in a1s],
-                    [min(P1 * a1 // Q1, mcap // a1) for a1 in a1s])
-    a1 = i + 1
-    if spec.carefree and a2 > a4:
+    w, a5 = _expand(windows)
+    a1 = w[:, 0]
+    if a2 > a4:
         keep = a1 != a5  # ratio-1 leaf: keep the canonical orientation (a4 >= a2)
         a1, a5 = a1[keep], a5[keep]
     return _select(spec, a1, a2, np.full(len(a1), a3, dtype=np.int64), a4, a5)
@@ -217,27 +185,14 @@ def enumerate_T(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
     """Tuples with (a5/a1, a2*a4, a3) in the box, deduplicated on the ratio-1 leaf."""
     if spec.box.kind != "T":
         raise ValueError("enumerate_T needs a T-family box")
-    shards = []
-    for a2, a4 in divisor_pairs(int(spec.box.r2p), int(spec.box.r2), spec.carefree):
-        for a3 in range(int(spec.box.r3p), int(spec.box.r3) + 1):
-            if spec.carefree and (not is_squarefree(a3) or math.gcd(a3, a2 * a4) != 1):
-                continue
-            shards.append((spec, a2, a3, a4))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_enum_t_shard, shards))
-    else:
-        parts = [_enum_t_shard(s) for s in shards]
-    return sorted(x for part in parts for x in part)
+    shards = [(spec, *cell) for cell in _t_cells(spec.N, spec.box, carefree=True)]
+    return _run_shards(_enum_t_shard, shards, workers)
 
 
 def raw_count_T(N: int, box: Box3) -> int:
-    total = 0
-    for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2), squarefree=False):
-        for a3 in range(int(box.r3p), int(box.r3) + 1):
-            mcap = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
-            total += count_lattice_M2(mcap, box.r1p, box.r1)
-    return total
+    """#T(N, box) with no local conditions: the lattice points of every T cell."""
+    return sum(count_lattice_M2(mcap, box.r1p, box.r1)
+               for *_, mcap in _t_cells(N, box, carefree=False))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +302,7 @@ def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int],
     preds = densities.integrate_measure(kind, t, sign, box, prime_bound)
     rows = []
     for N in ladder:
-        spec = EnumSpec(N, sign, t, box, carefree=True)
+        spec = EnumSpec(N, sign, t, box)
         tuples = enumerate_C(spec, workers) if family == "C" else enumerate_T(spec, workers)
         cf = len(tuples)
         raw = raw_count_C(N, box) if family == "C" else raw_count_T(N, box)

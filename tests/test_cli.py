@@ -191,8 +191,36 @@ def test_equidist_beyond_the_c_walk_limit_exit_1_fast():
                           capture_output=True, text=True, timeout=60, env=env)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: N={10 ** 50} needs more than")
+    assert proc.stderr.startswith(f"error: the region x1^5 x3^3 x5^5 <= {10 ** 50} needs more than")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("op,N", [("count", 10 ** 39), ("count2", 10 ** 30)],
+                         ids=["count-1e39", "count2-1e30"])
+def test_geometry_count_beyond_the_walk_limit_exit_1_fast(op, N):
+    """The 3d walk at N = 10^39 has ~10^7 (x1, x5) pairs, the 2d walk at 10^30 has
+    10^15 values of x1: both are refused before they start."""
+    import time
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "puresextic", "geometry", op, "--N", str(N)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the region") and "walk limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry", ["0", "-5", "10^50", "1e20"])
+@pytest.mark.parametrize("cmd", [("geometry", "diagnose"),
+                                 ("equidist", "--family", "C", "--type", "1,1",
+                                  "--box", "1,8,1/8,8,1,6")], ids=["diagnose", "equidist"])
+def test_ladder_entry_that_is_not_positive_digits_exit_2(capsys, cmd, entry):
+    with pytest.raises(SystemExit) as e:
+        main([*cmd, "--ladder", entry])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"ladder entry {entry!r}" in err and "digits" in err
 
 
 def test_corrupt_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):

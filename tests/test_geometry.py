@@ -4,10 +4,10 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from puresextic.field import iroot, is_perfect_square
 from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M2_brute,
                                  count_lattice_M3, count_lattice_M3_brute, error_law_M2,
-                                 monte_carlo_volume_M3, volume_V)
-from puresextic.harness import _sqrt_frac_lower, _sqrt_frac_upper
+                                 monte_carlo_volume_M3, volume_V, windows_M3)
 
 
 def test_volume_examples():
@@ -30,6 +30,7 @@ def test_area_examples():
     (300, 1, 10, Fr(1, 10), 10),
     (1, 1, 2, 1, 2),
     (0, 1, 2, 1, 2),
+    (3000, 0, 3, Fr(1, 4), 5),  # L1' <= 0: no lower bound on x5/x1
 ])
 def test_count3_vs_brute(N, l1p, l1, l2p, l2):
     assert count_lattice_M3(N, l1p, l1, l2p, l2) == count_lattice_M3_brute(N, l1p, l1, l2p, l2)
@@ -39,14 +40,28 @@ positive = st.builds(Fr, st.integers(1, 64), st.integers(1, 16))
 small = st.builds(Fr, st.integers(1, 32), st.integers(4, 32))
 
 
-@given(st.builds(Fr, st.integers(10 ** 3, 10 ** 4), st.integers(1, 4)), small, positive,
-       small, positive)
+nonsquare = st.builds(Fr, st.integers(1, 64), st.integers(1, 16)).filter(
+    lambda q: not (is_perfect_square(q.numerator) and is_perfect_square(q.denominator)))
+
+
+def windows3_by_scan(n, Sp, S, L2p, L2):
+    """(x1, x5, x3) in the 3d kernel's region, by a scan of the cube the bound alone allows."""
+    top = iroot(n, 3)
+    return [(x1, x5, x3) for x1 in range(1, top + 1) for x5 in range(1, top + 1)
+            for x3 in range(1, top + 1)
+            if x1 ** 5 * x3 ** 3 * x5 ** 5 <= n and Sp <= Fr(x5, x1) ** 2 <= S
+            and L2p <= Fr(x5, x1 * x3 ** 3) <= L2]
+
+
+@given(st.integers(10 ** 3, 10 ** 5), st.tuples(nonsquare, nonsquare).map(sorted), small,
+       positive)
 @settings(max_examples=30, deadline=None)
-def test_count3_vs_brute_on_40_digit_windows(N, q, w, l2p, l2w):
-    """The ratio windows raw_count_C passes: 40-digit bounds around square roots."""
-    l1p, l1 = _sqrt_frac_lower(q), _sqrt_frac_upper(q + w)
-    assert count_lattice_M3(N, l1p, l1, l2p, l2p + l2w) == \
-        count_lattice_M3_brute(N, l1p, l1, l2p, l2p + l2w)
+def test_windows3_vs_scan_on_squared_windows(n, squared, l2p, l2w):
+    """The squared lambda1 windows raw_count_C passes, none of them a rational square."""
+    windows = list(windows_M3(n, *squared, l2p, l2p + l2w))
+    assert all(lo3 <= hi3 for *_, lo3, hi3 in windows)
+    points = [(x1, x5, x3) for x1, x5, lo3, hi3 in windows for x3 in range(lo3, hi3 + 1)]
+    assert points == windows3_by_scan(n, *squared, l2p, l2p + l2w)
 
 
 def test_count3_tiny_region_empty():

@@ -40,12 +40,39 @@ def test_tiny_n_empty():
     assert enumerate_C(EnumSpec(1, 1, T11, BOX_C)) == []
 
 
+def tuples_under(N, a2a4_max):
+    """Every (a1, ..., a5) of positive integers with a2*a4 <= a2a4_max and
+    a1^5 a2^4 a3^3 a4^4 a5^5 <= N."""
+    def upto(base, e):  # the k >= 1 with base * k^e <= N
+        k = 1
+        while base * k ** e <= N:
+            yield k
+            k += 1
+    for a2 in range(1, a2a4_max + 1):
+        for a4 in range(1, a2a4_max // a2 + 1):
+            for a1 in upto(a2 ** 4 * a4 ** 4, 5):
+                for a5 in upto(a1 ** 5 * a2 ** 4 * a4 ** 4, 5):
+                    for a3 in upto(a1 ** 5 * a2 ** 4 * a4 ** 4 * a5 ** 5, 3):
+                        yield a1, a2, a3, a4, a5
+
+
+def raw_count_by_scan(N, box):
+    """The tuples under N whose box coordinates lie in the box: (lambda1^3, lambda2^3,
+    a2*a4) for C, (a5/a1, a2*a4, a3) for T."""
+    def in_box(a1, a2, a3, a4, a5):
+        if box.kind == "C":
+            coords = (Fr(a4 * a5 ** 2, a1 ** 2 * a2), Fr(a2 * a5, a1 * a3 ** 3 * a4), a2 * a4)
+        else:
+            coords = (Fr(a5, a1), a2 * a4, a3)
+        return all(lo <= x <= hi for x, lo, hi in
+                   zip(coords, (box.r1p, box.r2p, box.r3p), (box.r1, box.r2, box.r3)))
+    return sum(in_box(*a) for a in tuples_under(N, int(box.r3 if box.kind == "C" else box.r2)))
+
+
 def test_raw_counts_match_kernels():
     for N in (10 ** 4, 10 ** 5):
-        assert len(enumerate_C(EnumSpec(N, 1, T11, BOX_C, carefree=False))) == \
-            raw_count_C(N, BOX_C)
-        assert len(enumerate_T(EnumSpec(N, 1, T11, BOX_T, carefree=False))) == \
-            raw_count_T(N, BOX_T)
+        assert raw_count_C(N, BOX_C) == raw_count_by_scan(N, BOX_C)
+        assert raw_count_T(N, BOX_T) == raw_count_by_scan(N, BOX_T)
 
 
 def test_no_tuple_with_its_dual():
@@ -143,23 +170,25 @@ def test_enumerate_t_matches_naive_scan_on_rational_boxes(N, sign, t, box):
 
 @pytest.mark.parametrize("N", [10 ** 5, 10 ** 7, 3 * 10 ** 8])
 def test_raw_counts_match_on_fractional_windows(N):
-    """carefree=False enumerates exactly the lattice points the counting kernels count."""
+    """The raw counts are the tuples a direct scan finds in boxes with fractional ends."""
     box_c = Box3(Fr(3, 2), Fr(29, 4), Fr(1, 7), Fr(9, 2), 1, 10, kind="C")
     box_t = Box3(Fr(5, 3), Fr(13, 2), 1, 10, 1, 5, kind="T")
-    assert len(enumerate_C(EnumSpec(N, 1, T11, box_c, carefree=False))) == raw_count_C(N, box_c)
-    assert len(enumerate_T(EnumSpec(N, 1, T11, box_t, carefree=False))) == raw_count_T(N, box_t)
+    assert raw_count_C(N, box_c) == raw_count_by_scan(N, box_c)
+    assert raw_count_T(N, box_t) == raw_count_by_scan(N, box_t)
 
 
 def test_ladder_point_beyond_the_coordinate_limit_raises():
     with pytest.raises(ValueError, match="enumeration limit"):
         enumerate_T(EnumSpec(10 ** 40, 1, T11, BOX_T))
+    # lambda2^3 down to 10^-20 lets a3 reach N^(1/3) in the (a1, a5) = (1, 1) window
     with pytest.raises(ValueError, match="enumeration limit"):
-        enumerate_C(EnumSpec(10 ** 80, 1, T11, BOX_C))
+        enumerate_C(EnumSpec(10 ** 20, 1, T11, Box3(1, 8, Fr(1, 10 ** 20), 8, 1, 6)))
 
 
 def test_c_walk_beyond_the_pair_limit_raises_and_n_1e25_still_runs():
-    with pytest.raises(ValueError, match="enumeration limit"):
-        enumerate_C(EnumSpec(10 ** 50, 1, T11, BOX_C))
+    for N in (10 ** 50, 10 ** 80):
+        with pytest.raises(ValueError, match="walk limit"):
+            enumerate_C(EnumSpec(N, 1, T11, BOX_C))
     assert len(enumerate_C(EnumSpec(10 ** 25, 1, T11, BOX_C))) == 20084
 
 
