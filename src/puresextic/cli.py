@@ -50,10 +50,6 @@ def _emit(cfg: Config, payload: dict) -> None:
             print(f"{k}: {v}")
 
 
-def _parse_type(s: str) -> SexticType:
-    return SexticType.parse(s)
-
-
 def _parse_sign(s: str) -> int:
     if s in ("+", "+1", "1"):
         return 1
@@ -62,13 +58,17 @@ def _parse_sign(s: str) -> int:
     raise argparse.ArgumentTypeError("sign must be + or -")
 
 
+def _positive_int(s: str, what: str = "") -> int:
+    """A positive integer written in ASCII digits."""
+    if not (s.isascii() and s.isdigit() and int(s) > 0):
+        raise argparse.ArgumentTypeError(f"{what}{s!r} is not a positive integer; "
+                                         f"write it in digits")
+    return int(s)
+
+
 def _parse_ladder(s: str) -> list[int]:
     """N1,N2,...: positive integers written in digits."""
-    for entry in s.split(","):
-        if not (entry.isascii() and entry.isdigit() and int(entry) > 0):
-            raise argparse.ArgumentTypeError(
-                f"ladder entry {entry!r} is not a positive integer; write it in digits")
-    return [int(entry) for entry in s.split(",")]
+    return [_positive_int(entry, "ladder entry ") for entry in s.split(",")]
 
 
 def cmd_classify(cfg: Config, args) -> int:
@@ -161,7 +161,7 @@ def cmd_geometry(cfg: Config, args) -> int:
 
 
 def cmd_density(cfg: Config, args) -> int:
-    t = _parse_type(args.type)
+    t = SexticType.parse(args.type)
     if args.a3 is None:
         v = densities.n_table(t, args.sign, args.a2, args.a4)
         out = {"kind": "n", "type": str(t), "sign": args.sign,
@@ -186,7 +186,7 @@ def cmd_euler(cfg: Config, args) -> int:
 
 
 def cmd_measure(cfg: Config, args) -> int:
-    t = _parse_type(args.type)
+    t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
     kind = "mu" if args.family == "C" else "nu"
     out = densities.integrate_measure(kind, t, args.sign, box, args.prime_bound)
@@ -196,7 +196,7 @@ def cmd_measure(cfg: Config, args) -> int:
 
 
 def cmd_equidist(cfg: Config, args) -> int:
-    t = _parse_type(args.type)
+    t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
     report = compare(args.family, t, args.sign, box, args.ladder,
                      workers=cfg.workers, prime_bound=args.prime_bound)
@@ -214,7 +214,7 @@ def cmd_equidist(cfg: Config, args) -> int:
 def cmd_verify(cfg: Config, args) -> int:
     """The full identity suite: for each Type and the per-type corpus, check
     gram6 == reference table == C^T G_power C and derived == tabulated transitions."""
-    types = ALL_TYPES if args.types == "all" else [_parse_type(args.types)]
+    types = ALL_TYPES if args.types == "all" else [SexticType.parse(args.types)]
     from .gram import g_table
     failures = []
     matrix = {}
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L1", type=Fraction, default=Fraction(2))
     p.add_argument("--L2p", type=Fraction, default=Fraction(1))
     p.add_argument("--L2", type=Fraction, default=Fraction(2))
-    p.add_argument("--samples", type=int, default=10 ** 6)
+    p.add_argument("--samples", type=_positive_int, default=10 ** 6)
     p.add_argument("--ladder", type=_parse_ladder, default="1000000,100000000")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(fn=cmd_geometry)
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler")
     p.add_argument("--kind", choices=tuple(densities._EULER_KINDS), default="carefree")
-    p.add_argument("--bound", type=int, default=10 ** 6)
+    p.add_argument("--bound", type=_positive_int, default=10 ** 6)
     p.set_defaults(fn=cmd_euler)
 
     p = sub.add_parser("measure")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--sign", type=_parse_sign, default=1)
     p.add_argument("--box", required=True, help="R1p,R1,R2p,R2,R3p,R3")
-    p.add_argument("--prime-bound", type=int, default=10 ** 6)
+    p.add_argument("--prime-bound", type=_positive_int, default=10 ** 6)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("equidist")
@@ -325,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", type=_parse_sign, default=1)
     p.add_argument("--box", required=True)
     p.add_argument("--ladder", type=_parse_ladder, required=True, help="N1,N2,...")
-    p.add_argument("--prime-bound", type=int, default=10 ** 6)
+    p.add_argument("--prime-bound", type=_positive_int, default=10 ** 6)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_equidist)
 
     p = sub.add_parser("verify")
     p.add_argument("--types", default="all")
-    p.add_argument("--per-type", type=int, default=25)
+    p.add_argument("--per-type", type=_positive_int, default=25)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("partition")

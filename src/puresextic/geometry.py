@@ -1,14 +1,15 @@
-"""Counting geometry: region volumes, lattice window kernels, exact counts, error diagnostics.
+"""Counting geometry: region volumes, the lattice window kernel, exact counts, error diagnostics.
 
 The 3d region M(N, L1', L1, L2', L2) = {x1,x3,x5 > 0 : x1^5 x3^3 x5^5 <= N,
 x5/x1 in [L1', L1], x5/(x3^3 x1) in [L2', L2]} has volume
-(75/8) N^(1/5) (L1^(2/15) - L1'^(2/15)) (L2'^(-2/15) - L2^(-2/15)).  Its lattice
-points, and those of the 2d region {x1 x5 <= M, x5/x1 in [L1', L1]}, come from
-one window kernel each, the one lattice walk of the C resp. T family: slice x1,
-then x5, then an integer cube-root interval for x3 (windows_M3), or slice x1
-into an interval for x5 (windows_M2).  Each endpoint is the floor, ceiling or
-integer root of a quotient of Python ints, cross-multiplied from the windows'
-numerators and denominators, so counts agree bit-for-bit with brute force.
+(75/8) N^(1/5) (L1^(2/15) - L1'^(2/15)) (L2'^(-2/15) - L2^(-2/15)).  Both ratio
+windows bounded pin x3 to finitely many integers, so its lattice points are a
+union of x3-slices (slices_M3), each a 2d region {x1 x5 <= M, (x5/x1)^2 in
+[S', S]} of the same shape as the T family's.  One window kernel (windows_M2)
+walks x1 over such a region and gives each x1 an interval of x5; it is the one
+lattice walk of both families.  Each end is the floor, ceiling or integer root
+of a quotient of Python ints, cross-multiplied from the windows' numerators and
+denominators, so counts agree bit-for-bit with brute force.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ class Box3:
     kind: str = "C"
 
     def __post_init__(self):
-        vals = [Fr(x) for x in (self.r1p, self.r1, self.r2p, self.r2, self.r3p, self.r3)]
-        object.__setattr__(self, "r1p", vals[0]); object.__setattr__(self, "r1", vals[1])
-        object.__setattr__(self, "r2p", vals[2]); object.__setattr__(self, "r2", vals[3])
-        object.__setattr__(self, "r3p", vals[4]); object.__setattr__(self, "r3", vals[5])
+        for name in ("r1p", "r1", "r2p", "r2", "r3p", "r3"):
+            object.__setattr__(self, name, Fr(getattr(self, name)))
         if self.kind not in ("C", "T"):
             raise ValueError("kind must be 'C' or 'T'")
         if not (self.r1p <= self.r1 and self.r2p <= self.r2 and self.r3p <= self.r3):
@@ -73,110 +72,103 @@ class Box3:
 
 
 def volume_V(N, L1p, L1, L2p, L2) -> float:
-    """(75/8) N^(1/5) (L1^(2/15) - L1'^(2/15)) (L2'^(-2/15) - L2^(-2/15))."""
-    N, L1p, L1, L2p, L2 = map(float, (N, L1p, L1, L2p, L2))
+    """(75/8) N^(1/5) (L1^(2/15) - L1'^(2/15)) (L2'^(-2/15) - L2^(-2/15)); a
+    nonpositive L1' or L2' is no lower bound."""
+    N, L1p, L1, L2p, L2 = map(float, (N, max(L1p, 0), L1, L2p, L2))
     if N <= 0 or L1p >= L1 or L2p >= L2:
         return 0.0
-    if L2p == 0:
+    if L2p <= 0:
         return math.inf
     return (75 / 8) * N ** 0.2 * (L1 ** (2 / 15) - L1p ** (2 / 15)) * \
         (L2p ** (-2 / 15) - L2 ** (-2 / 15))
 
 
 def area_A(M, L1p, L1) -> float:
-    """(M/2) log(L1/L1') -- area of {x1 x5 <= M, x5/x1 in [L1', L1]}."""
+    """(M/2) log(L1/L1') -- area of {x1 x5 <= M, x5/x1 in [L1', L1]}; infinite
+    when L1' <= 0 < L1."""
     M, L1p, L1 = map(float, (M, L1p, L1))
-    if M <= 0 or L1p > L1:
+    if M <= 0 or L1p >= L1 or L1 <= 0:
         return 0.0
-    if L1p == L1:
-        return 0.0
+    if L1p <= 0:
+        return math.inf
     return (M / 2) * math.log(L1 / L1p)
 
 
 # --- exact lattice-point counts ---------------------------------------------
 
-# The most Python steps one window walk may take, about 5 s of it on a 2-CPU host:
-# (x1, x5) pairs in 3d (an x1 with no x5 counts as one), x1 values in 2d.  A walk
-# grows like N^(1/5) (3d) or M^(1/2) (2d); past the limit it could run for hours.
+# The most Python steps the walk of one region may take, about 5 s on a 2-CPU
+# host: its values of x3 plus the values of x1 of its slices.  Past the limit a
+# walk, which grows like N^(1/10) (3d) or M^(1/2) (2d), could run for hours.
 _WALK_LIMIT = 10 ** 6
 
 
-def windows_M3(n: int, Sp, S, L2p, L2):
-    """The nonempty windows (x1, x5, lo3, hi3) of the lattice points of
-    {x1^5 x3^3 x5^5 <= n, (x5/x1)^2 in [S', S], x5/(x1 x3^3) in [L2', L2]}.
-
-    Each lattice pair (x1, x5) carries the x3 in [lo3, hi3], in order of x1
-    then x5.  n is an int and the windows are ints or Fractions; a nonpositive
-    S' is no lower bound.  Every endpoint is the floor, ceiling or integer root
-    of a quotient of Python ints.  More than _WALK_LIMIT (x1, x5) steps raise
-    ValueError before the first window.
-    """
-    Sp, S, L2p, L2 = Fr(Sp), Fr(S), Fr(L2p), Fr(L2)
-    if L2p <= 0:
-        raise ValueError("L2' must be positive for a finite region")
-    if n < 1 or S <= 0 or Sp > S or L2p > L2:
-        return
-    p1, q1, P1, Q1 = Sp.numerator, Sp.denominator, S.numerator, S.denominator
-    p2, q2, P2, Q2 = L2p.numerator, L2p.denominator, L2.numerator, L2.denominator
-    # x3, x5 >= 1 give x1^5 <= n; if S' > 0 then x5 >= sqrt(S') x1 and
-    # x3^3 >= x5/(L2 x1) >= sqrt(S')/L2 force x1^10 <= n L2 / S'^3.
-    cap = iroot(n, 5)
-    if p1 > 0:
-        cap = min(cap, iroot(n * P2 * q1 ** 3 // (Q2 * p1 ** 3), 10))
-    rows, walk = [], 0
-    for x1 in range(1, cap + 1):
-        lo5 = max(1, ceil_root(-(-p1 * x1 * x1 // q1), 2))
-        hi5 = min(math.isqrt(P1 * x1 * x1 // Q1), iroot(n // x1 ** 5, 5))
-        walk += max(1, hi5 - lo5 + 1)
-        if walk > _WALK_LIMIT:
-            raise ValueError(f"the region x1^5 x3^3 x5^5 <= {n} needs more than {_WALK_LIMIT} "
-                             f"(x1, x5) steps, above the walk limit")
-        rows.append((x1, lo5, hi5))
-    for x1, lo5, hi5 in rows:
-        for x5 in range(lo5, hi5 + 1):
-            lo3 = max(1, ceil_root(-(-x5 * Q2 // (x1 * P2)), 3))
-            hi3 = min(iroot(x5 * q2 // (x1 * p2), 3), iroot(n // (x1 * x5) ** 5, 3))
-            if hi3 >= lo3:
-                yield x1, x5, lo3, hi3
+def _x1_cap(M: int, Sp: Fraction) -> int:
+    """The largest x1 with x1 * max(1, sqrt(S') x1) <= M: floor((M^2 / S')^(1/4)) or M."""
+    return M if Sp <= 0 else min(M, math.isqrt(math.isqrt(M * M * Sp.denominator // Sp.numerator)))
 
 
-def windows_M2(M: int, L1p, L1):
-    """The nonempty windows (x1, lo5, hi5) of the lattice points of
-    {x1 x5 <= M, x5/x1 in [L1', L1]}: x5 runs over [lo5, hi5], in order of x1.
-
-    M is an int and the window ints or Fractions; a nonpositive L1' is no lower
-    bound.  More than _WALK_LIMIT values of x1 raise ValueError before the first
-    window.
-    """
-    L1p, L1 = Fr(L1p), Fr(L1)
-    if M < 1 or L1 <= 0 or L1p > L1:
-        return
-    # x5 >= max(1, L1' x1) and x1 x5 <= M cap x1 at M or sqrt(M / L1')
-    cap = M if L1p <= 0 else min(M, floor_root(M / L1p, 2))
-    if cap > _WALK_LIMIT:
-        raise ValueError(f"the region x1 x5 <= {M} needs more than {_WALK_LIMIT} values of x1, "
+def _check_walk(steps: int, region: str, what: str) -> None:
+    if steps > _WALK_LIMIT:
+        raise ValueError(f"the region {region} needs more than {_WALK_LIMIT} {what}, "
                          f"above the walk limit")
-    pn, pd, qn, qd = L1p.numerator, L1p.denominator, L1.numerator, L1.denominator
+
+
+def windows_M2(M: int, Sp, S):
+    """The nonempty windows (x1, lo5, hi5) of {x1 x5 <= M, (x5/x1)^2 in [S', S]}: x5
+    runs over [lo5, hi5], in order of x1.  The one lattice walk; M is an int, the
+    squared window ints or Fractions, and S' <= 0 no lower bound.  More than
+    _WALK_LIMIT values of x1 raise ValueError before the first window."""
+    Sp, S = Fr(Sp), Fr(S)
+    if M < 1 or S <= 0 or Sp > S:
+        return
+    cap = _x1_cap(M, Sp)
+    _check_walk(cap, f"x1 x5 <= {M}", "values of x1")
+    p, q, P, Q = max(Sp.numerator, 0), Sp.denominator, S.numerator, S.denominator
+    d, isqrt = int(p > 0), math.isqrt
     for x1 in range(1, cap + 1):
-        lo = -(-pn * x1 // pd)
-        if lo < 1:
-            lo = 1
-        hi = qn * x1 // qd
+        xx = x1 * x1
+        lo = isqrt((p * xx - d) // q) + 1  # ceil(S' x1^2) - 1 or 0: x5 >= 1, x5^2 >= S' x1^2
+        hi = isqrt(P * xx // Q)
         if M // x1 < hi:
             hi = M // x1
         if hi >= lo:
             yield x1, lo, hi
 
 
+def slices_M3(n: int, Sp, S, L2p, L2) -> list[tuple[int, int, Fraction, Fraction]]:
+    """The x3-slices (x3, M, S'_x3, S_x3) of {x1^5 x3^3 x5^5 <= n, (x5/x1)^2 in
+    [S', S], x5/(x1 x3^3) in [L2', L2]}: at x3, windows_M2's region with
+    M = floor((n / x3^3)^(1/5)) and [S', S] cut to [(L2' x3^3)^2, (L2 x3^3)^2].
+    n is an int, the windows ints or Fractions, and S' <= 0 no lower bound.  More
+    than _WALK_LIMIT values of x3 and x1 raise ValueError before the first slice."""
+    Sp, S, L2p, L2 = Fr(Sp), Fr(S), Fr(L2p), Fr(L2)
+    if L2p <= 0:
+        raise ValueError("L2' must be positive for a finite region")
+    if n < 1 or S <= 0 or Sp > S or L2p > L2:
+        return []
+    # nonempty iff S' <= (L2 x3^3)^2 and (L2' x3^3)^2 <= S; x1, x5 >= 1 give x3^3 <= n
+    lo3, hi3 = max(1, ceil_root(Sp / L2 ** 2, 6)), min(floor_root(S / L2p ** 2, 6), iroot(n, 3))
+    region, what = f"x1^5 x3^3 x5^5 <= {n}", "values of x3 and x1"
+    _check_walk(hi3 - lo3 + 1, region, what)
+    slices = [(x3, iroot(n // x3 ** 3, 5), max(Sp, (L2p * x3 ** 3) ** 2),
+               min(S, (L2 * x3 ** 3) ** 2)) for x3 in range(lo3, hi3 + 1)]
+    _check_walk(len(slices) + sum(_x1_cap(M, Sq) for _, M, Sq, _ in slices), region, what)
+    return slices
+
+
+def count_slices(slices) -> int:
+    """The lattice points of a union of slices (x3, M, S', S): one sum over windows_M2."""
+    return sum(hi - lo + 1 for _, M, Sp, S in slices for _, lo, hi in windows_M2(M, Sp, S))
+
+
 def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
     """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact.
 
     The arguments are ints or Fractions.  The ratio window x5/x1 in [L1', L1]
-    is the squared window [max(L1', 0)^2, max(L1, 0)^2] of windows_M3.
+    is the squared window [max(L1', 0)^2, max(L1, 0)^2] of slices_M3.
     """
     L1p, L1 = max(Fr(L1p), 0), max(Fr(L1), 0)
-    return sum(hi3 - lo3 + 1 for _, _, lo3, hi3 in
-               windows_M3(math.floor(Fr(N)), L1p ** 2, L1 ** 2, L2p, L2))
+    return count_slices(slices_M3(math.floor(Fr(N)), L1p ** 2, L1 ** 2, L2p, L2))
 
 
 def count_lattice_M3_brute(N, L1p, L1, L2p, L2) -> int:
@@ -200,7 +192,8 @@ def count_lattice_M3_brute(N, L1p, L1, L2p, L2) -> int:
 
 def count_lattice_M2(M, L1p, L1) -> int:
     """#{(x1,x5) positive integers : x1 x5 <= M, x5/x1 in [L1', L1]}, exact."""
-    return sum(hi - lo + 1 for _, lo, hi in windows_M2(math.floor(Fr(M)), L1p, L1))
+    L1p, L1 = max(Fr(L1p), 0), max(Fr(L1), 0)
+    return count_slices([(1, math.floor(Fr(M)), L1p ** 2, L1 ** 2)])
 
 
 def count_lattice_M2_brute(M, L1p, L1) -> int:
@@ -219,13 +212,15 @@ def monte_carlo_volume_M3(N, L1p, L1, L2p, L2, samples: int = 10 ** 6,
                           seed: int = 0) -> tuple[float, float]:
     """(estimate, standard_error) for vol(M(...)) via a seeded indicator average."""
     N, L1p, L1, L2p, L2 = map(float, (N, L1p, L1, L2p, L2))
+    if L1p <= 0 or L2p <= 0:
+        raise ValueError(f"Monte Carlo needs a bounded region: L1' = {L1p} and L2' = {L2p} "
+                         f"must be positive")
     x1_max = (N * L2 / L1p ** 6) ** 0.1
     x3_max = (L1 / L2p) ** (1 / 3)
     x5_max = L1 * x1_max
     box = x1_max * x3_max * x5_max
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
-    hits_sq = 0
     n_done = 0
     chunk = 1 << 18
     while n_done < samples:
@@ -256,20 +251,16 @@ class ErrorLawRow:
     volume: float
     scaled_error: float  # |count - volume| / N^exponent
 
+    @staticmethod
+    def of(N, count: int, volume: float, exponent: float) -> "ErrorLawRow":
+        return ErrorLawRow(N, count, volume, abs(count - volume) / float(N) ** exponent)
+
 
 def error_law_M3(Ns, L1p, L1, L2p, L2, exponent: float = 0.1) -> list[ErrorLawRow]:
-    rows = []
-    for N in Ns:
-        c = count_lattice_M3(N, L1p, L1, L2p, L2)
-        v = volume_V(N, L1p, L1, L2p, L2)
-        rows.append(ErrorLawRow(N, c, v, abs(c - v) / float(N) ** exponent))
-    return rows
+    return [ErrorLawRow.of(N, count_lattice_M3(N, L1p, L1, L2p, L2),
+                           volume_V(N, L1p, L1, L2p, L2), exponent) for N in Ns]
 
 
 def error_law_M2(Ms, L1p, L1, exponent: float = 0.5) -> list[ErrorLawRow]:
-    rows = []
-    for M in Ms:
-        c = count_lattice_M2(M, L1p, L1)
-        a = area_A(M, L1p, L1)
-        rows.append(ErrorLawRow(M, c, a, abs(c - a) / float(M) ** exponent))
-    return rows
+    return [ErrorLawRow.of(M, count_lattice_M2(M, L1p, L1), area_A(M, L1p, L1), exponent)
+            for M in Ms]

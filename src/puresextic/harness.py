@@ -1,11 +1,12 @@
 """Enumeration of carefree tuples by discriminant bound, and the comparison harness.
 
-Both families walk geometry's window kernels.  A C cell (a2, a4) is the 3d
-region of (a1, a3, a5) with (a5/a1)^2 in R1 a2/a4, a5/(a1 a3^3) in R2 a4/a2 and
-a1^5 a3^3 a5^5 <= N/(a2^4 a4^4); a T cell (a2, a3, a4) is the 2d region of
-(a1, a5) with a5/a1 in R1 and a1 a5 <= (N/(a2^4 a3^3 a4^4))^(1/5).  The raw
-counts sum the window lengths of every cell.  The enumeration runs one shard
-per carefree cell: it expands the windows into int64 candidate arrays and
+Both families cut the box into cells, and each cell into slices (a3, M, S', S):
+regions a1 a5 <= M, (a5/a1)^2 in [S', S] of geometry's one window kernel.  A C
+cell (a2, a4) is the region (a5/a1)^2 in R1 a2/a4, a5/(a1 a3^3) in R2 a4/a2,
+a1^5 a3^3 a5^5 <= N/(a2^4 a4^4), one slice per a3 the windows allow; a T cell
+(a2, a3, a4) is one slice, a5/a1 in R1 and a1 a5 <= (N/(a2^4 a3^3 a4^4))^(1/5).
+The raw counts sum the window lengths of every cell.  The enumeration runs one
+shard per carefree cell: it expands the windows into int64 candidate arrays and
 filters them with vector masks (a squarefree sieve sized to the shard's largest
 coordinate, np.gcd for pairwise coprimality, and the Type table on m mod 46656
 built from per-coordinate residues); only the survivors get the exact
@@ -28,7 +29,7 @@ import numpy as np
 from . import densities
 from .densities import divisor_pairs
 from .field import iroot, is_irreducible_sextic, is_squarefree
-from .geometry import Box3, count_lattice_M2, windows_M2, windows_M3
+from .geometry import Box3, count_slices, slices_M3, windows_M2
 from .types import SexticType, classify_array, lookup_tables
 
 Fr = Fraction
@@ -42,25 +43,34 @@ class EnumSpec:
     box: Box3
 
 
-# The largest coordinate a shard may hold.  It sizes the squarefree sieve, keeps
-# products of two coordinates far inside int64, and caps a T shard at about
-# _COORD_LIMIT / 2 candidates (N up to ~1e30 on the unit cell).
+# A shard's enumeration limits, checked on its walked windows before expansion.
+# The largest coordinate sizes the squarefree sieve and keeps products of
+# coordinates inside int64.  The candidates (the sum of the window lengths) take
+# about 66 bytes each at the arrays' peak; the largest carefree C cell of the
+# criterion-10 box holds 1.66e6 at N = 2.6e31, a T cell of 1,4,1,6,1,3 ~6.9e5 at M = 10^6.
 _COORD_LIMIT = 10 ** 6
+_CANDIDATE_LIMIT = 2 * 10 ** 6
 
 
-def _check_coordinates(N: int, top: int) -> None:
+def _check_shard(N: int, a2: int, a4: int, windows: list[tuple[int, int, int, int]]) -> None:
+    a3, x1, lo, hi = zip(*windows)
+    top = max(a2 * a4, max(a3), max(x1), max(hi))
     if top > _COORD_LIMIT:
         raise ValueError(f"N={N} needs tuple coordinates up to {top}, "
                          f"above the enumeration limit {_COORD_LIMIT}")
+    size = sum(hi) - sum(lo) + len(windows)
+    if size > _CANDIDATE_LIMIT:
+        raise ValueError(f"N={N} needs {size} candidates in one shard, "
+                         f"above the enumeration limit {_CANDIDATE_LIMIT}")
 
 
-def _expand(windows: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) with a row w[k] and v[k] for every window (*w, lo, hi) and every v in
-    [lo, hi], in order of window then v."""
-    w = np.fromiter(chain.from_iterable(windows), dtype=np.int64).reshape(len(windows), -1)
-    n = w[:, -1] - w[:, -2] + 1
-    k = np.repeat(np.arange(len(w)), n)
-    return w[k, :-2], w[k, -2] + np.arange(len(k)) - (np.cumsum(n) - n)[k]
+def _expand(windows: list[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
+    """(a3, a1, a5) with an entry for every window (a3, a1, lo, hi) and every a5 in
+    [lo, hi], in order of window then a5."""
+    w = np.fromiter(chain.from_iterable(windows), dtype=np.int64).reshape(len(windows), 4)
+    n = w[:, 3] - w[:, 2] + 1
+    return (np.repeat(w[:, 0], n), np.repeat(w[:, 1], n),
+            np.repeat(w[:, 2] - np.cumsum(n) + n, n) + np.arange(n.sum()))
 
 
 def _squarefree_sieve(top: int) -> np.ndarray:
@@ -109,32 +119,55 @@ def _select(spec: EnumSpec, a1: np.ndarray, a2: int, a3: np.ndarray, a4: int,
             if is_irreducible_sextic(c * x1 * x3 ** 3 * x5 ** 5)]
 
 
-def _run_shards(shard_fn, shards: list, workers: int) -> list[tuple[int, ...]]:
-    """The sorted union of shard_fn over the shards, in `workers` processes if more than one."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(shard_fn, shards))
-    else:
-        parts = map(shard_fn, shards)
-    return sorted(x for part in parts for x in part)
+def _cells(N: int, box: Box3, carefree: bool):
+    """(a2, a4, slices) for each cell of the box that holds a tuple under N, with
+    the slices (a3, M, S', S) of the module docstring; with `carefree`, only the
+    cells and the a3 of carefree tuples."""
+    def keep(a3, a2, a4):
+        return not carefree or (is_squarefree(a3) and math.gcd(a3, a2 * a4) == 1)
+
+    if box.kind == "C":
+        for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3), carefree):
+            r = Fr(a2, a4)
+            slices = [s for s in slices_M3(N // (a2 ** 4 * a4 ** 4), box.r1p * r, box.r1 * r,
+                                           box.r2p / r, box.r2 / r) if keep(s[0], a2, a4)]
+            if slices:
+                yield a2, a4, slices
+        return
+    Sp, S = box.r1p ** 2, box.r1 ** 2
+    for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2), carefree):
+        for a3 in range(int(box.r3p), int(box.r3) + 1):
+            M = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
+            if M and keep(a3, a2, a4):
+                yield a2, a4, [(a3, M, Sp, S)]
 
 
-def _c_cell(N: int, box: Box3, a2: int, a4: int) -> tuple:
-    """windows_M3's (n, S', S, L2', L2) for the C cell (a2, a4): lambda1^3 =
-    a4 a5^2 / (a1^2 a2) and lambda2^3 = a2 a5 / (a1 a3^3 a4) move R1 by a2/a4 and
-    R2 by a4/a2, and a2^4 a4^4 leaves the bound."""
-    r = Fr(a2, a4)
-    return N // (a2 ** 4 * a4 ** 4), box.r1p * r, box.r1 * r, box.r2p / r, box.r2 / r
-
-
-def _enum_c_shard(args) -> list[tuple[int, ...]]:
-    spec, a2, a4 = args
-    windows = list(windows_M3(*_c_cell(spec.N, spec.box, a2, a4)))
+def _enum_shard(args) -> list[tuple[int, ...]]:
+    """The tuples of one cell that meet the spec: its windows, expanded and _select-ed."""
+    spec, a2, a4, slices = args
+    windows = [(a3, x1, lo, hi) for a3, M, Sp, S in slices for x1, lo, hi in windows_M2(M, Sp, S)]
     if not windows:
         return []
-    _check_coordinates(spec.N, max(a2 * a4, *map(max, windows)))
-    a15, a3 = _expand(windows)
-    return _select(spec, a15[:, 0], a2, a3, a4, a15[:, 1])
+    _check_shard(spec.N, a2, a4, windows)
+    a3, a1, a5 = _expand(windows)
+    if a2 > a4:
+        # ratio-1 leaf: keep a4 >= a2 (in C, a1 = a5 gives lambda1^3 = a4/a2 >= R1' >= 1)
+        keep = a1 != a5
+        a1, a3, a5 = a1[keep], a3[keep], a5[keep]
+    return _select(spec, a1, a2, a3, a4, a5)
+
+
+def _enumerate(spec: EnumSpec, kind: str, workers: int) -> list[tuple[int, ...]]:
+    """The sorted union of the carefree cells' shards, in `workers` processes if more than one."""
+    if spec.box.kind != kind:
+        raise ValueError(f"enumerate_{kind} needs a {kind}-family box")
+    shards = [(spec, *cell) for cell in _cells(spec.N, spec.box, carefree=True)]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(_enum_shard, shards))
+    else:
+        parts = map(_enum_shard, shards)
+    return sorted(x for part in parts for x in part)
 
 
 def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
@@ -144,55 +177,26 @@ def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
     requires lambda1^3 >= R1' >= 1 and the boundary lambda1 = 1 is
     unattainable for valid tuples.
     """
-    if spec.box.kind != "C":
-        raise ValueError("enumerate_C needs a C-family box")
-    shards = [(spec, a2, a4) for a2, a4 in divisor_pairs(int(spec.box.r3p), int(spec.box.r3))]
-    return _run_shards(_enum_c_shard, shards, workers)
-
-
-def raw_count_C(N: int, box: Box3) -> int:
-    """#C(N, box) with no local conditions: the lattice points of every C cell."""
-    return sum(hi3 - lo3 + 1
-               for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3), squarefree=False)
-               for _, _, lo3, hi3 in windows_M3(*_c_cell(N, box, a2, a4)))
-
-
-def _t_cells(N: int, box: Box3, carefree: bool):
-    """(a2, a3, a4, bound on a1 a5) for each T cell of the box that holds a tuple
-    under N; with `carefree`, the cells of carefree tuples only."""
-    for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2), carefree):
-        for a3 in range(int(box.r3p), int(box.r3) + 1):
-            mcap = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
-            if mcap and (not carefree or (is_squarefree(a3) and math.gcd(a3, a2 * a4) == 1)):
-                yield a2, a3, a4, mcap
-
-
-def _enum_t_shard(args) -> list[tuple[int, ...]]:
-    spec, a2, a3, a4, mcap = args
-    _check_coordinates(spec.N, max(mcap, a2 * a3 * a4))
-    windows = list(windows_M2(mcap, spec.box.r1p, spec.box.r1))
-    if not windows:
-        return []
-    w, a5 = _expand(windows)
-    a1 = w[:, 0]
-    if a2 > a4:
-        keep = a1 != a5  # ratio-1 leaf: keep the canonical orientation (a4 >= a2)
-        a1, a5 = a1[keep], a5[keep]
-    return _select(spec, a1, a2, np.full(len(a1), a3, dtype=np.int64), a4, a5)
+    return _enumerate(spec, "C", workers)
 
 
 def enumerate_T(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
     """Tuples with (a5/a1, a2*a4, a3) in the box, deduplicated on the ratio-1 leaf."""
-    if spec.box.kind != "T":
-        raise ValueError("enumerate_T needs a T-family box")
-    shards = [(spec, *cell) for cell in _t_cells(spec.N, spec.box, carefree=True)]
-    return _run_shards(_enum_t_shard, shards, workers)
+    return _enumerate(spec, "T", workers)
+
+
+def _raw_count(N: int, box: Box3) -> int:
+    return sum(count_slices(slices) for *_, slices in _cells(N, box, carefree=False))
+
+
+def raw_count_C(N: int, box: Box3) -> int:
+    """#C(N, box) with no local conditions: the lattice points of every C cell."""
+    return _raw_count(N, box)
 
 
 def raw_count_T(N: int, box: Box3) -> int:
     """#T(N, box) with no local conditions: the lattice points of every T cell."""
-    return sum(count_lattice_M2(mcap, box.r1p, box.r1)
-               for *_, mcap in _t_cells(N, box, carefree=False))
+    return _raw_count(N, box)
 
 
 # ---------------------------------------------------------------------------

@@ -167,48 +167,95 @@ def test_unfactorable_m_exit_1_fast():
     assert proc.stderr.startswith("error: cannot factor")
 
 
-def test_equidist_beyond_the_coordinate_limit_exit_1_fast():
-    """A ladder point whose tuple coordinates would overflow the sieve fails before enumerating."""
+def run_module(*argv):
+    """(exit code, stderr, seconds) of `python -m puresextic *argv` under a 60 s guard."""
+    import time
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "puresextic", "equidist", "--family", "T",
-                           "--type", "1,1", "--sign", "+", "--box", "1,4,1,6,1,3",
-                           "--ladder", str(10 ** 40), "--prime-bound", "1000"],
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "puresextic", *argv],
                           capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: N={10 ** 40} needs tuple coordinates")
-    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+def test_equidist_beyond_the_coordinate_limit_exit_1_fast():
+    """a5/a1 near 10^7: a handful of candidates, but a5 would overflow the sieve."""
+    code, err, _ = run_module("equidist", "--family", "T", "--type", "1,1", "--sign", "+",
+                              "--box", "10000000,10000001,1,6,1,3", "--ladder", str(10 ** 40),
+                              "--prime-bound", "1000")
+    assert code == 1
+    assert err.startswith(f"error: N={10 ** 40} needs tuple coordinates up to ")
+    assert "enumeration limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family,box,N", [("T", "1,4,1,6,1,3", 10 ** 40),
+                                         ("C", "1,8,1/8,8,1,6", 10 ** 50)], ids=["T", "C"])
+def test_equidist_beyond_the_candidate_limit_exit_1_fast(family, box, N):
+    """Coordinates under 10^6 (T: a5 <= 2 * 10^4) but ~7 * 10^7 (T) or ~9 * 10^9 (C)
+    candidates in one shard: refused before they are expanded."""
+    code, err, seconds = run_module("equidist", "--family", family, "--type", "1,1", "--sign",
+                                    "+", "--box", box, "--ladder", str(N), "--prime-bound", "1000")
+    assert seconds < 10
+    assert code == 1
+    assert err.startswith(f"error: N={N} needs ") and "candidates in one shard" in err
+    assert "enumeration limit" in err and "Traceback" not in err
 
 
 def test_equidist_beyond_the_c_walk_limit_exit_1_fast():
-    """At N = 10^50 on the criterion-10 box every coordinate is under the coordinate
-    limit, but the (a1, a5) walk has ~10^10 pairs: refused before it starts."""
-    import time
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "puresextic", "equidist", "--family", "C",
-                           "--type", "1,1", "--sign", "+", "--box", "1,8,1/8,8,1,6",
-                           "--ladder", str(10 ** 50)],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert time.perf_counter() - start < 10
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: the region x1^5 x3^3 x5^5 <= {10 ** 50} needs more than")
-    assert "Traceback" not in proc.stderr
+    """At N = 10^80 on the criterion-10 box the x1 walk of one a3-slice has ~10^8
+    values: refused before it starts."""
+    code, err, seconds = run_module("equidist", "--family", "C", "--type", "1,1", "--sign", "+",
+                                    "--box", "1,8,1/8,8,1,6", "--ladder", str(10 ** 80))
+    assert seconds < 10
+    assert code == 1
+    assert err.startswith(f"error: the region x1^5 x3^3 x5^5 <= {10 ** 80} needs more than")
+    assert "walk limit" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("op,N", [("count", 10 ** 39), ("count2", 10 ** 30)],
-                         ids=["count-1e39", "count2-1e30"])
+@pytest.mark.parametrize("op,N", [("count", 10 ** 61), ("count2", 10 ** 30)],
+                         ids=["count-1e61", "count2-1e30"])
 def test_geometry_count_beyond_the_walk_limit_exit_1_fast(op, N):
-    """The 3d walk at N = 10^39 has ~10^7 (x1, x5) pairs, the 2d walk at 10^30 has
-    10^15 values of x1: both are refused before they start."""
-    import time
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "puresextic", "geometry", op, "--N", str(N)],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert time.perf_counter() - start < 10
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: the region") and "walk limit" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    """The 3d walk at N = 10^61 has ~1.26 * 10^6 values of x1 (one x3), the 2d walk
+    at 10^30 has 10^15: both are refused before they start."""
+    code, err, seconds = run_module("geometry", op, "--N", str(N))
+    assert seconds < 10
+    assert code == 1
+    assert err.startswith("error: the region") and "walk limit" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("euler", "--bound", "0"), ("euler", "--bound", "-5"),
+                                  ("measure", "--family", "C", "--type", "1,1",
+                                   "--box", "1,8,1/8,8,1,6", "--prime-bound", "0"),
+                                  ("equidist", "--family", "C", "--type", "1,1",
+                                   "--box", "1,8,1/8,8,1,6", "--ladder", "1000",
+                                   "--prime-bound", "-1"),
+                                  ("geometry", "mc", "--samples", "0"),
+                                  ("verify", "--per-type", "-1"), ("verify", "--per-type", "0")],
+                         ids=["euler-0", "euler--5", "measure-0", "equidist--1", "mc-0",
+                              "verify--1", "verify-0"])
+def test_count_option_that_is_not_positive_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    assert "is not a positive integer; write it in digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("geometry", "mc", "--L1p", "0", "--samples", "1000"),
+                                  ("geometry", "mc", "--L2p", "0", "--samples", "1000")],
+                         ids=["mc-L1p-0", "mc-L2p-0"])
+def test_monte_carlo_on_an_unbounded_region_exit_1(capsys, argv):
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err.startswith("error: Monte Carlo needs a bounded region")
+
+
+@pytest.mark.parametrize("argv", [("geometry", "area", "--L1p", "0"),
+                                  ("geometry", "diagnose", "--L1p", "0", "--ladder", "1000")],
+                         ids=["area", "diagnose"])
+def test_area_with_no_lower_ratio_bound_is_infinite(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["area"] if "area" in data else data["M2"][0]["volume"]) == math.inf
 
 
 @pytest.mark.parametrize("entry", ["0", "-5", "10^50", "1e20"])

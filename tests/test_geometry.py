@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from puresextic.field import iroot, is_perfect_square
 from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M2_brute,
                                  count_lattice_M3, count_lattice_M3_brute, error_law_M2,
-                                 monte_carlo_volume_M3, volume_V, windows_M3)
+                                 monte_carlo_volume_M3, slices_M3, volume_V, windows_M2)
 
 
 def test_volume_examples():
@@ -57,11 +57,27 @@ def windows3_by_scan(n, Sp, S, L2p, L2):
        positive)
 @settings(max_examples=30, deadline=None)
 def test_windows3_vs_scan_on_squared_windows(n, squared, l2p, l2w):
-    """The squared lambda1 windows raw_count_C passes, none of them a rational square."""
-    windows = list(windows_M3(n, *squared, l2p, l2p + l2w))
-    assert all(lo3 <= hi3 for *_, lo3, hi3 in windows)
-    points = [(x1, x5, x3) for x1, x5, lo3, hi3 in windows for x3 in range(lo3, hi3 + 1)]
-    assert points == windows3_by_scan(n, *squared, l2p, l2p + l2w)
+    """The squared lambda1 windows raw_count_C passes, none of them a rational square:
+    the 2d windows of the x3-slices hold each point of the 3d region once."""
+    windows = [(x3, w) for x3, M, Sp, S in slices_M3(n, *squared, l2p, l2p + l2w)
+               for w in windows_M2(M, Sp, S)]
+    assert all(lo5 <= hi5 for _, (_, lo5, hi5) in windows)
+    points = [(x1, x5, x3) for x3, (x1, lo5, hi5) in windows for x5 in range(lo5, hi5 + 1)]
+    assert sorted(points) == windows3_by_scan(n, *squared, l2p, l2p + l2w)
+
+
+def test_count3_at_1e30_pinned():
+    """A count the scan oracles cannot reach, recorded with the earlier per-(x1, x5) walk."""
+    assert count_lattice_M3(10 ** 30, 1, 2, 1, 2) == 347438
+
+
+def test_walk_limit_counts_x3_values_and_raises_before_the_first_slice():
+    # L2' = 10^-20 lets x3 run to n^(1/3) ~ 4.6 * 10^6 values
+    with pytest.raises(ValueError, match="walk limit"):
+        slices_M3(10 ** 20, 1, 64, Fr(1, 10 ** 20), 8)
+    with pytest.raises(ValueError, match="walk limit"):
+        count_lattice_M3(10 ** 61, 1, 2, 1, 2)  # one slice, ~1.26 * 10^6 values of x1
+    assert count_lattice_M3(10 ** 39, 1, 2, 1, 2) == 21874091
 
 
 def test_count3_tiny_region_empty():
@@ -90,6 +106,18 @@ def test_monte_carlo_matches_volume():
     assert abs(est - v) <= 3 * se
     est2, _ = monte_carlo_volume_M3(10 ** 5, 1, 2, 1, 2, samples=10 ** 6, seed=7)
     assert est == est2  # reproducible
+
+
+def test_unbounded_ratio_windows():
+    """L1' <= 0 (resp. L2' <= 0) is no lower bound: the 2d area is infinite, the 3d
+    volume drops the L1' term (resp. is infinite), and Monte Carlo has no bounded box."""
+    assert area_A(100, 0, 2) == area_A(100, -1, 2) == math.inf
+    assert area_A(100, -2, -1) == 0.0
+    assert volume_V(10 ** 5, -1, 2, 1, 2) == volume_V(10 ** 5, 0, 2, 1, 2) > 0
+    assert volume_V(10 ** 5, 1, 2, -1, 2) == volume_V(10 ** 5, 1, 2, 0, 2) == math.inf
+    for l1p, l2p in ((0, 1), (1, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            monte_carlo_volume_M3(10 ** 5, l1p, 2, l2p, 2, samples=10)
 
 
 def test_error_law_m2_stable():

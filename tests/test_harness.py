@@ -179,17 +179,28 @@ def test_raw_counts_match_on_fractional_windows(N):
 
 def test_ladder_point_beyond_the_coordinate_limit_raises():
     with pytest.raises(ValueError, match="enumeration limit"):
-        enumerate_T(EnumSpec(10 ** 40, 1, T11, BOX_T))
-    # lambda2^3 down to 10^-20 lets a3 reach N^(1/3) in the (a1, a5) = (1, 1) window
-    with pytest.raises(ValueError, match="enumeration limit"):
+        enumerate_T(EnumSpec(10 ** 40, 1, T11, BOX_T))  # ~6.9 * 10^7 candidates
+    # lambda1^3 = a5^2 / a1^2 up to (2 * 10^6)^2: the (a1, a3) = (1, 1) window holds
+    # a5 ~ 2 * 10^6, and the shard holds a few thousand candidates
+    box = Box3((2 * 10 ** 6 - 10) ** 2, (2 * 10 ** 6) ** 2, Fr(1, 8), 8, 1, 1)
+    with pytest.raises(ValueError, match="coordinates up to .* enumeration limit"):
+        enumerate_C(EnumSpec(10 ** 40, 1, T11, box))
+
+
+def test_c_beyond_the_candidate_and_walk_limits_raises_and_n_1e25_still_runs():
+    with pytest.raises(ValueError, match="candidates in one shard, above the enumeration limit"):
+        enumerate_C(EnumSpec(10 ** 50, 1, T11, BOX_C))
+    with pytest.raises(ValueError, match="walk limit"):
+        enumerate_C(EnumSpec(10 ** 80, 1, T11, BOX_C))
+    # lambda2^3 down to 10^-20 lets a3 run to N^(1/3): refused on the x3 walk
+    with pytest.raises(ValueError, match="walk limit"):
         enumerate_C(EnumSpec(10 ** 20, 1, T11, Box3(1, 8, Fr(1, 10 ** 20), 8, 1, 6)))
-
-
-def test_c_walk_beyond_the_pair_limit_raises_and_n_1e25_still_runs():
-    for N in (10 ** 50, 10 ** 80):
-        with pytest.raises(ValueError, match="walk limit"):
-            enumerate_C(EnumSpec(N, 1, T11, BOX_C))
     assert len(enumerate_C(EnumSpec(10 ** 25, 1, T11, BOX_C))) == 20084
+
+
+def test_raw_count_c_at_1e30_pinned():
+    """A count the scan oracle cannot reach, recorded with the earlier per-(x1, x5) walk."""
+    assert raw_count_C(10 ** 30, BOX_C) == 4236517
 
 
 def tuple_ok_reference(a, sign, t):
