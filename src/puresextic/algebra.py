@@ -1,13 +1,16 @@
 """Exact arithmetic in the cubic and sextic radical rings Q[c]/(c^3-m), Q[t]/(t^6-m).
 
 Ring elements (CubicNum, SexticNum) have `fractions.Fraction` coefficients.  The
-linear algebra runs in Python ints: Faddeev-LeVerrier characteristic
-polynomials over one common denominator, one fraction-free (Bareiss)
-Gauss-Jordan elimination for rational determinants and solves, and matrices
-over the cubic field (CubicMatrix) stored as three integer matrices over one
-positive denominator.  Their Gram products, congruences and determinants
-(a forward Bareiss elimination over Z[c], dividing exactly through the norm)
-never build a Fraction.  Numeric evaluation (display, cross-checks) uses mpmath.
+linear algebra runs in Python ints.  A characteristic polynomial (the integrality
+check) comes from power sums in Z[theta]/(theta^n - m) over one common denominator
+and Newton's identities (radical_char_poly); Faddeev-LeVerrier on the
+multiplication matrix (char_poly_rational of mult_matrix) stays as its
+independent test oracle.  One fraction-free (Bareiss) Gauss-Jordan elimination
+gives rational determinants and solves, and matrices over the cubic field
+(CubicMatrix) are stored as three integer matrices over one positive
+denominator.  Their Gram products, congruences and determinants (a forward
+Bareiss elimination over Z[c], dividing exactly through the norm) never build a
+Fraction.  Numeric evaluation (display, cross-checks) uses mpmath.
 """
 
 from __future__ import annotations
@@ -205,18 +208,7 @@ class SexticNum:
             r = _rat(other)
             return SexticNum(self.m, tuple(a * r for a in self.coeffs))
         self._check(other)
-        m = self.m
-        prod = [Fraction(0)] * 11
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    prod[i + j] += a * b
-        out = list(prod[:6])
-        for k in range(6, 11):
-            out[k - 6] += m * prod[k]
-        return SexticNum(m, tuple(out))
+        return SexticNum(self.m, tuple(_mul_radical(self.coeffs, other.coeffs, self.m)))
 
     __rmul__ = __mul__
 
@@ -234,16 +226,56 @@ class SexticNum:
     def char_poly(self) -> list[Fraction]:
         """Characteristic polynomial of the multiplication matrix, x^6 + a5 x^5 + ... + a0.
 
-        Returned as [a0, ..., a5, 1].  Integer coefficients certify algebraic
-        integrality.
+        Returned as [a0, ..., a5, 1], from power sums (radical_char_poly).  Integer
+        coefficients certify algebraic integrality.
         """
-        return char_poly_rational(mult_matrix(self.m, self.coeffs))
+        return radical_char_poly(self.m, self.coeffs)
 
     def is_algebraic_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.char_poly())
 
     def to_json(self) -> list[dict]:
         return [{"num": str(c.numerator), "den": str(c.denominator)} for c in self.coeffs]
+
+
+# Arithmetic on coefficient vectors (v_0, ..., v_{n-1}) of sum v_t theta^t, theta^n = m,
+# for Fraction coefficients (SexticNum) and int coefficients (radical_char_poly) alike.
+
+def _mul_radical(a: Sequence, b: Sequence, m: int) -> list:
+    """(sum a_i theta^i)(sum b_j theta^j) reduced by theta^n = m, n = len(a) = len(b)."""
+    n = len(a)
+    prod = [a[0] * 0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return [prod[s] + m * prod[s + n] for s in range(n - 1)] + [prod[n - 1]]
+
+
+def radical_char_poly(m: int, vec: Sequence) -> list[Fraction]:
+    """Coefficients [c0, ..., c_{n-1}, 1] of the characteristic polynomial of
+    x = sum vec[t] theta^t in Q[theta]/(theta^n - m), n = len(vec), from power sums.
+
+    Tr(theta^t) = 0 for 0 < t < n, so with y = d x (d the lcm of the denominators,
+    y in Z[theta]) each power sum p_k = Tr(y^k) is n times the constant coefficient
+    of y^k.  Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i give the
+    integer elementary symmetric functions e_k of y's conjugates (each division by k
+    is exact), and the coefficient of x^(n-k) is (-1)^k e_k / d^k.
+    """
+    n = len(vec)
+    d = _den(vec)
+    y = _ints(vec, d)
+    q, yk = [n * y[0]], y  # q[i-1] = (-1)^(i-1) p_i
+    for i in range(2, n + 1):
+        yk = _mul_radical(yk, y, m)
+        q.append(n * yk[0] if i % 2 else -n * yk[0])
+    e = [1]
+    for k in range(1, n + 1):
+        ek, r = divmod(sum(map(mul, reversed(e), q)), k)  # e_{k-i} q[i-1], i = 1..k
+        assert r == 0, "Newton's identities must divide exactly over Z[theta]"
+        e.append(ek)
+    return [Fraction(-e[k] if k % 2 else e[k], d ** k) for k in range(n, 0, -1)] + [Fraction(1)]
 
 
 def trace_numeric(x: SexticNum, prec: int = 60):
@@ -534,7 +566,10 @@ def mat_solve(a: Sequence[Sequence[Fraction]],
 
 def mult_matrix(m: int, vec: Sequence[Fraction]) -> list[list[Fraction]]:
     """Matrix of multiplication by sum vec[t] theta^t on the power basis, theta^n = m:
-    column j is the element times theta^j, entry (i, j) vec[i-j] or m vec[i-j+n]."""
+    column j is the element times theta^j, entry (i, j) vec[i-j] or m vec[i-j+n].
+
+    With char_poly_rational it is the test oracle of radical_char_poly: elimination
+    on the matrix against power sums on the element."""
     n = len(vec)
     return [[vec[i - j] if i >= j else m * vec[i - j + n] for j in range(n)] for i in range(n)]
 
@@ -544,6 +579,7 @@ def char_poly_rational(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
 
     On B = dA, d the lcm of A's denominators, the coefficients b_k of det(xI - B)
     are integers (each division by k is exact); that of x^(n-k) for A is b_k / d^k.
+    Element char polys use radical_char_poly; this, on mult_matrix, is their test oracle.
     """
     n = len(a)
     d = _den(x for row in a for x in row)

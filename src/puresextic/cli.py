@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache-dir", default=os.environ.get("PURESEXTIC_CACHE"),
                     help="directory for density-table caches (env PURESEXTIC_CACHE)")
     ap.add_argument("--digits", type=int, default=0, help="decimal digits for numeric output")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=_positive_int, default=1)
     ap.add_argument("--format", choices=("json", "pretty"), default="json")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import char_poly_rational, mat_det, mat_solve, mult_matrix
+from .algebra import mat_det, mat_solve, radical_char_poly
 from .field import (InvalidField, _val, big_c_n, carefree_decompose_n, check_assumption,
                     factorize)
 
@@ -191,8 +191,8 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def element_char_poly(n: int, m: int, vec: list[Fraction]) -> list[Fraction]:
-    """Characteristic polynomial of multiplication by sum vec[t] theta^t on the power basis."""
-    return char_poly_rational(mult_matrix(m, vec[:n]))
+    """Characteristic polynomial of multiplication by sum vec[t] theta^t, theta^n = m."""
+    return radical_char_poly(m, vec[:n])
 
 
 def is_integral_basis_candidate(gb: GeneralBasis) -> bool:

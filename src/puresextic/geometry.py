@@ -237,9 +237,10 @@ def monte_carlo_volume_M3(N, L1p, L1, L2p, L2, samples: int = 10 ** 6,
         hits += int(ind.sum())
         n_done += k
     p = hits / samples
-    est = box * p
-    se = box * math.sqrt(max(p * (1 - p), 1e-300) / samples)
-    return est, se
+    # with no hits, or only hits, p(1 - p) = 0 would claim an exact answer; the
+    # Laplace estimate (hits + 1) / (samples + 2) keeps the interval honest there
+    q = p if 0 < hits < samples else (hits + 1) / (samples + 2)
+    return box * p, box * math.sqrt(q * (1 - q) / samples)
 
 
 # --- error-law diagnostics ----------------------------------------------------

@@ -157,10 +157,14 @@ def _enum_shard(args) -> list[tuple[int, ...]]:
     return _select(spec, a1, a2, a3, a4, a5)
 
 
+def _check_family(name: str, box: Box3, kind: str) -> None:
+    if box.kind != kind:
+        raise ValueError(f"{name}_{kind} needs a {kind}-family box")
+
+
 def _enumerate(spec: EnumSpec, kind: str, workers: int) -> list[tuple[int, ...]]:
     """The sorted union of the carefree cells' shards, in `workers` processes if more than one."""
-    if spec.box.kind != kind:
-        raise ValueError(f"enumerate_{kind} needs a {kind}-family box")
+    _check_family("enumerate", spec.box, kind)
     shards = [(spec, *cell) for cell in _cells(spec.N, spec.box, carefree=True)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -185,18 +189,19 @@ def enumerate_T(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
     return _enumerate(spec, "T", workers)
 
 
-def _raw_count(N: int, box: Box3) -> int:
+def _raw_count(N: int, box: Box3, kind: str) -> int:
+    _check_family("raw_count", box, kind)
     return sum(count_slices(slices) for *_, slices in _cells(N, box, carefree=False))
 
 
 def raw_count_C(N: int, box: Box3) -> int:
     """#C(N, box) with no local conditions: the lattice points of every C cell."""
-    return _raw_count(N, box)
+    return _raw_count(N, box, "C")
 
 
 def raw_count_T(N: int, box: Box3) -> int:
     """#T(N, box) with no local conditions: the lattice points of every T cell."""
-    return _raw_count(N, box)
+    return _raw_count(N, box, "T")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ enumeration loop branch-free; construction asserts constancy on classes mod
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -187,16 +188,36 @@ def _next_prime(p: int) -> int:
     return q
 
 
-def smallest_m_of_type(t: SexticType, count: int = 25, start: int = 2) -> list[int]:
-    """The `count` smallest positive sixth-power-free non-square non-cube m of Type t.
+_CLASSES = 15552  # 2^6 * 3^5: a_case reads m mod 64, b_case m mod 243
 
-    Deterministic test corpus: scan m = 2, 3, ...
+
+def _residues_of_type(t: SexticType) -> list[int]:
+    """The sorted residues mod 15552 of Type t: the Chinese-remainder lifts of the
+    pairs (A-row of t mod 64, B-row of t mod 243).  The Type of m is that of its
+    residue (lookup_tables checks the same constancy); the scan needs no numpy table."""
+    a_rows = [r for r in range(1, 64) if a_case(r) == t.i]
+    b_rows = [r for r in range(243) if b_case(r) == t.j]
+    e64, e243 = 243 * pow(243, -1, 64), 64 * pow(64, -1, 243)  # e64 = 1 mod 64, 0 mod 243
+    return sorted((u * e64 + v * e243) % _CLASSES for u in a_rows for v in b_rows)
+
+
+def smallest_m_of_type(t: SexticType, count: int = 25, start: int = 2) -> list[int]:
+    """The `count` smallest sixth-power-free non-square non-cube m >= start of Type t.
+
+    Deterministic test corpus.  The Type of m is that of m mod 15552, so the scan
+    walks m = base + r over the residues r of Type t (blocks of 15552 from the one
+    holding `start`) and tests only those m for irreducibility and sixth-power-freeness.
     """
+    res = _residues_of_type(t)
     out = []
-    m = start
+    base = start - start % _CLASSES
+    first = bisect_left(res, start - base)
     while len(out) < count:
-        if m % 64 != 0 and a_case(m) == t.i and b_case(m) == t.j:
+        for r in res[first:]:
+            m = base + r
             if is_irreducible_sextic(m) and all(e < 6 for e in factorize(m).values()):
                 out.append(m)
-        m += 1
+                if len(out) == count:
+                    break
+        base, first = base + _CLASSES, 0
     return out

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum,
                                 char_poly_rational, gram_pair, hermitian_gram,
-                                mat_det, mat_solve, trace_numeric)
+                                mat_det, mat_solve, mult_matrix, radical_char_poly,
+                                trace_numeric)
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -172,6 +173,50 @@ def test_char_poly_companion():
 def test_theta_is_integral():
     assert SexticNum.theta_power(12, 1).char_poly() == \
         [Fr(-12), Fr(0), Fr(0), Fr(0), Fr(0), Fr(0), Fr(1)]
+
+
+def test_theta_over_two_is_not_integral():
+    # theta/2 is a root of x^6 - m/64, so it is integral only if 64 | m
+    for m in (2, 3, -5, 12, 17):
+        x = SexticNum.theta_power(m, 1, Fr(1, 2))
+        assert x.char_poly() == [Fr(-m, 64), 0, 0, 0, 0, 0, 1]
+        assert not x.is_algebraic_integer()
+
+
+def test_half_one_plus_theta_cubed_integral_iff_m_is_1_mod_4():
+    # x = (1 + theta^3)/2 has (2x - 1)^2 = m, so its char poly is (x^2 - x + (1 - m)/4)^3
+    for m in range(-40, 41):
+        if m == 0:
+            continue
+        x = SexticNum.of(m, (Fr(1, 2), 0, 0, Fr(1, 2), 0, 0))
+        c = Fr(1 - m, 4)
+        assert x.char_poly() == [c ** 3, -3 * c ** 2, 3 * c ** 2 + 3 * c, -1 - 6 * c,
+                                 3 + 3 * c, -3, 1]
+        assert x.is_algebraic_integer() == (m % 4 == 1), m
+
+
+# The power-sum kernel against its oracle: Faddeev-LeVerrier on the multiplication
+# matrix, for any degree n and radicand m (theta^n = m need not define a field).
+
+coefficient = st.one_of(st.just(Fr(0)), st.integers(min_value=-30, max_value=30).map(Fr),
+                        st.fractions(min_value=-30, max_value=30, max_denominator=12))
+radicand = st.integers(min_value=-10 ** 12, max_value=10 ** 12)
+element = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.lists(coefficient, min_size=n, max_size=n))
+
+
+@given(radicand, element)
+@settings(max_examples=200, deadline=None)
+def test_radical_char_poly_matches_the_mult_matrix_oracle(m, vec):
+    assert radical_char_poly(m, vec) == char_poly_rational(mult_matrix(m, vec))
+
+
+@given(radicand, st.lists(coefficient, min_size=6, max_size=6),
+       st.lists(coefficient, min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_sextic_product_is_multiplication_by_the_matrix(m, a, b):
+    prod = (SexticNum.of(m, a) * SexticNum.of(m, b)).coeffs
+    assert list(prod) == [sum(r * y for r, y in zip(row, b)) for row in mult_matrix(m, a)]
 
 
 # Oracles for the integer core that do not eliminate: the Leibniz formula, and

@@ -240,6 +240,24 @@ def test_count_option_that_is_not_positive_exit_2(capsys, argv):
     assert "is not a positive integer; write it in digits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_that_is_not_positive_exit_2(capsys, workers):
+    with pytest.raises(SystemExit) as e:
+        main(["--workers", workers, "equidist", "--family", "C", "--type", "1,1",
+              "--box", "1,8,1/8,8,1,6", "--ladder", "1000000", "--prime-bound", "1000"])
+    assert e.value.code == 2
+    assert f"--workers: {workers!r} is not a positive integer; write it in digits" in \
+        capsys.readouterr().err
+
+
+def test_monte_carlo_without_a_hit_has_an_honest_interval(capsys):
+    code, out = run(capsys, "geometry", "mc", "--samples", "1", "--N", "1000")
+    assert code == 0
+    data = json.loads(out)
+    assert data["estimate"] == 0.0
+    assert abs(data["estimate"] - data["exact"]) <= 2 * data["standard_error"]
+
+
 @pytest.mark.parametrize("argv", [("geometry", "mc", "--L1p", "0", "--samples", "1000"),
                                   ("geometry", "mc", "--L2p", "0", "--samples", "1000")],
                          ids=["mc-L1p-0", "mc-L2p-0"])

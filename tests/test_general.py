@@ -2,9 +2,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from puresextic.algebra import char_poly_rational, mult_matrix
 from puresextic.basis import build_basis
 from puresextic.field import AssumptionViolated, check_assumption, is_irreducible_sextic, sextic_field
-from puresextic.general import (element_char_poly, general_integral_basis,
+from puresextic.general import (GeneralBasis, element_char_poly, general_integral_basis,
                                 general_shape_params, is_integral_basis_candidate,
                                 same_lattice, wild_data)
 from puresextic.gram import Monomial, shape_params
@@ -56,6 +57,21 @@ def test_various_degrees_integral():
         except AssumptionViolated:
             continue
         assert is_integral_basis_candidate(gb), (n, m)
+
+
+def test_element_char_poly_matches_the_mult_matrix_oracle():
+    """The power-sum char polys behind is_integral_basis_candidate equal Faddeev-LeVerrier
+    on the multiplication matrix for the n != 6 bases, and for their halves (not integral)."""
+    for n, m in [(2, 5), (3, 10), (4, 5), (5, 7), (8, 3), (9, 10), (12, 7), (10, 11)]:
+        try:
+            gb = general_integral_basis(n, m)
+        except AssumptionViolated:
+            continue
+        for v in gb.vectors:
+            for w in (list(v), [c / 2 for c in v]):
+                assert element_char_poly(n, m, w) == char_poly_rational(mult_matrix(m, w)), (n, m)
+        half = GeneralBasis(n, m, tuple(tuple(c / 2 for c in v) for v in gb.vectors))
+        assert not is_integral_basis_candidate(half)
 
 
 def test_disc_from_general_basis():

@@ -108,6 +108,15 @@ def test_monte_carlo_matches_volume():
     assert est == est2  # reproducible
 
 
+def test_monte_carlo_with_no_hit_or_only_hits_keeps_an_interval():
+    """One sample: seed 0 misses and seed 5 hits.  Both get the standard error of the
+    Laplace estimate 1/3 (resp. 2/3), box * sqrt(2/9), not a degenerate zero."""
+    miss, se_miss = monte_carlo_volume_M3(1000, 1, 2, 1, 2, samples=1, seed=0)
+    hit, se_hit = monte_carlo_volume_M3(1000, 1, 2, 1, 2, samples=1, seed=5)
+    assert miss == 0 < hit
+    assert se_miss == se_hit == pytest.approx(hit * math.sqrt(2 / 9))
+
+
 def test_unbounded_ratio_windows():
     """L1' <= 0 (resp. L2' <= 0) is no lower bound: the 2d area is infinite, the 3d
     volume drops the L1' term (resp. is infinite), and Monte Carlo has no bounded box."""

@@ -75,6 +75,15 @@ def test_raw_counts_match_kernels():
         assert raw_count_T(N, BOX_T) == raw_count_by_scan(N, BOX_T)
 
 
+@pytest.mark.parametrize("kind, other", [("C", BOX_T), ("T", BOX_C)])
+def test_a_box_of_the_other_family_raises(kind, other):
+    raw, enum = (raw_count_C, enumerate_C) if kind == "C" else (raw_count_T, enumerate_T)
+    with pytest.raises(ValueError, match=f"raw_count_{kind} needs a {kind}-family box"):
+        raw(10 ** 6, other)
+    with pytest.raises(ValueError, match=f"enumerate_{kind} needs a {kind}-family box"):
+        enum(EnumSpec(10 ** 6, 1, T11, other))
+
+
 def test_no_tuple_with_its_dual():
     for fam, box in (("C", BOX_C), ("T", BOX_T)):
         spec = EnumSpec(10 ** 6, 1, T11, box)

@@ -67,6 +67,24 @@ def test_classify_array_agrees_with_scalar():
         assert (ai[k], bj[k]) == (t.i, t.j)
 
 
+def smallest_m_by_scalar_scan(t, count, start):
+    """Reference corpus: test every m >= start with the scalar a_case/b_case."""
+    out = []
+    m = start
+    while len(out) < count:
+        if m % 64 != 0 and a_case(m) == t.i and b_case(m) == t.j:
+            if is_irreducible_sextic(m) and all(e < 6 for e in factorize(m).values()):
+                out.append(m)
+        m += 1
+    return out
+
+
+@pytest.mark.parametrize("start", [2, 63, 64, 46655, 46657, 77777, 99999])
+def test_residue_class_corpus_matches_the_scalar_scan(start):
+    for t in ALL_TYPES:
+        assert smallest_m_of_type(t, 25, start) == smallest_m_by_scalar_scan(t, 25, start), t
+
+
 def test_smallest_m_corpus():
     ms = smallest_m_of_type(SexticType(1, 1), 5)
     assert ms == [2, 3, 6, 7, 11]
