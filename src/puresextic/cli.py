@@ -58,12 +58,17 @@ def _parse_sign(s: str) -> int:
     raise argparse.ArgumentTypeError("sign must be + or -")
 
 
-def _positive_int(s: str, what: str = "") -> int:
-    """A positive integer written in ASCII digits."""
-    if not (s.isascii() and s.isdigit() and int(s) > 0):
-        raise argparse.ArgumentTypeError(f"{what}{s!r} is not a positive integer; "
+def _positive_int(s: str, what: str = "", least: int = 1) -> int:
+    """An integer >= least (1, or 0 where zero means none) written in ASCII digits."""
+    if not (s.isascii() and s.isdigit() and int(s) >= least):
+        kind = "positive" if least else "nonnegative"
+        raise argparse.ArgumentTypeError(f"{what}{s!r} is not a {kind} integer; "
                                          f"write it in digits")
     return int(s)
+
+
+def _nonnegative_int(s: str) -> int:
+    return _positive_int(s, least=0)
 
 
 def _parse_ladder(s: str) -> list[int]:
@@ -248,6 +253,9 @@ def cmd_verify(cfg: Config, args) -> int:
 
 
 def cmd_partition(cfg: Config, args) -> int:
+    if args.lo > args.hi:
+        print(f"error: --lo {args.lo} is above --hi {args.hi}", file=sys.stderr)
+        return 2
     rep = type_partition_check(args.lo, args.hi)
     _emit(cfg, rep)
     return 0 if rep["violation_count"] == 0 else 1
@@ -259,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                                              "shapes of pure sextic fields")
     ap.add_argument("--cache-dir", default=os.environ.get("PURESEXTIC_CACHE"),
                     help="directory for density-table caches (env PURESEXTIC_CACHE)")
-    ap.add_argument("--digits", type=int, default=0, help="decimal digits for numeric output")
+    ap.add_argument("--digits", type=_nonnegative_int, default=0,
+                    help="decimal digits for numeric output")
     ap.add_argument("--workers", type=_positive_int, default=1)
     ap.add_argument("--format", choices=("json", "pretty"), default="json")
     ap.add_argument("--seed", type=int, default=0)
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--m", type=int, required=True)
         # SUPPRESS: given here it sets the one global value, absent it leaves it alone
-        p.add_argument("--digits", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--digits", type=_nonnegative_int, default=argparse.SUPPRESS)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("geometry")
@@ -299,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density")
     p.add_argument("--type", required=True)
     p.add_argument("--sign", type=_parse_sign, default=1)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--a3", type=int, default=None)
-    p.add_argument("--a4", type=int, required=True)
+    p.add_argument("--a2", type=_positive_int, required=True)
+    p.add_argument("--a3", type=_positive_int, default=None)
+    p.add_argument("--a4", type=_positive_int, required=True)
     p.add_argument("--validate", action="store_true",
                    help="also run the direct mod-15552 count (slow)")
     p.set_defaults(fn=cmd_density)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .field import factorize, is_squarefree
 from .geometry import Box3
-from .types import SexticType, a_case, b_case
+from .types import TYPE_MOD, SexticType, type_table
 
 Fr = Fraction
 
@@ -109,25 +109,8 @@ def local_pair_triple_counts(l: int, fixed_divisible: int, free: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Type residue sets and the 2/3-part counters
+# The 2/3-part counters
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _a_set(i: int) -> np.ndarray:
-    out = np.zeros(64, dtype=bool)
-    for r in range(64):
-        if r % 64 != 0:
-            out[r] = a_case(r) == i
-    return out
-
-
-@lru_cache(maxsize=None)
-def _b_set(j: int) -> np.ndarray:
-    out = np.zeros(243, dtype=bool)
-    for r in range(243):
-        out[r] = b_case(r) == j
-    return out
-
 
 def _free_masks(mod: int, p: int, psq: int) -> tuple[np.ndarray, np.ndarray]:
     """(admissible, divisible-by-p) masks for one residue coordinate.
@@ -194,7 +177,7 @@ def n2_count(i: int, sign: int, a2: int, a4: int) -> int:
         return 0
     const, ndiv = fixed
     const = const * (sign % 64) % 64
-    return _count_free(64, 2, 4, (1, 3, 5), const, _a_set(i), 1 - ndiv)
+    return _count_free(64, 2, 4, (1, 3, 5), const, type_table()[0][:64] == i, 1 - ndiv)
 
 
 def n3_count(j: int, sign: int, a2: int, a4: int) -> int:
@@ -203,7 +186,7 @@ def n3_count(j: int, sign: int, a2: int, a4: int) -> int:
         return 0
     const, ndiv = fixed
     const = const * (sign % 243) % 243
-    return _count_free(243, 3, 9, (1, 3, 5), const, _b_set(j), 1 - ndiv)
+    return _count_free(243, 3, 9, (1, 3, 5), const, type_table()[1][:243] == j, 1 - ndiv)
 
 
 def m2_count(i: int, sign: int, a2: int, a3: int, a4: int) -> int:
@@ -212,7 +195,7 @@ def m2_count(i: int, sign: int, a2: int, a3: int, a4: int) -> int:
         return 0
     const, ndiv = fixed
     const = const * (sign % 64) % 64
-    return _count_free(64, 2, 4, (1, 5), const, _a_set(i), 1 - ndiv)
+    return _count_free(64, 2, 4, (1, 5), const, type_table()[0][:64] == i, 1 - ndiv)
 
 
 def m3_count(j: int, sign: int, a2: int, a3: int, a4: int) -> int:
@@ -221,7 +204,7 @@ def m3_count(j: int, sign: int, a2: int, a3: int, a4: int) -> int:
         return 0
     const, ndiv = fixed
     const = const * (sign % 243) % 243
-    return _count_free(243, 3, 9, (1, 5), const, _b_set(j), 1 - ndiv)
+    return _count_free(243, 3, 9, (1, 5), const, type_table()[1][:243] == j, 1 - ndiv)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +293,18 @@ def _cached(kind: str, case: int, sign: int, modulus: int, key: tuple[int, ...],
     return val
 
 
+def _check_coordinates(**coords: int) -> None:
+    """InvalidPair unless the coordinates are squarefree and pairwise coprime, that
+    is, unless their product is squarefree."""
+    if not is_squarefree(math.prod(coords.values())):
+        raise InvalidPair(", ".join(f"{k}={v}" for k, v in coords.items())
+                          + " must be coprime squarefree")
+
+
 def n_table(t: SexticType, sign: int, a2: int, a4: int) -> int:
     """#{(a1bar, a3bar, a5bar) in (Z/15552)^3} satisfying the survivor and Type
     conditions, as a product of the mod-64 and mod-243 counts (cached)."""
-    if math.gcd(a2, a4) != 1 or not (is_squarefree(a2) and is_squarefree(a4)):
-        raise InvalidPair(f"a2={a2}, a4={a4} must be coprime squarefree")
+    _check_coordinates(a2=a2, a4=a4)
     c2 = _cached("n2", t.i, sign, 64, (a2, a4), lambda: n2_count(t.i, sign, a2, a4))
     c3 = _cached("n3", t.j, sign, 243, (a2, a4), lambda: n3_count(t.j, sign, a2, a4))
     return c2 * c3
@@ -322,6 +312,7 @@ def n_table(t: SexticType, sign: int, a2: int, a4: int) -> int:
 
 def m_table(t: SexticType, sign: int, a2: int, a3: int, a4: int) -> int:
     """#{(a1bar, a5bar) in (Z/15552)^2} survivor pairs for fixed (a2, a3, a4)."""
+    _check_coordinates(a2=a2, a3=a3, a4=a4)
     c2 = _cached("m2", t.i, sign, 64, (a2, a3, a4),
                  lambda: m2_count(t.i, sign, a2, a3, a4))
     c3 = _cached("m3", t.j, sign, 243, (a2, a3, a4),
@@ -333,15 +324,6 @@ def m_table(t: SexticType, sign: int, a2: int, a3: int, a4: int) -> int:
 # Direct mod-15552 validation of the CRT factorization
 # ---------------------------------------------------------------------------
 
-_M6 = 15552  # 2^6 * 3^5
-
-
-@lru_cache(maxsize=None)
-def _type_set_15552(i: int, j: int) -> np.ndarray:
-    r = np.arange(_M6)
-    return _a_set(i)[r % 64] & _b_set(j)[r % 243]
-
-
 def n_table_direct(t: SexticType, sign: int, a2: int, a4: int) -> int:
     """n_table recomputed in one sweep over (Z/15552)^3 without the CRT split.
 
@@ -349,8 +331,9 @@ def n_table_direct(t: SexticType, sign: int, a2: int, a4: int) -> int:
     a5bar-count up in precomputed tables g[(e2, e3)][t] = #{a5bar in class
     (e2, e3) : t * a5bar^5 in the Type set}.  A few seconds per key.
     """
-    mod = _M6
-    in_set = _type_set_15552(t.i, t.j)
+    mod = TYPE_MOD
+    a, b = type_table()
+    in_set = (a == t.i) & (b == t.j)
     fixed2 = _fixed_part(64, 2, 4, (a2, a4), (2, 4))
     fixed3 = _fixed_part(243, 3, 9, (a2, a4), (2, 4))
     if fixed2 is None or fixed3 is None:
@@ -494,8 +477,8 @@ def divisor_pairs(lo: int, hi: int, squarefree: bool = True):
 # Box integrals of the limiting measures
 # ---------------------------------------------------------------------------
 
-_MOD3 = Fr(15552) ** 3
-_MOD2 = Fr(15552) ** 2
+_MOD3 = Fr(TYPE_MOD) ** 3
+_MOD2 = Fr(TYPE_MOD) ** 2
 
 
 def _weight(n_product: int, num, den) -> float:

@@ -201,26 +201,24 @@ def ceil_root(q, k: int) -> int:
     return r if r ** k == c else r + 1
 
 
-def is_perfect_square(m: int) -> bool:
-    if m < 0:
-        return False
-    r = math.isqrt(m)
-    return r * r == m
+@lru_cache(maxsize=None)
+def _prime_divisors(n: int) -> tuple[int, ...]:
+    return tuple(factorize(n))
 
 
-def is_perfect_cube(m: int) -> bool:
+def is_irreducible_radical(n: int, m: int) -> bool:
+    """Capelli for x^n - m, n >= 2: reducible iff m is a p-th power for a prime
+    p | n, or 4 | n and m = -4k^4."""
     a = abs(m)
-    return iroot(a, 3) ** 3 == a
+    for p in _prime_divisors(n):
+        if (m >= 0 or p % 2) and iroot(a, p) ** p == a:
+            return False
+    return not (n % 4 == 0 and m < 0 and 4 * iroot(a // 4, 4) ** 4 == a)
 
 
 def is_irreducible_sextic(m: int) -> bool:
-    """Capelli for x^6 - m: irreducible iff m is neither a square nor a cube.
-
-    (No -4k^4 clause since 4 does not divide 6.)
-    """
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    return not is_perfect_square(m) and not is_perfect_cube(m)
+    """x^6 - m is irreducible iff m is neither a square nor a cube."""
+    return is_irreducible_radical(6, m)
 
 
 def is_squarefree(n: int) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import mat_det, mat_solve, radical_char_poly
 from .field import (InvalidField, _val, big_c_n, carefree_decompose_n, check_assumption,
-                    factorize)
+                    factorize, is_irreducible_radical)
 
 Fr = Fraction
 
@@ -56,7 +56,9 @@ class WildData:
 
 def wild_data(n: int, m: int) -> WildData:
     """All section-level quantities: S, r_i, d_i, k_{i,t}, j_{i,t}, b', a', w."""
-    if m == 1 or (m == -1 and n & (n - 1)):  # -1 is an l-th power for odd l | n
+    if n < 2:
+        raise InvalidField(f"degree n={n} must be at least 2")
+    if not is_irreducible_radical(n, m):
         raise InvalidField(f"x^{n} - ({m}) is reducible")
     check_assumption(n, m)
     C = big_c_n(carefree_decompose_n(n, m))

@@ -8,7 +8,7 @@ a1^5 a3^3 a5^5 <= N/(a2^4 a4^4), one slice per a3 the windows allow; a T cell
 The raw counts sum the window lengths of every cell.  The enumeration runs one
 shard per carefree cell: it expands the windows into int64 candidate arrays and
 filters them with vector masks (a squarefree sieve sized to the shard's largest
-coordinate, np.gcd for pairwise coprimality, and the Type table on m mod 46656
+coordinate, np.gcd for pairwise coprimality, and the Type table on m mod 15552
 built from per-coordinate residues); only the survivors get the exact
 irreducibility check.  compare() assembles counts over an N-ladder, fits the
 growth exponent, and reports the empirical constant against every prediction
@@ -30,7 +30,7 @@ from . import densities
 from .densities import divisor_pairs
 from .field import iroot, is_irreducible_sextic, is_squarefree
 from .geometry import Box3, count_slices, slices_M3, windows_M2
-from .types import SexticType, classify_array, lookup_tables
+from .types import TYPE_MOD, SexticType, classify_array
 
 Fr = Fraction
 
@@ -82,16 +82,13 @@ def _squarefree_sieve(top: int) -> np.ndarray:
     return sf
 
 
-_TYPE_MOD = 46656  # the Type is a function of m mod 2^6 3^6
-
-
 def _type_residues(const: int, a1: np.ndarray, a3: np.ndarray, a5: np.ndarray) -> np.ndarray:
-    """const * a1 * a3^3 * a5^5 mod 46656, reduced after every product (no int64 overflow)."""
-    r = np.full(len(a1), const % _TYPE_MOD, dtype=np.int64)
+    """const * a1 * a3^3 * a5^5 mod TYPE_MOD, reduced after every product (no int64 overflow)."""
+    r = np.full(len(a1), const % TYPE_MOD, dtype=np.int64)
     for a, e in ((a1, 1), (a3, 3), (a5, 5)):
-        x = a % _TYPE_MOD
+        x = a % TYPE_MOD
         for _ in range(e):
-            r = r * x % _TYPE_MOD
+            r = r * x % TYPE_MOD
     return r
 
 
@@ -248,9 +245,9 @@ def naive_scan(spec: EnumSpec, limit: int | None = None) -> list[tuple[int, ...]
     r3 = int(round(N ** (1 / 3))) + 1
     keep = (a1[idx] <= r5) & (a2[idx] <= r4) & (a3[idx] <= r3) & \
         (a4[idx] <= r4) & (a5[idx] <= r5)
-    idx = idx[keep]
+    acase, bcase = classify_array(spec.sign * idx)
+    idx = idx[keep & (acase == spec.type.i) & (bcase == spec.type.j)]
     out = []
-    atab, btab = lookup_tables()
     box = spec.box
     for v in idx:
         v = int(v)
@@ -260,9 +257,6 @@ def naive_scan(spec: EnumSpec, limit: int | None = None) -> list[tuple[int, ...]
             continue
         m = spec.sign * v
         if not is_irreducible_sextic(m):
-            continue
-        r = m % 46656
-        if int(atab[r]) != spec.type.i or int(btab[r]) != spec.type.j:
             continue
         if box.kind == "C":
             lam13 = Fr(t5[3] * t5[4] ** 2, t5[0] ** 2 * t5[1])

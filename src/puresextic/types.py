@@ -3,9 +3,9 @@
 The A-case is a condition on m mod 64, the B-case on m mod 243 (one B1
 sub-condition is usually stated mod 729, but on sixth-power-free
 integers it collapses to "m = 0 mod 243", so the pair (m mod 64, m mod 243)
-decides).  A flat lookup table keyed on m mod 46656 = 2^6 * 3^6 keeps the hot
-enumeration loop branch-free; construction asserts constancy on classes mod
-15552 = 2^6 * 3^5.
+decides).  So the Type of a sixth-power-free m is that of m mod TYPE_MOD =
+15552 = 2^6 * 3^5, and one table over Z/TYPE_MOD serves every array consumer:
+the vectorized classifier, the corpus scan and the residue counts.
 """
 
 from __future__ import annotations
@@ -101,59 +101,52 @@ def classify(m: int) -> SexticType:
     return t
 
 
-_MOD = 46656  # 2^6 * 3^6
+TYPE_MOD = 15552  # 2^6 * 3^5: a_case reads m mod 64, b_case m mod 243
 
 
 @lru_cache(maxsize=1)
-def lookup_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(a_table, b_table) indexed by m mod 46656; 0 marks unclassifiable residues.
+def type_table() -> tuple[np.ndarray, np.ndarray]:
+    """(A-row, B-row) of every residue mod TYPE_MOD, as read-only int8 arrays.
 
-    a_case reads m mod 64 and b_case m mod 243, so both tables are their values
-    on those residues spread over Z/46656; then checked to be constant on classes
-    mod 15552 wherever both representatives admit sixth-power-free integers.
+    The A-row is a_case on the residue mod 64 (0 where 64 | r), the B-row
+    b_case on the residue mod 243.
     """
-    res = np.arange(_MOD, dtype=np.int64)
-    a64 = np.array([a_case(r) if r else 0 for r in range(64)], dtype=np.int8)
-    b243 = np.array([b_case(r) for r in range(243)], dtype=np.int8)
-    a = a64[res % 64]
-    b = np.where(res % 729 == 0, 0, b243[res % 243]).astype(np.int8)  # 729 | m is not sixth-power-free
-    # residues 243, 486 mod 729 carry v_3 = 5 and must be B1 (mod-729 sub-condition)
-    assert np.all(b[res % 729 == 243] == 1) and np.all(b[res % 729 == 486] == 1)
-    # constancy on classes mod 15552 (where both lifts are admissible): row k holds r + k * 15552
-    for tab in (a, b):
-        lifts = tab.reshape(3, 15552)
-        top = lifts.max(axis=0)
-        bad = np.flatnonzero(((lifts != 0) & (lifts != top)).any(axis=0))
-        assert bad.size == 0, f"classification not constant mod 15552 at {bad[:1].tolist()}"
+    r = np.arange(TYPE_MOD)
+    a = np.array([a_case(x) if x else 0 for x in range(64)], dtype=np.int8)[r % 64]
+    b = np.array([b_case(x) for x in range(243)], dtype=np.int8)[r % 243]
+    a.flags.writeable = b.flags.writeable = False
     return a, b
 
 
 def classify_array(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized classification; returns (a_case, b_case) arrays with 0 = no match."""
-    a, b = lookup_tables()
-    idx = np.mod(ms, _MOD)
+    """(A-row, B-row) arrays of sixth-power-free ms; A-row 0 where 64 | m."""
+    a, b = type_table()
+    idx = np.mod(ms, TYPE_MOD)
     return a[idx], b[idx]
+
+
+_PARTITION_LIMIT = 10 ** 7  # integers in one scan; each takes a few int64 array slots
 
 
 def type_partition_check(lo: int, hi: int) -> dict:
     """Scan sixth-power-free non-square non-cube m in [lo, hi]; count per-Type matches.
 
     Every admissible m must match exactly one (Ai, Bj).  Returns a report with
-    per-type counts and any violations (there should be none).
+    per-type counts and any violations (there should be none).  A range of more
+    than _PARTITION_LIMIT integers raises ValueError before anything is allocated.
     """
+    if hi - lo >= _PARTITION_LIMIT:
+        raise ValueError(f"[{lo}, {hi}] holds {hi - lo + 1} integers, "
+                         f"above the partition limit {_PARTITION_LIMIT}")
     ms = np.arange(lo, hi + 1, dtype=np.int64)
     ms = ms[ms != 0]
-    # sixth-power-free: only 2^6 and 3^6 can divide |m| <= ~10^6 candidates at
-    # general scale; excluding p^6 | m for every prime p up to |m|^(1/6)
+    # sixth-power-free: exclude p^6 | m for every prime p up to max|m|^(1/6)
     keep = np.ones(ms.shape, dtype=bool)
-    top = int(np.abs(ms).max())
+    top = max(abs(lo), abs(hi))
     p = 2
-    sixth = []
     while p ** 6 <= top:
-        sixth.append(p ** 6)
+        keep &= (ms % p ** 6) != 0
         p = _next_prime(p)
-    for q in sixth:
-        keep &= (ms % q) != 0
     ms = ms[keep]
     # exclude perfect squares and cubes
     sq = np.zeros(ms.shape, dtype=bool)
@@ -168,7 +161,7 @@ def type_partition_check(lo: int, hi: int) -> dict:
         cb |= np.sign(ms) * (rc + d) ** 3 == ms
     ms = ms[~sq & ~cb]
     acase, bcase = classify_array(ms)
-    violations = ms[(acase == 0) | (bcase == 0)]
+    violations = ms[acase == 0]  # no A-row: 64 | m
     counts: dict[str, int] = {}
     for t in ALL_TYPES:
         counts[str(t)] = int(np.count_nonzero((acase == t.i) & (bcase == t.j)))
@@ -188,29 +181,18 @@ def _next_prime(p: int) -> int:
     return q
 
 
-_CLASSES = 15552  # 2^6 * 3^5: a_case reads m mod 64, b_case m mod 243
-
-
-def _residues_of_type(t: SexticType) -> list[int]:
-    """The sorted residues mod 15552 of Type t: the Chinese-remainder lifts of the
-    pairs (A-row of t mod 64, B-row of t mod 243).  The Type of m is that of its
-    residue (lookup_tables checks the same constancy); the scan needs no numpy table."""
-    a_rows = [r for r in range(1, 64) if a_case(r) == t.i]
-    b_rows = [r for r in range(243) if b_case(r) == t.j]
-    e64, e243 = 243 * pow(243, -1, 64), 64 * pow(64, -1, 243)  # e64 = 1 mod 64, 0 mod 243
-    return sorted((u * e64 + v * e243) % _CLASSES for u in a_rows for v in b_rows)
-
-
 def smallest_m_of_type(t: SexticType, count: int = 25, start: int = 2) -> list[int]:
     """The `count` smallest sixth-power-free non-square non-cube m >= start of Type t.
 
-    Deterministic test corpus.  The Type of m is that of m mod 15552, so the scan
-    walks m = base + r over the residues r of Type t (blocks of 15552 from the one
-    holding `start`) and tests only those m for irreducibility and sixth-power-freeness.
+    Deterministic test corpus.  The Type of m is that of m mod TYPE_MOD, so the
+    scan walks m = base + r over the residues r of Type t in the Type table
+    (blocks of TYPE_MOD from the one holding `start`) and tests only those m for
+    irreducibility and sixth-power-freeness.
     """
-    res = _residues_of_type(t)
+    a, b = type_table()
+    res = np.flatnonzero((a == t.i) & (b == t.j)).tolist()
     out = []
-    base = start - start % _CLASSES
+    base = start - start % TYPE_MOD
     first = bisect_left(res, start - base)
     while len(out) < count:
         for r in res[first:]:
@@ -219,5 +201,5 @@ def smallest_m_of_type(t: SexticType, count: int = 25, start: int = 2) -> list[i
                 out.append(m)
                 if len(out) == count:
                     break
-        base, first = base + _CLASSES, 0
+        base, first = base + TYPE_MOD, 0
     return out

@@ -146,6 +146,50 @@ def test_general_basis_rejects_unit_m(capsys, m):
     assert "reducible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, m", [("6", "8"), ("4", "9"), ("6", "0"), ("4", "-4")])
+def test_general_basis_rejects_reducible_x_n_minus_m(capsys, n, m):
+    assert main(["general-basis", "--n", n, "--m", m]) == 1
+    assert capsys.readouterr().err == f"error: x^{n} - ({m}) is reducible\n"
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_general_basis_rejects_degree_below_2(capsys, n):
+    assert main(["general-basis", "--n", n, "--m", "5"]) == 1
+    assert capsys.readouterr().err == f"error: degree n={n} must be at least 2\n"
+
+
+def test_partition_with_lo_above_hi_exit_2(capsys):
+    assert main(["partition", "--lo", "5", "--hi", "1"]) == 2
+    assert capsys.readouterr().err == "error: --lo 5 is above --hi 1\n"
+
+
+def test_partition_above_the_range_limit_exit_1_fast(capsys):
+    assert main(["partition", "--lo", "-1000000000", "--hi", "1000000000"]) == 1
+    assert "above the partition limit" in capsys.readouterr().err
+
+
+def test_density_of_a_triple_that_is_not_coprime_exit_1(capsys):
+    assert main(["density", "--type", "1,1", "--a2", "2", "--a3", "2", "--a4", "1"]) == 1
+    assert "must be coprime squarefree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--digits", "-3", "shape", "--m", "32"),
+                                  ("shape", "--m", "32", "--digits", "-3"),
+                                  ("gram", "--m", "2", "--digits", "-1")],
+                         ids=["before", "after", "gram"])
+def test_negative_digits_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 2
+    assert "is not a nonnegative integer; write it in digits" in capsys.readouterr().err
+
+
+def test_zero_digits_means_no_decimals(capsys):
+    code, out = run(capsys, "shape", "--m", "32", "--digits", "0")
+    assert code == 0
+    assert "decimal" not in json.loads(out)["lambdas"]
+
+
 def test_fractional_t_box_exit_1(capsys):
     code = main(["equidist", "--family", "T", "--type", "1,1", "--box", "1,4,3/2,6,1,3",
                  "--ladder", "10000000", "--prime-bound", "1000"])
@@ -230,9 +274,14 @@ def test_geometry_count_beyond_the_walk_limit_exit_1_fast(op, N):
                                    "--box", "1,8,1/8,8,1,6", "--ladder", "1000",
                                    "--prime-bound", "-1"),
                                   ("geometry", "mc", "--samples", "0"),
-                                  ("verify", "--per-type", "-1"), ("verify", "--per-type", "0")],
+                                  ("verify", "--per-type", "-1"), ("verify", "--per-type", "0"),
+                                  ("density", "--type", "1,1", "--a2", "-3", "--a4", "1"),
+                                  ("density", "--type", "1,1", "--a2", "1", "--a4", "0"),
+                                  ("density", "--type", "1,1", "--a2", "1", "--a3", "-1",
+                                   "--a4", "1")],
                          ids=["euler-0", "euler--5", "measure-0", "equidist--1", "mc-0",
-                              "verify--1", "verify-0"])
+                              "verify--1", "verify-0", "density-a2--3", "density-a4-0",
+                              "density-a3--1"])
 def test_count_option_that_is_not_positive_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))

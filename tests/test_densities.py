@@ -6,7 +6,7 @@ import pytest
 
 from puresextic import densities as D
 from puresextic.geometry import Box3
-from puresextic.types import SexticType
+from puresextic.types import SexticType, type_table
 
 
 def test_omega_count_closed_form_l5():
@@ -58,6 +58,12 @@ def test_n_table_pair_validation():
         D.n_table(SexticType(1, 1), 1, 4, 1)
 
 
+@pytest.mark.parametrize("a2, a3, a4", [(2, 2, 1), (1, 4, 1), (3, 1, 3), (1, 2, 2), (1, 0, 1)])
+def test_m_table_triple_validation(a2, a3, a4):
+    with pytest.raises(D.InvalidPair):
+        D.m_table(SexticType(1, 1), 1, a2, a3, a4)
+
+
 def test_n_table_zero_on_bad_residues():
     # 4 | a2*a4 at the residue level kills the count
     assert D.n2_count(1, 1, 4, 1) == 0
@@ -73,7 +79,8 @@ def test_m_table_112_instance():
     assert D.m_table(t, 1, 1, 1, 2) > 0
     # membership of the concrete pair: residue product reproduces 112's classes
     m_bar = 7 * 2 ** 4 * 1
-    assert D._a_set(5)[m_bar % 64] and D._b_set(1)[m_bar % 243]
+    a, b = type_table()
+    assert a[m_bar % 64] == 5 and b[m_bar % 243] == 1
 
 
 def test_crt_direct_one_key():
@@ -175,7 +182,7 @@ def test_double_counting_against_independent_grid():
     p2 = r ** 2 % 64
     p3 = r ** 3 % 64
     p5 = np.array([pow(int(x), 5, 64) for x in r], dtype=np.int64)
-    in_set = D._a_set(i)
+    in_set = type_table()[0][:64] == i
     g12 = r[:, None] * p2[None, :] % 64
     g123 = g12[:, :, None] * p3[None, None, :] % 64
     g1235 = g123[:, :, :, None] * p5[None, None, None, :] % 64

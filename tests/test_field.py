@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from puresextic.field import (AssumptionViolated, CarefreeTuple, NotPowerFree,
                               big_c, canonicalize, ceil_root, decompose, disc_valuations, dual,
-                              factorize, floor_root, iroot, is_canonical, is_irreducible_sextic,
-                              is_prime, is_squarefree, sextic_field)
+                              factorize, floor_root, iroot, is_canonical, is_irreducible_radical,
+                              is_irreducible_sextic, is_prime, is_squarefree, sextic_field)
 
 
 def test_decompose_examples():
@@ -76,6 +76,20 @@ def test_irreducibility():
     assert not is_irreducible_sextic(-27)     # (-3)^3
     assert is_irreducible_sextic(-4)          # -4 is not a square or cube
     assert not is_irreducible_sextic(1)
+
+
+@pytest.mark.parametrize("n, m", [(2, 9), (3, -8), (4, 9), (4, -4), (4, -324), (8, -64),
+                                  (8, -4), (12, -4), (6, 8), (6, -27), (6, 0), (5, 32),
+                                  (10, -32), (6, 1), (6, -1)])
+def test_capelli_reducible(n, m):
+    """m a p-th power for a prime p | n, or 4 | n and m = -4k^4."""
+    assert not is_irreducible_radical(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(2, -1), (4, -1), (4, -9), (4, 2), (3, 2), (7, -2),
+                                  (6, 2), (6, -4), (6, 12), (9, 4), (10, -4), (16, -8)])
+def test_capelli_irreducible(n, m):
+    assert is_irreducible_radical(n, m)
 
 
 def test_dual_examples():

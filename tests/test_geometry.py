@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puresextic.field import iroot, is_perfect_square
+from puresextic.field import iroot
 from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M2_brute,
                                  count_lattice_M3, count_lattice_M3_brute, error_law_M2,
                                  monte_carlo_volume_M3, slices_M3, volume_V, windows_M2)
@@ -41,7 +41,7 @@ small = st.builds(Fr, st.integers(1, 32), st.integers(4, 32))
 
 
 nonsquare = st.builds(Fr, st.integers(1, 64), st.integers(1, 16)).filter(
-    lambda q: not (is_perfect_square(q.numerator) and is_perfect_square(q.denominator)))
+    lambda q: not all(math.isqrt(x) ** 2 == x for x in (q.numerator, q.denominator)))
 
 
 def windows3_by_scan(n, Sp, S, L2p, L2):

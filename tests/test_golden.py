@@ -2,9 +2,10 @@
 
 The gram, shape and verify digests were recorded before the Gram layer moved to
 integer matrices; the geometry and equidist digests before the enumeration and
-the raw counts moved onto geometry's window kernels.  So a change of internal
-representation that alters a single byte of the output (a denominator, an
-ordering, a decimal, a count) fails here.  When an output change is
+the raw counts moved onto geometry's window kernels; the partition, density and
+measure digests before the Type rule became one table mod 15552.  So a change of
+internal representation that alters a single byte of the output (a denominator,
+an ordering, a decimal, a count) fails here.  When an output change is
 intended, record the new digest in the same change that makes it.
 """
 
@@ -37,6 +38,12 @@ GOLDEN = {
     ("equidist", "--family", "T", "--type", "1,1", "--sign", "+", "--box", "1,4,1,6,1,3",
      "--ladder", "1000000000,1000000000000"):
         "b53f802386718936823f6573b37f6efb1e9b185b5be381c0d5965527413af846",
+    ("partition", "--lo", "-1000000", "--hi", "1000000"):
+        "5b78e63b61f06dd6fd99888657b39edaab99db3b985800182fc225665a133de0",
+    ("density", "--type", "2,2", "--a2", "1", "--a3", "7", "--a4", "2"):
+        "e14c336e90902ffe678b884da79ccc8427866a6797aadbe0b726ce3f93ac8d1e",
+    ("measure", "--family", "C", "--type", "3,2", "--sign", "-", "--box", "1,8,1/8,8,1,6"):
+        "454aa7837be9f1f4f7c3e8d1841658068f3ecd53d4492594a54c7dbd585f281a",
 }
 
 

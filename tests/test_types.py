@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from puresextic.field import factorize, is_irreducible_sextic
-from puresextic.types import (ALL_TYPES, SexticType, UnclassifiableInput, a_case, b_case,
-                              classify, classify_array, lookup_tables, smallest_m_of_type,
-                              type_partition_check)
+from puresextic.types import (ALL_TYPES, TYPE_MOD, SexticType, UnclassifiableInput, a_case,
+                              b_case, classify, classify_array, smallest_m_of_type,
+                              type_partition_check, type_table)
 
 
 def test_classify_examples():
@@ -38,6 +38,21 @@ def test_partition_small_range():
     assert rep["violation_count"] == 0
 
 
+def test_partition_of_a_range_without_nonzero_m_scans_nothing():
+    for lo, hi in ((0, 0), (5, 1)):
+        rep = type_partition_check(lo, hi)
+        assert rep["scanned"] == 0 and rep["violation_count"] == 0
+        assert set(rep["counts"].values()) == {0}
+
+
+def test_partition_above_the_range_limit_raises_before_allocating(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(np, "arange", forbidden)
+    with pytest.raises(ValueError, match="partition limit"):
+        type_partition_check(-10 ** 9, 10 ** 9)
+
+
 def test_classify_mod_15552_constancy():
     """On sixth-power-free m the class depends only on m mod 15552."""
     rng = np.random.default_rng(1)
@@ -51,12 +66,17 @@ def test_classify_mod_15552_constancy():
         assert classify(m) == classify(shifted)
 
 
-def test_lookup_tables_match_the_scalar_rules_on_every_residue():
-    a, b = lookup_tables()
-    assert a.shape == b.shape == (46656,)
+def test_type_table_matches_the_scalar_rules_on_every_sixth_power_free_residue():
+    """On every residue r mod 2^6 3^6 that a sixth-power-free m can have (729 does
+    not divide r; where 64 | r the table's A-row is 0), the table at r mod TYPE_MOD
+    gives a_case(r) and b_case(r): the Type is constant on classes mod TYPE_MOD."""
+    a, b = type_table()
+    assert a.shape == b.shape == (TYPE_MOD,)
+    assert not (a.flags.writeable or b.flags.writeable)
     for r in range(46656):
-        assert a[r] == (a_case(r) if r % 64 else 0), r
-        assert b[r] == (b_case(r) if r % 729 else 0), r
+        if r % 729:
+            assert a[r % TYPE_MOD] == (a_case(r) if r % 64 else 0), r
+            assert b[r % TYPE_MOD] == b_case(r), r
 
 
 def test_classify_array_agrees_with_scalar():
