@@ -1,16 +1,18 @@
 """Exact arithmetic in the cubic and sextic radical rings Q[c]/(c^3-m), Q[t]/(t^6-m).
 
-Ring elements (CubicNum, SexticNum) have `fractions.Fraction` coefficients.  The
-linear algebra runs in Python ints.  A characteristic polynomial (the integrality
-check) comes from power sums in Z[theta]/(theta^n - m) over one common denominator
-and Newton's identities (radical_char_poly); Faddeev-LeVerrier on the
-multiplication matrix (char_poly_rational of mult_matrix) stays as its
-independent test oracle.  One fraction-free (Bareiss) Gauss-Jordan elimination
-gives rational determinants and solves, and matrices over the cubic field
-(CubicMatrix) are stored as three integer matrices over one positive
-denominator.  Their Gram products, congruences and determinants (a forward
-Bareiss elimination over Z[c], dividing exactly through the norm) never build a
-Fraction.  Numeric evaluation (display, cross-checks) uses mpmath.
+Every exact number has one format: integer numerators over one positive
+denominator, in lowest terms.  A ring element (CubicNum, SexticNum) is
+sum nums[t] theta^t / den; a matrix over the cubic field (CubicMatrix) is three
+integer matrices over one denominator.  Equal values have equal fields, and
+`coeffs`, the `fractions.Fraction` coefficients, is a derived read-only view.
+A characteristic polynomial (the integrality check) comes from power sums in
+Z[theta]/(theta^n - m) and Newton's identities (radical_char_poly);
+Faddeev-LeVerrier on the multiplication matrix (char_poly_rational of
+mult_matrix) stays as its independent test oracle.  One fraction-free (Bareiss)
+Gauss-Jordan elimination gives rational determinants and solves.  Gram
+products, congruences and determinants (a forward Bareiss elimination over
+Z[c], dividing exactly through the norm) never build a Fraction.  Numeric
+evaluation (display, cross-checks) uses mpmath.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import mul
 from typing import Iterable, Sequence
@@ -38,69 +41,117 @@ def _rat(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Cubic numbers: q0 + q1*c + q2*c^2 with c the real cube root of m
+# Radical numbers: sum nums[t] theta^t / den, theta^n = m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubicNum:
+@dataclass(frozen=True, init=False)
+class _RadicalNum:
+    """sum nums[t] theta^t / den in Q[theta]/(theta^n - m), n = len(nums): integer
+    numerators over one positive denominator, in lowest terms, so that equal
+    elements have equal fields.  The ring operations shared by both degrees."""
     m: int
-    coeffs: tuple[Fraction, Fraction, Fraction]
+    nums: tuple[int, ...]
+    den: int
 
-    @staticmethod
-    def of(m: int, q0=0, q1=0, q2=0) -> "CubicNum":
-        return CubicNum(m, (_rat(q0), _rat(q1), _rat(q2)))
+    def __init__(self, m: int, nums: Iterable[int], den: int):
+        nums = tuple(nums)
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = tuple(v // g for v in nums), den // g
+        self.__dict__.update(m=m, nums=nums, den=den)  # frozen: no __setattr__
 
-    def _check(self, other: "CubicNum") -> None:
+    @classmethod
+    def _of_rationals(cls, m: int, qs: Iterable):
+        qs = tuple(_rat(q) for q in qs)
+        d = _den(qs)
+        x = cls(m, _ints(qs, d), d)
+        x.__dict__["coeffs"] = qs  # the view, already built
+        return x
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions: a read-only view, built once."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
+
+    def _check(self, other: "_RadicalNum") -> None:
         if self.m != other.m:
             raise RadicandMismatch(f"radicands differ: {self.m} vs {other.m}")
 
-    def __add__(self, other: "CubicNum") -> "CubicNum":
+    def __add__(self, other):
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return CubicNum(self.m, (a[0] + b[0], a[1] + b[1], a[2] + b[2]))
+        d, e = self.den, other.den
+        return type(self)(self.m, [a * e + b * d for a, b in zip(self.nums, other.nums)], d * e)
 
-    def __sub__(self, other: "CubicNum") -> "CubicNum":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return CubicNum(self.m, (a[0] - b[0], a[1] - b[1], a[2] - b[2]))
+    def __sub__(self, other):
+        return self + -other
 
-    def __neg__(self) -> "CubicNum":
-        a = self.coeffs
-        return CubicNum(self.m, (-a[0], -a[1], -a[2]))
+    def __neg__(self):
+        return type(self)(self.m, [-a for a in self.nums], self.den)
 
-    def __mul__(self, other) -> "CubicNum":
+    def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             r = _rat(other)
-            a = self.coeffs
-            return CubicNum(self.m, (a[0] * r, a[1] * r, a[2] * r))
+            return type(self)(self.m, [a * r.numerator for a in self.nums],
+                              self.den * r.denominator)
         self._check(other)
-        return CubicNum(self.m, _mul3(self.coeffs, other.coeffs, self.m))
+        return type(self)(self.m, _mul_radical(self.nums, other.nums, self.m),
+                          self.den * other.den)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, r):
+        return self * (1 / _rat(r))
+
     def is_zero(self) -> bool:
-        return all(q == 0 for q in self.coeffs)
+        return not any(self.nums)
+
+    def to_json(self) -> list[dict]:
+        return [{"num": str(q.numerator), "den": str(q.denominator)} for q in self.coeffs]
+
+
+def _mul_radical(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    """(sum a_i theta^i)(sum b_j theta^j) reduced by theta^n = m, n = len(a) = len(b)."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return [prod[s] + m * prod[s + n] for s in range(n - 1)] + [prod[n - 1]]
+
+
+# ---------------------------------------------------------------------------
+# Cubic numbers: q0 + q1*c + q2*c^2 with c the real cube root of m
+# ---------------------------------------------------------------------------
+
+class CubicNum(_RadicalNum):
+
+    @staticmethod
+    def of(m: int, q0=0, q1=0, q2=0) -> "CubicNum":
+        return CubicNum._of_rationals(m, (q0, q1, q2))
 
     def is_rational(self) -> bool:
-        return self.coeffs[1] == 0 and self.coeffs[2] == 0
+        return not (self.nums[1] or self.nums[2])
 
     def inverse(self) -> "CubicNum":
         """q'/N(q), with q * q' = N(q) for the adjugate q' of `_adj3`.
 
-        So q is invertible iff its norm is not zero.
+        So q is invertible iff its norm is not zero.  On numerators y = den * q:
+        q^-1 = den * y' / N(y).
         """
-        n = self.norm()
+        n = _norm3(self.nums, self.m)
         if n == 0:
             raise ZeroDivisionError("inverse of a cubic number of norm 0")
-        return CubicNum(self.m, tuple(x / n for x in _adj3(self.coeffs, self.m)))
+        return CubicNum(self.m, [v * self.den for v in _adj3(self.nums, self.m)], n)
 
     def __truediv__(self, other) -> "CubicNum":
-        if isinstance(other, (int, Fraction)):
-            r = _rat(other)
-            a = self.coeffs
-            return CubicNum(self.m, (a[0] / r, a[1] / r, a[2] / r))
-        self._check(other)
-        return self * other.inverse()
+        if isinstance(other, CubicNum):
+            self._check(other)
+            return self * other.inverse()
+        return super().__truediv__(other)
 
     def evaluate(self, prec: int = 50) -> mpmath.mpf:
         """Numeric value at the real cube root of m."""
@@ -114,7 +165,7 @@ class CubicNum:
 
     def norm(self) -> Fraction:
         """Field norm N(q0 + q1 c + q2 c^2) = q0^3 + m q1^3 + m^2 q2^3 - 3 m q0 q1 q2."""
-        return _norm3(self.coeffs, self.m)
+        return Fraction(_norm3(self.nums, self.m), self.den ** 3)
 
     def sign(self) -> int:
         """Exact sign of the value at the real cube root of m.
@@ -123,21 +174,19 @@ class CubicNum:
         factor |q(wc)|^2 to the norm, so sign(q(c)) = sign(N(q)).  No floating
         point is involved.
         """
-        n = self.norm()
+        n = _norm3(self.nums, self.m)
         return (n > 0) - (n < 0)
-
-    def to_json(self) -> list[dict]:
-        return [{"num": str(q.numerator), "den": str(q.denominator)} for q in self.coeffs]
 
     def __repr__(self) -> str:
         return f"CubicNum(m={self.m}, {self.coeffs[0]} + {self.coeffs[1]}*c + {self.coeffs[2]}*c^2)"
 
 
-# Arithmetic on coefficient triples (q0, q1, q2) of q0 + q1 c + q2 c^2, c^3 = m, for
-# Fraction coefficients (CubicNum) and int coefficients (CubicMatrix) alike.
+# Integer arithmetic on coefficient triples (q0, q1, q2) of q0 + q1 c + q2 c^2, c^3 = m:
+# the numerators of a CubicNum and the entries of CubicMatrix's elimination.
 
 def _mul3(a: Sequence, b: Sequence, m: int) -> tuple:
-    """(a0 + a1 c + a2 c^2)(b0 + b1 c + b2 c^2) reduced by c^3 = m."""
+    """(a0 + a1 c + a2 c^2)(b0 + b1 c + b2 c^2) reduced by c^3 = m: _mul_radical for
+    n = 3, unrolled for the Bareiss inner loop."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a0 * b0 + m * (a1 * b2 + a2 * b1), a0 * b1 + a1 * b0 + m * a2 * b2,
@@ -165,63 +214,30 @@ def _mpf_frac(q: Fraction) -> mpmath.mpf:
 # Sextic numbers: sum of c_t * theta^t, theta^6 = m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SexticNum:
-    m: int
-    coeffs: tuple[Fraction, ...]  # length 6
+class SexticNum(_RadicalNum):
 
     @staticmethod
     def of(m: int, coeffs: Iterable) -> "SexticNum":
-        cs = tuple(_rat(c) for c in coeffs)
-        if len(cs) != 6:
+        x = SexticNum._of_rationals(m, coeffs)
+        if len(x.nums) != 6:
             raise ValueError("need 6 coefficients")
-        return SexticNum(m, cs)
+        return x
 
     @staticmethod
     def theta_power(m: int, t: int, scale=1) -> "SexticNum":
         """scale * theta^t for 0 <= t <= 5."""
-        cs = [Fraction(0)] * 6
-        cs[t] = _rat(scale)
-        return SexticNum(m, tuple(cs))
+        r = _rat(scale)
+        nums = [0] * 6
+        nums[t] = r.numerator
+        return SexticNum(m, nums, r.denominator)
 
     @staticmethod
     def one(m: int) -> "SexticNum":
         return SexticNum.theta_power(m, 0)
 
-    def _check(self, other: "SexticNum") -> None:
-        if self.m != other.m:
-            raise RadicandMismatch(f"radicands differ: {self.m} vs {other.m}")
-
-    def __add__(self, other: "SexticNum") -> "SexticNum":
-        self._check(other)
-        return SexticNum(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "SexticNum") -> "SexticNum":
-        self._check(other)
-        return SexticNum(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "SexticNum":
-        return SexticNum(self.m, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other) -> "SexticNum":
-        if isinstance(other, (int, Fraction)):
-            r = _rat(other)
-            return SexticNum(self.m, tuple(a * r for a in self.coeffs))
-        self._check(other)
-        return SexticNum(self.m, tuple(_mul_radical(self.coeffs, other.coeffs, self.m)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, r) -> "SexticNum":
-        r = _rat(r)
-        return SexticNum(self.m, tuple(a / r for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def trace(self) -> Fraction:
         # Tr(theta^t) = 0 for 1 <= t <= 5
-        return 6 * self.coeffs[0]
+        return Fraction(6 * self.nums[0], self.den)
 
     def char_poly(self) -> list[Fraction]:
         """Characteristic polynomial of the multiplication matrix, x^6 + a5 x^5 + ... + a0.
@@ -229,43 +245,29 @@ class SexticNum:
         Returned as [a0, ..., a5, 1], from power sums (radical_char_poly).  Integer
         coefficients certify algebraic integrality.
         """
-        return radical_char_poly(self.m, self.coeffs)
+        return _power_sum_char_poly(self.m, self.nums, self.den)
 
     def is_algebraic_integer(self) -> bool:
         return all(c.denominator == 1 for c in self.char_poly())
 
-    def to_json(self) -> list[dict]:
-        return [{"num": str(c.numerator), "den": str(c.denominator)} for c in self.coeffs]
-
-
-# Arithmetic on coefficient vectors (v_0, ..., v_{n-1}) of sum v_t theta^t, theta^n = m,
-# for Fraction coefficients (SexticNum) and int coefficients (radical_char_poly) alike.
-
-def _mul_radical(a: Sequence, b: Sequence, m: int) -> list:
-    """(sum a_i theta^i)(sum b_j theta^j) reduced by theta^n = m, n = len(a) = len(b)."""
-    n = len(a)
-    prod = [a[0] * 0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-    return [prod[s] + m * prod[s + n] for s in range(n - 1)] + [prod[n - 1]]
-
 
 def radical_char_poly(m: int, vec: Sequence) -> list[Fraction]:
     """Coefficients [c0, ..., c_{n-1}, 1] of the characteristic polynomial of
-    x = sum vec[t] theta^t in Q[theta]/(theta^n - m), n = len(vec), from power sums.
-
-    Tr(theta^t) = 0 for 0 < t < n, so with y = d x (d the lcm of the denominators,
-    y in Z[theta]) each power sum p_k = Tr(y^k) is n times the constant coefficient
-    of y^k.  Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i give the
-    integer elementary symmetric functions e_k of y's conjugates (each division by k
-    is exact), and the coefficient of x^(n-k) is (-1)^k e_k / d^k.
-    """
-    n = len(vec)
+    x = sum vec[t] theta^t in Q[theta]/(theta^n - m), n = len(vec), from power sums."""
     d = _den(vec)
-    y = _ints(vec, d)
+    return _power_sum_char_poly(m, _ints(vec, d), d)
+
+
+def _power_sum_char_poly(m: int, y: Sequence[int], d: int) -> list[Fraction]:
+    """radical_char_poly of x = y / d, for integer numerators y and d > 0.
+
+    Tr(theta^t) = 0 for 0 < t < n, so with y in Z[theta] each power sum p_k = Tr(y^k)
+    is n times the constant coefficient of y^k.  Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} p_i give the integer elementary symmetric
+    functions e_k of y's conjugates (each division by k is exact), and the
+    coefficient of x^(n-k) is (-1)^k e_k / d^k.
+    """
+    n = len(y)
     q, yk = [n * y[0]], y  # q[i-1] = (-1)^(i-1) p_i
     for i in range(2, n + 1):
         yk = _mul_radical(yk, y, m)
@@ -309,29 +311,13 @@ def gram_pair(x: SexticNum, y: SexticNum) -> CubicNum:
     cubic ring via gamma = sign(m)*c, gamma^3 = |m|.  For m > 0 this is the
     literal rule 6 * sum_t x_t y_t theta^(2t) with theta^2 = c.
     """
-    if x.m != y.m:
-        raise RadicandMismatch(f"radicands differ: {x.m} vs {y.m}")
+    x._check(y)
     m = x.m
-    s = 1 if m > 0 else -1
+    s, am = (1 if m > 0 else -1), abs(m)
     # gamma^t for t = 0..5 on the basis (1, c, c^2)
-    am = abs(m)
-    gam = [
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(s), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(am), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(s * am), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(am)),
-    ]
-    acc = [Fraction(0), Fraction(0), Fraction(0)]
-    for t in range(6):
-        w = x.coeffs[t] * y.coeffs[t]
-        if w != 0:
-            g = gam[t]
-            acc[0] += w * g[0]
-            acc[1] += w * g[1]
-            acc[2] += w * g[2]
-    return CubicNum(m, (6 * acc[0], 6 * acc[1], 6 * acc[2]))
+    gam = [(1, 0, 0), (0, s, 0), (0, 0, 1), (am, 0, 0), (0, s * am, 0), (0, 0, am)]
+    acc = [sum(6 * a * b * g[k] for a, b, g in zip(x.nums, y.nums, gam)) for k in range(3)]
+    return CubicNum(m, acc, x.den * y.den)
 
 
 def hermitian_gram(basis: Sequence[SexticNum]) -> "CubicMatrix":
@@ -345,8 +331,8 @@ def hermitian_gram(basis: Sequence[SexticNum]) -> "CubicMatrix":
     m = basis[0].m
     if any(x.m != m for x in basis):
         raise RadicandMismatch(f"radicands differ: {sorted({x.m for x in basis})}")
-    d = _den(q for x in basis for q in x.coeffs)
-    xs = [_ints(x.coeffs, d) for x in basis]
+    d = math.lcm(*(x.den for x in basis))
+    xs = [[v * (d // x.den) for v in x.nums] for x in basis]
     sgn = 1 if m > 0 else -1
     parts = []
     for s in range(3):
@@ -370,8 +356,8 @@ class CubicMatrix:
     den: int
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[CubicNum]], m: int):
-        d = _den(q for row in entries for x in row for q in x.coeffs)
-        self._set(rows, cols, m, [[_ints([x.coeffs[s] for x in row], d) for row in entries]
+        d = math.lcm(1, *(x.den for row in entries for x in row))
+        self._set(rows, cols, m, [[[x.nums[s] * (d // x.den) for x in row] for row in entries]
                                   for s in range(3)], d)
 
     def _set(self, rows: int, cols: int, m: int, parts, d: int) -> None:
@@ -393,9 +379,8 @@ class CubicMatrix:
     @property
     def entries(self) -> tuple[tuple[CubicNum, ...], ...]:
         """Rows of CubicNum, built on demand; a read-only view of the matrix."""
-        d, m = self.den, self.m
-        return tuple(tuple(CubicNum(m, (Fraction(a, d), Fraction(b, d), Fraction(c, d)))
-                           for a, b, c in zip(*rows)) for rows in zip(*self.parts))
+        return tuple(tuple(CubicNum(self.m, q, self.den) for q in zip(*rows))
+                     for rows in zip(*self.parts))
 
     @staticmethod
     def from_rational(m: int, rows: Sequence[Sequence]) -> "CubicMatrix":
@@ -445,8 +430,7 @@ class CubicMatrix:
             raise ValueError("determinant of a non-square matrix")
         sign, pivots = _zc_bareiss(self._triples(), self.m, pivoting=True)
         last = pivots[-1] if pivots else (1, 0, 0)
-        dn = self.den ** self.rows
-        return CubicNum(self.m, tuple(Fraction(sign * q, dn) for q in last))
+        return CubicNum(self.m, [sign * q for q in last], self.den ** self.rows)
 
     def is_positive_definite(self) -> bool:
         """Leading principal minors all positive at the real root (exact signs).

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import SexticNum, mat_det, mat_solve
+from .algebra import SexticNum, mat_det
 from .field import SexticField
 from .types import SexticType, classify
 
@@ -357,19 +357,3 @@ def tabulated_transition(t: SexticType, f: SexticField) -> TransitionMatrix:
     else:
         raise KeyError(key)
     return TransitionMatrix(t, tuple(tuple(Fr(v) for v in row) for row in rows))
-
-
-def connecting_matrix(b1: IntegralBasis | list[list[Fraction]],
-                      b2: IntegralBasis | list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve M1 * X = M2 where columns are coefficient vectors over the power basis."""
-    def cols(b):
-        if isinstance(b, IntegralBasis):
-            return [[b.elements[t].coeffs[s] for t in range(6)] for s in range(6)]
-        return b
-    return mat_solve(cols(b1), cols(b2))
-
-
-def is_unimodular_integral(x: list[list[Fraction]]) -> bool:
-    if any(v.denominator != 1 for row in x for v in row):
-        return False
-    return abs(mat_det(x)) == 1

@@ -167,6 +167,10 @@ def cmd_geometry(cfg: Config, args) -> int:
 
 def cmd_density(cfg: Config, args) -> int:
     t = SexticType.parse(args.type)
+    if args.validate and args.a3 is not None:
+        print("error: --validate checks the n-count only; drop --a3 or --validate",
+              file=sys.stderr)
+        return 2
     if args.a3 is None:
         v = densities.n_table(t, args.sign, args.a2, args.a4)
         out = {"kind": "n", "type": str(t), "sign": args.sign,
@@ -312,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a3", type=_positive_int, default=None)
     p.add_argument("--a4", type=_positive_int, required=True)
     p.add_argument("--validate", action="store_true",
-                   help="also run the direct mod-15552 count (slow)")
+                   help="also run the direct mod-15552 count (slow; not with --a3)")
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("euler")

@@ -436,7 +436,7 @@ def shape_gram(f: SexticField) -> ShapeGram:
     """
     b = build_basis(f)
     m = f.m
-    perp = [SexticNum(m, (Fr(0),) + a.coeffs[1:]) for a in b.elements[1:]]
+    perp = [SexticNum(m, (0,) + a.nums[1:], a.den) for a in b.elements[1:]]
     trans = derived_transition(b)
     cert_c = tuple(tuple(trans.entries[s][t] for t in range(1, 6)) for s in range(1, 6))
     sg = ShapeGram(f, b.type, hermitian_gram(perp) * 36, cert_c, 216)

@@ -126,6 +126,7 @@ def classify_array(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _PARTITION_LIMIT = 10 ** 7  # integers in one scan; each takes a few int64 array slots
+_PARTITION_BOUND = 2 ** 62   # |m| below it keeps every int64 product of the scan exact
 
 
 def type_partition_check(lo: int, hi: int) -> dict:
@@ -133,11 +134,15 @@ def type_partition_check(lo: int, hi: int) -> dict:
 
     Every admissible m must match exactly one (Ai, Bj).  Returns a report with
     per-type counts and any violations (there should be none).  A range of more
-    than _PARTITION_LIMIT integers raises ValueError before anything is allocated.
+    than _PARTITION_LIMIT integers, or one reaching |m| >= _PARTITION_BOUND (where
+    (r + 1)^2 or the float roots would leave int64), raises ValueError before
+    anything is allocated.
     """
     if hi - lo >= _PARTITION_LIMIT:
         raise ValueError(f"[{lo}, {hi}] holds {hi - lo + 1} integers, "
                          f"above the partition limit {_PARTITION_LIMIT}")
+    if max(abs(lo), abs(hi)) >= _PARTITION_BOUND:
+        raise ValueError(f"[{lo}, {hi}] reaches |m| >= 2^62, the partition bound")
     ms = np.arange(lo, hi + 1, dtype=np.int64)
     ms = ms[ms != 0]
     # sixth-power-free: exclude p^6 | m for every prime p up to max|m|^(1/6)

@@ -6,8 +6,8 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum,
-                                char_poly_rational, gram_pair, hermitian_gram,
+from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum, _adj3,
+                                _norm3, char_poly_rational, gram_pair, hermitian_gram,
                                 mat_det, mat_solve, mult_matrix, radical_char_poly,
                                 trace_numeric)
 
@@ -51,6 +51,42 @@ def test_cubic_ring_axioms(m, a0, a1, a2, b0, b1, b2):
     y = C(m, b0, b1, b2)
     assert x * y == y * x
     assert (x + y) * (x - y) == x * x - y * y
+
+
+# The one number format, integer numerators over one positive denominator in
+# lowest terms, against Fraction arithmetic on the coefficient view.
+
+@given(st.sampled_from([3, 6]), st.integers(min_value=-60, max_value=60).filter(bool),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_format_matches_fraction_arithmetic(n, m, data):
+    make = (lambda v: CubicNum.of(m, *v)) if n == 3 else (lambda v: SexticNum.of(m, v))
+    vector = st.lists(rat, min_size=n, max_size=n)
+    a = data.draw(vector)
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    # the same value reached through a different unreduced intermediate, or another one
+    b = a if data.draw(st.booleans()) else data.draw(vector)
+    r = data.draw(rat.filter(bool))
+    x, y = make(a), make([q * k for q in b]) * Fr(1, k)
+    for z in (x, y, x + y, x - y, -x, x * r, r * x, x / r, x * k):
+        assert z.den > 0 and math.gcd(z.den, *z.nums) == 1
+    assert x.coeffs == tuple(a) and y.coeffs == tuple(b)
+    assert (x == y) == (x.coeffs == y.coeffs) == (a == b)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+    assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+    assert (-x).coeffs == tuple(-p for p in a)
+    assert (x * r).coeffs == (r * x).coeffs == tuple(p * r for p in a)
+    assert (x / r).coeffs == tuple(p / r for p in a)
+    assert x.is_zero() == (not any(a))
+    if n == 3:
+        norm = _norm3(a, m)
+        if norm:
+            assert x.inverse().coeffs == tuple(v / norm for v in _adj3(a, m))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
 
 
 def test_sextic_mul_examples():

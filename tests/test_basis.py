@@ -2,10 +2,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from puresextic.basis import (AuxUndefined, CaseMismatch, build_basis, connecting_matrix,
-                              derived_transition, is_unimodular_integral, tabulated_transition,
-                              power_type_basis)
+from puresextic.basis import (AuxUndefined, CaseMismatch, build_basis, derived_transition,
+                              tabulated_transition, power_type_basis)
 from puresextic.field import sextic_field
+from puresextic.general import same_lattice
 from puresextic.types import ALL_TYPES, SexticType, classify, smallest_m_of_type
 
 
@@ -96,8 +96,9 @@ def test_unimodular_connection_between_equivalent_bases():
     sheared = [row[:] for row in cols]
     for s in range(6):
         sheared[s][3] += 2 * cols[s][1]
-    x = connecting_matrix(cols, sheared)
-    assert is_unimodular_integral(x)
+    assert same_lattice(cols, sheared)
+    doubled = [row[:3] + [2 * row[3]] + row[4:] for row in cols]  # index 2, not unimodular
+    assert not same_lattice(cols, doubled)
 
 
 def test_index_law():

@@ -168,6 +168,21 @@ def test_partition_above_the_range_limit_exit_1_fast(capsys):
     assert "above the partition limit" in capsys.readouterr().err
 
 
+def test_partition_beyond_the_int64_bound_exit_1(capsys):
+    assert main(["partition", "--lo", "1000000000000000000000",
+                 "--hi", "1000000000000000000005"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2^62" in err and "Traceback" not in err
+
+
+def test_density_validate_with_a3_exit_2(capsys):
+    assert main(["density", "--type", "1,1", "--a2", "1", "--a3", "1", "--a4", "1",
+                 "--validate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --validate checks the n-count only")
+
+
 def test_density_of_a_triple_that_is_not_coprime_exit_1(capsys):
     assert main(["density", "--type", "1,1", "--a2", "2", "--a3", "2", "--a4", "1"]) == 1
     assert "must be coprime squarefree" in capsys.readouterr().err

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from puresextic.field import factorize, is_irreducible_sextic
+from puresextic.field import factorize, is_irreducible_sextic, is_prime
 from puresextic.types import (ALL_TYPES, TYPE_MOD, SexticType, UnclassifiableInput, a_case,
                               b_case, classify, classify_array, smallest_m_of_type,
                               type_partition_check, type_table)
@@ -51,6 +53,21 @@ def test_partition_above_the_range_limit_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "arange", forbidden)
     with pytest.raises(ValueError, match="partition limit"):
         type_partition_check(-10 ** 9, 10 ** 9)
+
+
+def test_partition_just_below_the_int64_bound_matches_integer_arithmetic():
+    """Near 2^62 the float roots and int64 squares still find every square and cube."""
+    primes = [p for p in range(2, 1300) if is_prime(p)]  # 1300^6 > 2^62
+    square, cube = (2 ** 31 - 1) ** 2, 1664510 ** 3  # the largest below 2^62
+    for lo, hi in ((square - 50, square + 50), (-cube - 50, -cube + 50),
+                   (2 ** 62 - 101, 2 ** 62 - 1)):
+        expected = sum(1 for m in range(lo, hi + 1)
+                       if not any(m % p ** 6 == 0 for p in primes)
+                       and not (m > 0 and math.isqrt(m) ** 2 == m)
+                       and round(abs(m) ** (1 / 3)) ** 3 != abs(m))
+        assert type_partition_check(lo, hi)["scanned"] == expected
+    with pytest.raises(ValueError, match="2\\^62"):
+        type_partition_check(-2 ** 62, -2 ** 62 + 5)
 
 
 def test_classify_mod_15552_constancy():
