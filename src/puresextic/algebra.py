@@ -10,8 +10,11 @@ Z[theta]/(theta^n - m) and Newton's identities (radical_char_poly);
 Faddeev-LeVerrier on the multiplication matrix (char_poly_rational of
 mult_matrix) stays as its independent test oracle.  One fraction-free (Bareiss)
 Gauss-Jordan elimination gives rational determinants and solves.  Gram
-products, congruences and determinants (a forward Bareiss elimination over
-Z[c], dividing exactly through the norm) never build a Fraction.  Numeric
+products, congruences (integer matrix products that skip the zero entries of
+their left factor, so a diagonal Gram costs little) and determinants (a
+forward Bareiss elimination over Z[c], dividing exactly through the norm) never
+build a Fraction; the reference tables and the shape certificate (gram) build
+their entries from integer numerators with the constructors here.  Numeric
 evaluation (display, cross-checks) uses mpmath.
 """
 
@@ -396,7 +399,7 @@ class CubicMatrix:
     @staticmethod
     def diagonal(m: int, diag: Sequence[CubicNum]) -> "CubicMatrix":
         n = len(diag)
-        zero = CubicNum.of(m)
+        zero = CubicNum(m, (0, 0, 0), 1)
         ents = [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
         return CubicMatrix(n, n, ents, m)
 
@@ -501,8 +504,17 @@ def _ints(row: Iterable, d: int) -> list[int]:
 
 
 def _imul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    """a * b for integer matrices, as a sum of rows of b: a zero entry of a costs
+    nothing, so a diagonal a (the Grams of both congruences `verify` runs) is cheap."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, brow)]
+        out.append(acc)
+    return out
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[int, int]:

@@ -5,13 +5,17 @@ elements are stored as symbolic templates (rational functions of m, the C_i
 and the auxiliary constants m3 = m/27, C33 = C3/3, C43 = C4/9, C53 = C5/9,
 C52 = C5/8) and instantiated per field.  Also here: the tabulated transition
 matrices to the power-type basis {theta^t / C_t} and their recomputation
-straight from the coefficients, which is the oracle used by the tests.
+straight from the coefficients' integer numerators, which is the oracle used
+by the tests.  A field's basis and both transitions are built once: each
+builder remembers its last two results, because the checks of one field ask
+for them more than once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import SexticNum, mat_det
 from .field import SexticField
@@ -159,8 +163,14 @@ class IntegralBasis:
         }
 
 
+@lru_cache(maxsize=2)
 def build_basis(f: SexticField, t: SexticType | None = None) -> IntegralBasis:
-    """Instantiate the Table-2 basis as exact coefficient vectors over {1, theta, ..., theta^5}."""
+    """Instantiate the Table-2 basis as exact coefficient vectors over {1, theta, ..., theta^5}.
+
+    Memoised for the last two calls: the checks of one field ask for its basis
+    more than once (`verify`, `shape_gram`), and a small bound keeps memory flat
+    over a corpus.
+    """
     actual = classify(f.m)
     if t is None:
         t = actual
@@ -208,19 +218,23 @@ class TransitionMatrix:
                 for row in self.entries]
 
 
+@lru_cache(maxsize=2)
 def derived_transition(b: IntegralBasis) -> TransitionMatrix:
-    """Transition matrix read off the exact coefficients: P[s][t] = coeff_s(elem_t) * C_s."""
+    """Transition matrix read off the exact coefficients: P[s][t] = coeff_s(elem_t) * C_s,
+    from the integer numerators (nums[s] * C_s / den).  Memoised like build_basis."""
     cs = (1,) + b.field.big_c
-    rows = [[b.elements[t].coeffs[s] * cs[s] for t in range(6)] for s in range(6)]
-    return TransitionMatrix(b.type, tuple(tuple(r) for r in rows))
+    rows = [[Fraction(e.nums[s] * cs[s], e.den) for e in b.elements] for s in range(6)]
+    return TransitionMatrix(b.type, tuple(map(tuple, rows)))
 
 
+@lru_cache(maxsize=2)
 def tabulated_transition(t: SexticType, f: SexticField) -> TransitionMatrix:
     """The tabulated transition matrix with C-constants and m substituted.
 
     One commonly tabulated entry (row 2, column 4 of the (1,3) matrix) drops
     a C33^2 factor; it is stored here in the corrected form, which is what
-    the coefficient computation yields.
+    the coefficient computation yields.  Every entry is a Fraction as written;
+    memoised like build_basis.
     """
     x = aux_constants(f, t)
     m, C2, C3, C4, C5 = x.m, x.C2, x.C3, x.C4, x.C5
@@ -356,4 +370,4 @@ def tabulated_transition(t: SexticType, f: SexticField) -> TransitionMatrix:
                 [z, z, z, z, z, th]]
     else:
         raise KeyError(key)
-    return TransitionMatrix(t, tuple(tuple(Fr(v) for v in row) for row in rows))
+    return TransitionMatrix(t, tuple(map(tuple, rows)))

@@ -233,11 +233,12 @@ def cmd_verify(cfg: Config, args) -> int:
             f = sextic_field(m)
             b = build_basis(f)
             g = gram6(f, b)
+            p = tabulated_transition(t, f)
             checks = {
                 "table": g == g_table(t, f) * 6,
                 "congruence": g == gram_power(f).congruence(
-                    CubicMatrix.from_rational(m, [list(r) for r in tabulated_transition(t, f).entries])),
-                "transition": derived_transition(b).entries == tabulated_transition(t, f).entries,
+                    CubicMatrix.from_rational(m, [list(r) for r in p.entries])),
+                "transition": derived_transition(b).entries == p.entries,
                 "integral": all(e.is_algebraic_integer() for e in b.elements),
                 "certificate": shape_gram(f).certificate_holds(),
             }

@@ -1,11 +1,15 @@
 """Gram matrices of the 20 integral bases, trace-zero projection, shape parameters.
 
 Tables are stored /6-normalised (the pairing of 1 with itself is 6); gram6()
-returns the actual Minkowski Gram, i.e. 6x the table.  The trace-zero shape
+returns the actual Minkowski Gram, i.e. 6x the table.  They are stated for
+m > 0 (theta^2 = c), and each entry is a CubicNum built straight from the
+integer numerator and denominator of its formula.  The trace-zero shape
 Gram comes with an exact factorisation certificate
     P = C'^T * (216 * diag(theta^(2t) / C_t^2)) * C'
 where C' is the lower-right 5x5 block of the transition matrix (row/column 1
-drops out because 1^perp = 0).  Shape parameters are kept as monomials in
+drops out because 1^perp = 0); the diagonal is the integer triples
+216 gamma^t over C_t^2, and C' comes from the field's one derived transition
+(memoised in basis).  Shape parameters are kept as monomials in
 (a1..a5) with rational exponents, so all shape identities are exact.
 
 Seven entries of the reference tables circulate in a form that only holds
@@ -161,14 +165,15 @@ def _table_entries(t: SexticType, x: Aux) -> dict[tuple[int, int], CubicNum]:
     m, C2, C3, C4, C5 = x.m, x.C2, x.C3, x.C4, x.C5
     m3, C33, C43, C53, C52 = x.m3, x.C33, x.C43, x.C53, x.C52
 
+    # q is an int or a Fraction; each constructor reads its numerator and denominator.
     def R(q) -> CubicNum:  # rational constant
-        return CubicNum.of(m, Fr(q))
+        return CubicNum(m, (q.numerator, 0, 0), q.denominator)
 
     def T2(q=1) -> CubicNum:  # q * theta^2
-        return CubicNum.of(m, 0, Fr(q), 0)
+        return CubicNum(m, (0, q.numerator, 0), q.denominator)
 
     def T4(q=1) -> CubicNum:  # q * theta^4
-        return CubicNum.of(m, 0, 0, Fr(q))
+        return CubicNum(m, (0, 0, q.numerator), q.denominator)
 
     e: dict[tuple[int, int], CubicNum] = {
         (1, 1): R(1),
@@ -365,10 +370,12 @@ def _table_entries(t: SexticType, x: Aux) -> dict[tuple[int, int], CubicNum]:
 
 
 def g_table(t: SexticType, f: SexticField) -> CubicMatrix:
-    """The reference Gram/6 table for Type t, instantiated for f."""
+    """The reference Gram/6 table for Type t, instantiated for f (m > 0: theta^2 = c)."""
+    if f.m < 0:
+        raise ValueError(f"m={f.m}: the reference Gram tables are stated for m > 0")
     x = aux_constants(f, t)
     e = _table_entries(t, x)
-    zero = CubicNum.of(f.m)
+    zero = CubicNum(f.m, (0, 0, 0), 1)
     rows = [[zero] * 6 for _ in range(6)]
     for (i, j), v in e.items():
         rows[i - 1][j - 1] = v
@@ -407,10 +414,10 @@ class ShapeGram:
     def _certificate(self) -> bool:
         f = self.field
         m = f.m
-        s = 1 if m > 0 else -1
-        gam = [CubicNum.of(m, 0, s, 0), CubicNum.of(m, 0, 0, 1), CubicNum.of(m, abs(m)),
-               CubicNum.of(m, 0, s * abs(m), 0), CubicNum.of(m, 0, 0, abs(m))]
-        d = CubicMatrix.diagonal(m, [g * Fr(self.cert_scale, c * c) for g, c in zip(gam, f.big_c)])
+        s, am = (1 if m > 0 else -1), abs(m)
+        gam = [(0, s, 0), (0, 0, 1), (am, 0, 0), (0, s * am, 0), (0, 0, am)]  # gamma^t, t = 1..5
+        d = CubicMatrix.diagonal(m, [CubicNum(m, [self.cert_scale * v for v in g], c * c)
+                                     for g, c in zip(gam, f.big_c)])
         return d.congruence(CubicMatrix.from_rational(m, self.cert_c)) == self.entries
 
     def to_json(self) -> dict:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum, _adj3,
-                                _norm3, char_poly_rational, gram_pair, hermitian_gram,
+                                _imul, _norm3, char_poly_rational, gram_pair, hermitian_gram,
                                 mat_det, mat_solve, mult_matrix, radical_char_poly,
                                 trace_numeric)
 
@@ -408,3 +408,31 @@ def test_positive_definite_needs_every_leading_minor():
     assert not swap.is_positive_definite()
     assert not (swap * -1).is_positive_definite()
     assert CubicMatrix.from_rational(7, [[2, 1], [1, 2]]).is_positive_definite()
+
+
+@st.composite
+def int_matrix_pair(draw):
+    """(a, b) with a n x k and b k x p; a dense, diagonal, zero, or with zero rows."""
+    n, k, p = (draw(st.integers(min_value=1, max_value=6)) for _ in range(3))
+    entry = st.one_of(st.just(0), st.integers(min_value=-10 ** 30, max_value=10 ** 30))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(("dense", "diagonal", "zero", "zero rows")))
+    if kind == "diagonal":
+        a = [[v if i == j else 0 for j, v in enumerate(row)] for i, row in enumerate(a)]
+    elif kind == "zero":
+        a = [[0] * k for _ in range(n)]
+    elif kind == "zero rows":
+        zero = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+        a = [[0] * k if i in zero else row for i, row in enumerate(a)]
+    return a, b
+
+
+@given(int_matrix_pair())
+@settings(max_examples=200, deadline=None)
+def test_imul_skipping_zeros_is_the_dense_product(ab):
+    a, b = ab
+    dense = [[sum(a[i][s] * b[s][j] for s in range(len(b))) for j in range(len(b[0]))]
+             for i in range(len(a))]
+    assert _imul(a, b) == dense
+    assert _imul([tuple(r) for r in a], tuple(map(tuple, b))) == dense  # tuples, as congruence passes

@@ -8,6 +8,7 @@ import pytest
 
 import puresextic
 from puresextic import densities
+from puresextic.basis import build_basis, derived_transition, tabulated_transition
 from puresextic.cli import main
 from puresextic.field import is_prime
 
@@ -57,6 +58,31 @@ def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "--types", "3,2", "--per-type", "3")
     assert code == 0
     assert "PASS A3,B2: 3/3" in out
+
+
+BUILDERS = (build_basis, derived_transition, tabulated_transition)
+
+
+def test_verify_builds_each_field_once(capsys):
+    """One basis, one derived and one tabulated transition per field: the checks
+    of a field, shape_gram's among them, share what the loop built (memo misses)."""
+    for fn in BUILDERS:
+        fn.cache_clear()
+    code, out = run(capsys, "verify", "--types", "2,3", "--per-type", "3")
+    assert code == 0 and "PASS A2,B3: 3/3" in out
+    assert [fn.cache_info().misses for fn in BUILDERS] == [3, 3, 3]
+
+
+def test_verify_memo_stays_bounded(capsys):
+    """Over 60 distinct fields each memo holds at most its small bound."""
+    for fn in BUILDERS:
+        fn.cache_clear()
+    code, _ = run(capsys, "verify", "--types", "all", "--per-type", "3")
+    assert code == 0
+    for fn in BUILDERS:
+        info = fn.cache_info()
+        assert info.misses == 60
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 2
 
 
 def test_partition_small(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from puresextic.algebra import CubicMatrix, CubicNum
-from puresextic.basis import build_basis, tabulated_transition
+from puresextic.basis import build_basis, derived_transition, tabulated_transition
 from puresextic.field import decompose, dual, sextic_field
 from puresextic.gram import (Monomial, NotCanonical, g_table, gram6, gram_power,
                              normalized_shape_diag, shape_gram, shape_params)
@@ -154,3 +154,14 @@ def test_shape_certificate_runs_its_congruence_once(monkeypatch):
     sg = shape_gram(sextic_field(8775))
     assert sg.certificate_holds() and sg.certificate_holds()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", (-2, -17, -45, -270))
+def test_g_table_refuses_negative_m(m):
+    """The reference tables are stated for m > 0 (theta^2 = c); for m < 0 they would
+    silently differ from gram6, while the transition matrices hold for both signs."""
+    f = sextic_field(m)
+    t = classify(m)
+    with pytest.raises(ValueError, match="m > 0"):
+        g_table(t, f)
+    assert derived_transition(build_basis(f)).entries == tabulated_transition(t, f).entries
