@@ -7,18 +7,19 @@ a1^5 a3^3 a5^5 <= N/(a2^4 a4^4), one slice per a3 the windows allow; a T cell
 (a2, a3, a4) is one slice, a5/a1 in R1 and a1 a5 <= (N/(a2^4 a3^3 a4^4))^(1/5).
 The raw counts sum the window lengths of every cell.  The enumeration runs one
 shard per carefree cell: it expands the windows into int64 candidate arrays and
-filters them with vector masks (a squarefree sieve sized to the shard's largest
-coordinate, np.gcd for pairwise coprimality, and the Type table on m mod 15552
-built from per-coordinate residues); only the survivors get the exact
-irreducibility check.  compare() assembles counts over an N-ladder, fits the
-growth exponent, and reports the empirical constant against every prediction
-variant.
+filters them with vector masks: a squarefree sieve sized to the shard's largest
+coordinate, np.gcd for pairwise coprimality, the Type table on m mod 15552
+built from per-coordinate residues, and Capelli's irreducibility test read off
+the carefree tuple.  compare() enumerates the largest N of its ladder once,
+counts every rung from those tuples by the discriminant bound, fits the growth
+exponent, and reports the empirical constant against every prediction variant.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,9 +98,10 @@ def _select(spec: EnumSpec, a1: np.ndarray, a2: int, a3: np.ndarray, a4: int,
     """The candidates (a1[k], a2, a3[k], a4, a5[k]) that meet the spec, as tuples.
 
     a1, a3, a5 squarefree, all five pairwise coprime (a2, a4 are coprime
-    squarefree already), m of the spec's Type, and x^6 - m irreducible.  The
-    vector masks run first; the exact irreducibility check sees only their
-    survivors.
+    squarefree already), m of the spec's Type, and x^6 - m irreducible.  On
+    such a tuple m = sign a1 a2^2 a3^3 a4^4 a5^5 is a square iff sign > 0 and
+    a1 = a3 = a5 = 1, and a cube iff a1 = a2 = a4 = a5 = 1 (Capelli: x^6 - m is
+    irreducible iff m is neither).
     """
     sign = spec.sign
     if len(a1):
@@ -110,10 +112,13 @@ def _select(spec: EnumSpec, a1: np.ndarray, a2: int, a3: np.ndarray, a4: int,
         keep &= (np.gcd(a3, a2 * a4) == 1) & (np.gcd(a1, a5) == 1)
         acase, bcase = classify_array(_type_residues(sign * a2 ** 2 * a4 ** 4, a1, a3, a5))
         keep &= (acase == spec.type.i) & (bcase == spec.type.j)
+        ones = (a1 == 1) & (a5 == 1)
+        if sign > 0:
+            keep &= ~(ones & (a3 == 1))  # a square
+        if a2 == a4 == 1:
+            keep &= ~ones  # a cube
         a1, a3, a5 = a1[keep], a3[keep], a5[keep]
-    c = sign * a2 ** 2 * a4 ** 4
-    return [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())
-            if is_irreducible_sextic(c * x1 * x3 ** 3 * x5 ** 5)]
+    return [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())]
 
 
 def _cells(N: int, box: Box3, carefree: bool):
@@ -298,17 +303,24 @@ def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int],
             workers: int = 1, prime_bound: int = 10 ** 6) -> dict:
     """Empirical counts over the ladder vs every prediction variant.
 
-    For the T family the report carries both the linear-in-N reading of
-    Prop T-main and the N^(1/5) reading, and flags which one the data supports.
+    The box is enumerated once, at the largest N of the ladder.  A rung N counts
+    the tuples with a1^5 a2^4 a3^3 a4^4 a5^5 <= N: every other condition of a
+    cell is the same at every N (a T cell's a1 a5 <= (N/(a2^4 a3^3 a4^4))^(1/5)
+    is that bound, and so is a C slice's), so the count is len(enumerate_X) at
+    N.  The raw counts are one walk per rung.  For the T family the report
+    carries both the linear-in-N reading of Prop T-main and the N^(1/5)
+    reading, and flags which one the data supports.
     """
     kind = "mu" if family == "C" else "nu"
     preds = densities.integrate_measure(kind, t, sign, box, prime_bound)
+    enumerate_ = enumerate_C if family == "C" else enumerate_T
+    raw_count = raw_count_C if family == "C" else raw_count_T
+    top = enumerate_(EnumSpec(max(ladder), sign, t, box), workers) if ladder else []
+    bounds = sorted((a1 * a5) ** 5 * (a2 * a4) ** 4 * a3 ** 3 for a1, a2, a3, a4, a5 in top)
     rows = []
     for N in ladder:
-        spec = EnumSpec(N, sign, t, box)
-        tuples = enumerate_C(spec, workers) if family == "C" else enumerate_T(spec, workers)
-        cf = len(tuples)
-        raw = raw_count_C(N, box) if family == "C" else raw_count_T(N, box)
+        cf = bisect_right(bounds, N)
+        raw = raw_count(N, box)
         row = {
             "N": N,
             "raw_count": raw,

@@ -272,6 +272,18 @@ def test_equidist_beyond_the_coordinate_limit_exit_1_fast():
     assert "enumeration limit" in err and "Traceback" not in err
 
 
+def test_equidist_top_rung_beyond_the_coordinate_limit_exit_1_fast():
+    """The ladder is enumerated at its largest N first: a top rung over the limit
+    is refused before the lower rung is counted."""
+    code, err, seconds = run_module("equidist", "--family", "T", "--type", "1,1", "--sign", "+",
+                                    "--box", "10000000,10000001,1,6,1,3",
+                                    "--ladder", f"1000000,{10 ** 40}", "--prime-bound", "1000")
+    assert seconds < 10
+    assert code == 1
+    assert err.startswith(f"error: N={10 ** 40} needs tuple coordinates")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("family,box,N", [("T", "1,4,1,6,1,3", 10 ** 40),
                                          ("C", "1,8,1/8,8,1,6", 10 ** 50)], ids=["T", "C"])
 def test_equidist_beyond_the_candidate_limit_exit_1_fast(family, box, N):

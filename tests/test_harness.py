@@ -9,7 +9,7 @@ from puresextic.field import decompose, dual, is_irreducible_sextic, is_squarefr
 from puresextic.geometry import Box3
 from puresextic.harness import (EnumSpec, _select, compare, enumerate_C, enumerate_T,
                                 naive_scan, raw_count_C, raw_count_T, report_to_json)
-from puresextic.types import SexticType, classify
+from puresextic.types import ALL_TYPES, SexticType, classify
 
 T11 = SexticType(1, 1)
 T22 = SexticType(2, 2)
@@ -124,9 +124,10 @@ def test_workers_agree():
 
 
 def test_report_reproducible_bytes():
+    """The same bytes on a second run, and with the top rung enumerated by two workers."""
     ladder = [10 ** 6, 10 ** 8]
     r1 = compare("C", T11, 1, BOX_C, ladder, prime_bound=10 ** 4)
-    r2 = compare("C", T11, 1, BOX_C, ladder, prime_bound=10 ** 4)
+    r2 = compare("C", T11, 1, BOX_C, ladder, workers=2, prime_bound=10 ** 4)
     assert report_to_json(r1) == report_to_json(r2)
 
 
@@ -212,14 +213,15 @@ def test_raw_count_c_at_1e30_pinned():
     assert raw_count_C(10 ** 30, BOX_C) == 4236517
 
 
-def tuple_ok_reference(a, sign, t):
-    """The per-tuple scalar filter that the enumeration's vector masks replace."""
+def reference_type(a, sign):
+    """classify(m) of a carefree tuple whose x^6 - m is irreducible, else None: the
+    per-tuple scalar filter that the enumeration's vector masks replace."""
     if not all(is_squarefree(x) for x in a):
-        return False
+        return None
     if any(math.gcd(a[i], a[j]) != 1 for i in range(5) for j in range(i + 1, 5)):
-        return False
+        return None
     m = sign * a[0] * a[1] ** 2 * a[2] ** 3 * a[3] ** 4 * a[4] ** 5
-    return is_irreducible_sextic(m) and classify(m) == t
+    return classify(m) if is_irreducible_sextic(m) else None
 
 
 @pytest.mark.parametrize("a2,a4,sign,t", [(1, 1, 1, T11), (2, 5, -1, SexticType(3, 2)),
@@ -232,8 +234,78 @@ def test_vector_masks_match_the_scalar_filter(a2, a4, sign, t):
     a1, a3, a5 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
     got = _select(EnumSpec(1, sign, t, BOX_C), a1, a2, a3, a4, a5)
     want = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())
-            if tuple_ok_reference((x1, a2, x3, a4, x5), sign, t)]
+            if reference_type((x1, a2, x3, a4, x5), sign) == t]
     assert got == want and got
+
+
+SMALL_CELLS = [(a2, a4) for a2 in range(1, 7) for a4 in range(1, 6 // a2 + 1)
+               if is_squarefree(a2 * a4)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("a2,a4", SMALL_CELLS)
+def test_capelli_mask_matches_the_scalar_filter(a2, a4, sign):
+    """Every Type on every (a1, a3, a5) in [1, 20]^3 of the cells a2*a4 <= 6: the
+    squares (sign +, a1 = a3 = a5 = 1) and the cubes (a1 = a2 = a4 = a5 = 1) that
+    the mask rejects occur among the carefree tuples."""
+    import numpy as np
+    grid = np.arange(1, 21, dtype=np.int64)
+    a1, a3, a5 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
+    tuples = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())]
+    verdicts = [reference_type(a, sign) for a in tuples]
+    kept = 0
+    for t in ALL_TYPES:
+        got = _select(EnumSpec(1, sign, t, BOX_C), a1, a2, a3, a4, a5)
+        assert got == [a for a, v in zip(tuples, verdicts) if v == t], t
+        kept += len(got)
+    assert kept == sum(v is not None for v in verdicts) > 0
+
+
+@pytest.mark.parametrize("t", [T11, SexticType(2, 1)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("family, box", [("C", BOX_C), ("T", BOX_T)])
+def test_compare_counts_every_rung_as_its_own_enumeration(family, box, sign, t):
+    """One enumeration at the top rung, counted by the discriminant bound, gives
+    each rung of an unsorted ladder with a repeat what enumerating it alone gives;
+    one rung is the bound a1^5 a2^4 a3^3 a4^4 a5^5 of a tuple, which it counts."""
+    enum, raw = (enumerate_C, raw_count_C) if family == "C" else (enumerate_T, raw_count_T)
+    edge = max(((a1 * a5) ** 5 * (a2 * a4) ** 4 * a3 ** 3 for a1, a2, a3, a4, a5
+                in enum(EnumSpec(3 * 10 ** 7, sign, t, box))), default=3 * 10 ** 7)
+    ladder = [10 ** 8, 10 ** 6, edge, 10 ** 6]
+    rows = compare(family, t, sign, box, ladder, prime_bound=10 ** 3)["rows"]
+    assert [r["N"] for r in rows] == ladder
+    for r in rows:
+        assert r["carefree_count"] == len(enum(EnumSpec(r["N"], sign, t, box)))
+        assert r["raw_count"] == raw(r["N"], box)
+    assert rows[0]["carefree_count"] > 0
+
+
+@pytest.mark.parametrize("family, box", [("C", BOX_C), ("T", BOX_T)])
+def test_compare_on_an_empty_ladder(family, box):
+    rep = compare(family, T11, 1, box, [], prime_bound=10 ** 3)
+    assert rep["rows"] == [] and math.isnan(rep["fitted_slope"])
+
+
+def test_compare_enumerates_once_at_the_top_rung(monkeypatch):
+    """One enumeration, at max(ladder), and one raw count per rung."""
+    from puresextic import harness
+    enumerated, counted = [], []
+    enumerate_, raw_count = harness.enumerate_T, harness.raw_count_T
+
+    def counting_enumerate(spec, *args, **kwargs):
+        enumerated.append(spec.N)
+        return enumerate_(spec, *args, **kwargs)
+
+    def counting_raw_count(N, box):
+        counted.append(N)
+        return raw_count(N, box)
+
+    monkeypatch.setattr(harness, "enumerate_T", counting_enumerate)
+    monkeypatch.setattr(harness, "raw_count_T", counting_raw_count)
+    ladder = [10 ** 7, 10 ** 9, 10 ** 6, 10 ** 8]
+    compare("T", T11, 1, BOX_T, ladder, prime_bound=10 ** 3)
+    assert enumerated == [10 ** 9]
+    assert counted == ladder
 
 
 def test_one_compare_sieves_the_primes_once():
