@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -29,7 +28,6 @@ from .types import ALL_TYPES, SexticType, classify, smallest_m_of_type, type_par
 
 @dataclass
 class Config:
-    cache_dir: str | None
     digits: int
     workers: int
     format: str
@@ -270,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="puresextic",
                                  description="Integral bases, Gram matrices and lattice "
                                              "shapes of pure sextic fields")
-    ap.add_argument("--cache-dir", default=os.environ.get("PURESEXTIC_CACHE"),
-                    help="directory for density-table caches (env PURESEXTIC_CACHE)")
     ap.add_argument("--digits", type=_nonnegative_int, default=0,
                     help="decimal digits for numeric output")
     ap.add_argument("--workers", type=_positive_int, default=1)
@@ -358,10 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = Config(cache_dir=args.cache_dir, digits=args.digits, workers=args.workers,
-                 format=args.format, seed=args.seed)
-    if cfg.cache_dir:
-        densities.set_cache_dir(cfg.cache_dir)
+    cfg = Config(digits=args.digits, workers=args.workers, format=args.format, seed=args.seed)
     try:
         return args.fn(cfg, args)
     except ValueError as e:

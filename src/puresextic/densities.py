@@ -1,13 +1,13 @@
 """Local congruence densities and the limiting-measure integrals.
 
-Residue-level counts over Z/64 and Z/243 (CRT-split, cached) feed the
-coefficient functions and the box integrals of the limiting measures.  Each
-count folds one free coordinate at a time into a histogram of (number of
+Residue-level counts over Z/64 and Z/243 (CRT-split, memoised per process)
+feed the coefficient functions and the box integrals of the limiting measures.
+Each count folds one free coordinate at a time into a histogram of (number of
 p-divisible coordinates, product residue), O(mod^2) per coordinate instead of
-a (Z/mod)^k cube.  For
-primes l >= 5 the carefree survivor set is "at most one coordinate divisible
-by l" (the closed-form convention; the strict squarefree counterpart is also
-computed since it is what actual sixth-power-free tuples satisfy).
+a (Z/mod)^k cube.  For primes l >= 5 the carefree survivor set is "at most
+one coordinate divisible by l" (the closed-form convention; the strict
+squarefree counterpart is also computed since it is what actual
+sixth-power-free tuples satisfy).
 
 Measure integrals come in variants:
   stated   -- the closed-form limit constant in its stated, non-density
@@ -23,14 +23,9 @@ densities of squarefree pairwise-coprime tuples).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -171,126 +166,59 @@ def _fixed_part(mod: int, p: int, psq: int, residues: tuple[int, ...],
     return const, ndiv
 
 
-def n2_count(i: int, sign: int, a2: int, a4: int) -> int:
-    fixed = _fixed_part(64, 2, 4, (a2, a4), (2, 4))
-    if fixed is None:
+def _local_count(p: int, case: int, sign: int, fixed: tuple[int, ...],
+                 weights: tuple[int, ...], free: tuple[int, ...]) -> int:
+    """The one 2/3-part count: free residue tuples mod 64 (p = 2) or 243
+    (p = 3), every coordinate (fixed ones too) p^2-free and at most one of them
+    divisible by p, with sign * prod fixed^weights * prod free^powers in row
+    `case` of the Type table at p (the A-rows at 2, the B-rows at 3)."""
+    mod = 64 if p == 2 else 243
+    part = _fixed_part(mod, p, p * p, fixed, weights)
+    if part is None:
         return 0
-    const, ndiv = fixed
-    const = const * (sign % 64) % 64
-    return _count_free(64, 2, 4, (1, 3, 5), const, type_table()[0][:64] == i, 1 - ndiv)
+    const, ndiv = part
+    return _count_free(mod, p, p * p, free, const * sign % mod,
+                       type_table()[p - 2][:mod] == case, 1 - ndiv)
+
+
+def n2_count(i: int, sign: int, a2: int, a4: int) -> int:
+    return _local_count(2, i, sign, (a2, a4), (2, 4), (1, 3, 5))
 
 
 def n3_count(j: int, sign: int, a2: int, a4: int) -> int:
-    fixed = _fixed_part(243, 3, 9, (a2, a4), (2, 4))
-    if fixed is None:
-        return 0
-    const, ndiv = fixed
-    const = const * (sign % 243) % 243
-    return _count_free(243, 3, 9, (1, 3, 5), const, type_table()[1][:243] == j, 1 - ndiv)
+    return _local_count(3, j, sign, (a2, a4), (2, 4), (1, 3, 5))
 
 
 def m2_count(i: int, sign: int, a2: int, a3: int, a4: int) -> int:
-    fixed = _fixed_part(64, 2, 4, (a2, a3, a4), (2, 3, 4))
-    if fixed is None:
-        return 0
-    const, ndiv = fixed
-    const = const * (sign % 64) % 64
-    return _count_free(64, 2, 4, (1, 5), const, type_table()[0][:64] == i, 1 - ndiv)
+    return _local_count(2, i, sign, (a2, a3, a4), (2, 3, 4), (1, 5))
 
 
 def m3_count(j: int, sign: int, a2: int, a3: int, a4: int) -> int:
-    fixed = _fixed_part(243, 3, 9, (a2, a3, a4), (2, 3, 4))
-    if fixed is None:
-        return 0
-    const, ndiv = fixed
-    const = const * (sign % 243) % 243
-    return _count_free(243, 3, 9, (1, 5), const, type_table()[1][:243] == j, 1 - ndiv)
+    return _local_count(3, j, sign, (a2, a3, a4), (2, 3, 4), (1, 5))
 
 
 # ---------------------------------------------------------------------------
-# Cached tables (memory + optional disk)
+# The in-process memo of the 2/3-part counts
 # ---------------------------------------------------------------------------
 
+# Keyed by (kind, case, sign, key mod 64 or 243): Types sharing an A-row share
+# their n2/m2 entries, Types sharing a B-row their n3/m3 entries.
 _CACHE: dict[tuple, int] = {}
-_cache_dir: str | None = os.environ.get("PURESEXTIC_CACHE")
-
-
-@lru_cache(maxsize=1)
-def kernel_version() -> str:
-    """SHA-256 of the count kernels' source and the Type rules they read; keys the disk cache."""
-    here = Path(__file__).parent
-    return hashlib.sha256((here / "densities.py").read_bytes()
-                          + (here / "types.py").read_bytes()).hexdigest()
 
 
 def set_cache_dir(path: str | None) -> None:
-    global _cache_dir
-    _cache_dir = path
-
-
-def _disk_path(kind: str, case: int, sign: int) -> str | None:
-    if not _cache_dir:
-        return None
-    s = "p" if sign > 0 else "m"
-    return os.path.join(_cache_dir, f"{kind}_{case}_{s}.json")
-
-
-def _load_disk(kind: str, case: int, sign: int, modulus: int) -> dict:
-    path = _disk_path(kind, case, sign)
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError):  # missing, unreadable or not JSON: a miss, overwritten on store
-        return {}
-    if (not isinstance(data, dict) or data.get("kernel") != kernel_version()
-            or data.get("modulus") != modulus):
-        return {}
-    return {tuple(k): v for k, v in data.get("entries", [])}
-
-
-def _store_disk(kind: str, case: int, sign: int, modulus: int, entries: dict) -> None:
-    path = _disk_path(kind, case, sign)
-    if not path:
-        return
-    os.makedirs(_cache_dir, exist_ok=True)
-    payload = {"kernel": kernel_version(), "kind": kind, "case": case, "sign": sign,
-               "modulus": modulus,
-               "entries": sorted([list(k), v] for k, v in entries.items())}
-    fd, tmp = tempfile.mkstemp(dir=_cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)  # interrupt-safe: temp then rename
-
-
-_DISK_SYNCED: set = set()
+    """No-op.  The counts are memoised in this process only; this stays for
+    callers written when they could also be cached on disk."""
 
 
 def _cached(kind: str, case: int, sign: int, modulus: int, key: tuple[int, ...],
             compute) -> int:
-    key = tuple(k % modulus for k in key)
-    ck = (kind, case, sign, key)
-    if ck in _CACHE:
-        val = _CACHE[ck]
-        if _cache_dir and ck not in _DISK_SYNCED:  # write-through for late-set cache dirs
-            disk = _load_disk(kind, case, sign, modulus)
-            if key not in disk:
-                disk[key] = val
-                _store_disk(kind, case, sign, modulus, disk)
-            _DISK_SYNCED.add(ck)
-        return val
-    disk = _load_disk(kind, case, sign, modulus)
-    if key in disk:
-        val = disk[key]
-    else:
-        val = compute()
-        disk[key] = val
-        _store_disk(kind, case, sign, modulus, disk)
-    _CACHE[ck] = val
-    if _cache_dir:
-        _DISK_SYNCED.add(ck)
-    return val
+    """`compute` names its kernel at call time, so a wrapper set on the module
+    attribute (a tracer, a test counter) sees every miss."""
+    ck = (kind, case, sign, tuple(k % modulus for k in key))
+    if ck not in _CACHE:
+        _CACHE[ck] = compute()
+    return _CACHE[ck]
 
 
 def _check_coordinates(**coords: int) -> None:
@@ -396,12 +324,14 @@ _EULER_KINDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def euler_product(kind: str, prime_bound: int = 10 ** 6,
                   exclude: tuple[int, ...] = (2, 3)) -> tuple[float, float]:
     """(truncated product over primes <= prime_bound, rigorous tail bound).
 
     The true value lies in [value * exp(-tail), value]: each omitted factor is
     1 - x_l with 0 < x_l <= c/l^2, and sum_{n > B} (c/n^2 + c^2/n^4) < c/B + c^2/(3 B^3).
+    Computed once per (kind, prime_bound, exclude) per process.
     """
     fn, c = _EULER_KINDS[kind]
     ps = primes_up_to(prime_bound)

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 import puresextic
-from puresextic import densities
 from puresextic.basis import build_basis, derived_transition, tabulated_transition
 from puresextic.cli import main
 from puresextic.field import is_prime
@@ -110,18 +109,34 @@ def test_equidist_report_roundtrip(tmp_path, capsys):
         data["rows"][0]["carefree_count"]
 
 
-def test_density_cache_dir(tmp_path, capsys):
-    code, out = run(capsys, "--cache-dir", str(tmp_path), "density", "--type", "1,1",
-                    "--a2", "1", "--a4", "1")
+def test_density_count_at_a2_1_a4_1(capsys):
+    code, out = run(capsys, "density", "--type", "1,1", "--a2", "1", "--a4", "1")
     assert code == 0
-    count = json.loads(out)["count"]
-    assert count == 371504185344
-    files = list(tmp_path.glob("*.json"))
-    assert files, "disk cache was not written"
-    for f in files:
-        payload = json.loads(f.read_text())
-        assert payload["kernel"] == densities.kernel_version()
-        assert payload["modulus"] in (64, 243)
+    assert json.loads(out)["count"] == 371504185344
+
+
+def test_cache_dir_is_an_unknown_option(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--cache-dir", "x", "classify", "--m", "2"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--cache-dir" not in err  # the usage line no longer lists it
+
+
+def test_puresextic_cache_in_the_environment_changes_nothing(tmp_path):
+    """The density counts are memoised in the process only: the variable that
+    once named a disk cache neither changes the output nor creates a directory."""
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
+    env.pop("PURESEXTIC_CACHE", None)
+    argv = [sys.executable, "-m", "puresextic", "measure", "--family", "C", "--type", "1,1",
+            "--box", "1,8,1/8,8,1,6"]
+    plain = subprocess.run(argv, capture_output=True, timeout=60, env=env)
+    with_env = subprocess.run(argv, capture_output=True, timeout=60,
+                              env=dict(env, PURESEXTIC_CACHE=str(cache)))
+    assert plain.returncode == with_env.returncode == 0
+    assert with_env.stdout == plain.stdout
+    assert not cache.exists()
 
 
 def test_euler_command(capsys):
@@ -388,18 +403,3 @@ def test_ladder_entry_that_is_not_positive_digits_exit_2(capsys, cmd, entry):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert f"ladder entry {entry!r}" in err and "digits" in err
-
-
-def test_corrupt_cache_file_is_a_miss(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(densities, "_cache_dir", None)  # main() sets it; restore afterwards
-    argv = ["measure", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6"]
-    code, plain = run(capsys, *argv)
-    (tmp_path / "n2_1_p.json").write_text("garbage{")
-    code_cached, cached = run(capsys, "--cache-dir", str(tmp_path), *argv)
-    assert code == code_cached == 0
-    plain, cached = json.loads(plain), json.loads(cached)
-    assert cached.pop("config")["cache_dir"] == str(tmp_path)
-    plain.pop("config")
-    assert cached == plain
-    payload = json.loads((tmp_path / "n2_1_p.json").read_text())
-    assert payload["kernel"] == densities.kernel_version()

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction as Fr
 
@@ -216,23 +215,23 @@ def test_measure_empty_box_zero():
     assert D.mu_box_discrete(t, 1, degenerate, prime_bound=10 ** 3)["value"] == 0.0
 
 
-def test_disk_cache_from_other_kernel_code_is_recomputed(tmp_path, monkeypatch):
-    t = SexticType(1, 1)
-    monkeypatch.setattr(D, "_cache_dir", None)
+def test_types_sharing_a_row_share_its_memo_entry(monkeypatch):
+    """A1,B1 then A1,B2 at one (sign, a2, a4): the A-row count is computed once."""
+    calls = {"n2": 0, "n3": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    n2, n3 = D.n2_count, D.n3_count
+    monkeypatch.setattr(D, "n2_count", counting("n2", n2))
+    monkeypatch.setattr(D, "n3_count", counting("n3", n3))
     monkeypatch.setattr(D, "_CACHE", {})
-    monkeypatch.setattr(D, "_DISK_SYNCED", set())
-    expected = D.n_table(t, 1, 1, 1)
-    true_n2 = D.n2_count(1, 1, 1, 1)
-    stale = {"schema": 1, "kernel": "written by other kernel code", "kind": "n2", "case": 1,
-             "sign": 1, "modulus": 64, "entries": [[[1, 1], true_n2 + 1]]}
-    (tmp_path / "n2_1_p.json").write_text(json.dumps(stale))
-    monkeypatch.setattr(D, "_cache_dir", str(tmp_path))
-    monkeypatch.setattr(D, "_CACHE", {})
-    monkeypatch.setattr(D, "_DISK_SYNCED", set())
-    assert D.n_table(t, 1, 1, 1) == expected
-    payload = json.loads((tmp_path / "n2_1_p.json").read_text())
-    assert payload["kernel"] == D.kernel_version()
-    assert [[1, 1], true_n2] in payload["entries"]
+    assert D.n_table(SexticType(1, 1), 1, 1, 1) == n2(1, 1, 1, 1) * n3(1, 1, 1, 1)
+    assert D.n_table(SexticType(1, 2), 1, 1, 1) == n2(1, 1, 1, 1) * n3(2, 1, 1, 1)
+    assert calls == {"n2": 1, "n3": 2}
 
 
 def count_free_brute(mod, p, psq, powers, const, in_set, budget):

@@ -310,10 +310,12 @@ def test_compare_enumerates_once_at_the_top_rung(monkeypatch):
 
 def test_one_compare_sieves_the_primes_once():
     from puresextic import densities
-    bound = 12345  # a bound no other test uses, so the cache starts cold for it
+    bound = 12345  # a bound no other test uses, so the caches start cold for it
     before = densities.primes_up_to.cache_info()
+    euler_before = densities.euler_product.cache_info()
     compare("C", T11, 1, BOX_C, [10 ** 6, 10 ** 8], prime_bound=bound)
     after = densities.primes_up_to.cache_info()
     assert after.misses - before.misses == 1
-    assert after.hits - before.hits >= 3  # euler_product runs 4-5 times per compare
+    # one product per kind: carefree, carefree_strict and basic
+    assert densities.euler_product.cache_info().misses - euler_before.misses == 3
     assert not densities.primes_up_to(bound).flags.writeable
