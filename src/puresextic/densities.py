@@ -47,12 +47,18 @@ class InvalidPair(ValueError):
 @lru_cache(maxsize=None)
 def primes_up_to(n: int) -> np.ndarray:
     """The primes <= n, sieved once per n per process; the shared array is read-only."""
-    sieve = np.ones(max(n + 1, 2), dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(max(n, 0)) + 1):
-        if sieve[p]:
-            sieve[p * p:: p] = False
-    out = np.flatnonzero(sieve).astype(np.int64)
+    if n < 2:
+        out = np.zeros(0, dtype=np.int64)
+    else:
+        odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2 i + 1
+        for i in range(1, (math.isqrt(n) + 1) // 2):
+            if odd[i]:
+                p = 2 * i + 1
+                odd[p * p // 2:: p] = False
+        out = np.flatnonzero(odd).astype(np.int64, copy=False)
+        out *= 2
+        out += 1
+        out[0] = 2  # odd[0] stands for 1, which is no prime: its slot takes 2
     out.flags.writeable = False
     return out
 
@@ -335,8 +341,10 @@ def euler_product(kind: str, prime_bound: int = 10 ** 6,
     """
     fn, c = _EULER_KINDS[kind]
     ps = primes_up_to(prime_bound)
-    ps = ps[~np.isin(ps, exclude)]
-    val = float(np.exp(fn(ps.astype(np.float64)).sum()))
+    keep = np.ones(len(ps), dtype=bool)
+    for q in exclude:
+        keep &= ps != q
+    val = float(np.exp(fn(ps[keep].astype(np.float64)).sum()))
     b = float(prime_bound)
     tail = c / b + c * c / (3 * b ** 3)
     return val, tail

@@ -5,24 +5,28 @@ regions a1 a5 <= M, (a5/a1)^2 in [S', S] of geometry's one window kernel.  A C
 cell (a2, a4) is the region (a5/a1)^2 in R1 a2/a4, a5/(a1 a3^3) in R2 a4/a2,
 a1^5 a3^3 a5^5 <= N/(a2^4 a4^4), one slice per a3 the windows allow; a T cell
 (a2, a3, a4) is one slice, a5/a1 in R1 and a1 a5 <= (N/(a2^4 a3^3 a4^4))^(1/5).
-The raw counts sum the window lengths of every cell.  The enumeration runs one
-shard per carefree cell: it expands the windows into int64 candidate arrays and
-filters them with vector masks: a squarefree sieve sized to the shard's largest
-coordinate, np.gcd for pairwise coprimality, the Type table on m mod 15552
-built from per-coordinate residues, and Capelli's irreducibility test read off
-the carefree tuple.  compare() enumerates the largest N of its ladder once,
-counts every rung from those tuples by the discriminant bound, fits the growth
-exponent, and reports the empirical constant against every prediction variant.
+One shard function walks a cell: it takes every slice's windows (x1, lo, hi),
+expands the windows of its carefree slices into int64 candidate arrays and
+filters them with one mask, each test on the survivors of the one before: a
+squarefree sieve sized to the shard's largest coordinate, np.gcd for pairwise
+coprimality, the Type table on m mod 15552 (a5^5 read from a table of fifth
+powers), and Capelli's irreducibility test read off the carefree tuple.
+enumerate_C/enumerate_T sort the shards' tuples; raw_count_C/raw_count_T sum
+the window lengths of every cell at one N.  compare() walks every cell once, at
+the largest N of its ladder, and counts each rung from that walk with no tuples:
+a slice's windows and kept candidates are the same at every N, cut at
+a1 a5 <= M_N = floor((N / K)^(1/5)), K = (a2 a4)^4 a3^3.  It fits the growth
+exponent and reports the empirical constant against every prediction variant.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -83,56 +87,76 @@ def _squarefree_sieve(top: int) -> np.ndarray:
     return sf
 
 
-def _type_residues(const: int, a1: np.ndarray, a3: np.ndarray, a5: np.ndarray) -> np.ndarray:
-    """const * a1 * a3^3 * a5^5 mod TYPE_MOD, reduced after every product (no int64 overflow)."""
-    r = np.full(len(a1), const % TYPE_MOD, dtype=np.int64)
-    for a, e in ((a1, 1), (a3, 3), (a5, 5)):
-        x = a % TYPE_MOD
-        for _ in range(e):
-            r = r * x % TYPE_MOD
-    return r
+@lru_cache(maxsize=1)
+def _fifth_powers() -> np.ndarray:
+    """r^5 mod TYPE_MOD for every residue r, as a read-only int64 array."""
+    r = np.arange(TYPE_MOD, dtype=np.int64)
+    out = (r * r % TYPE_MOD) ** 2 % TYPE_MOD * r % TYPE_MOD
+    out.flags.writeable = False
+    return out
+
+
+def _meet(spec: EnumSpec, a1: np.ndarray, a2: int, a3, a4: int,
+          a5: np.ndarray) -> tuple[np.ndarray, object, np.ndarray]:
+    """(a1, a3, a5) of the candidates (a1[k], a2, a3[k], a4, a5[k]) that meet the spec.
+
+    a3 is an array, or one int for every candidate.  The conditions are tested in
+    turn, each on the survivors of the one before: a1, a3, a5 squarefree, all five
+    pairwise coprime (a2, a4 are coprime squarefree already), m of the spec's
+    Type, and x^6 - m irreducible.  On such a tuple m = sign a1 a2^2 a3^3 a4^4 a5^5
+    is a square iff sign > 0 and a1 = a3 = a5 = 1, and a cube iff
+    a1 = a2 = a4 = a5 = 1 (Capelli: x^6 - m is irreducible iff m is neither).
+    """
+    def survivors(keep):
+        return a1[keep], (a3[keep] if np.ndim(a3) else a3), a5[keep]
+
+    if not len(a1):
+        return a1, a3, a5
+    sf = _squarefree_sieve(int(max(a1.max(), np.max(a3), a5.max())))
+    a1, a3, a5 = survivors(sf[a1] & sf[a3] & sf[a5])
+    a24 = a2 * a4
+    a1, a3, a5 = survivors((np.gcd(a1 * a5, a3 * a24) == 1) & (np.gcd(a1, a5) == 1)
+                           & (np.gcd(a3, a24) == 1))
+    # m mod TYPE_MOD with every product below TYPE_MOD^4 < 2^63; a fixed a3 folds
+    # into the constant
+    const = spec.sign * a2 ** 2 * a4 ** 4 % TYPE_MOD * (a3 % TYPE_MOD) ** 3 % TYPE_MOD
+    acase, bcase = classify_array(const * (a1 % TYPE_MOD) % TYPE_MOD
+                                  * _fifth_powers()[a5 % TYPE_MOD])
+    keep = (acase == spec.type.i) & (bcase == spec.type.j)
+    ones = (a1 == 1) & (a5 == 1)
+    if spec.sign > 0:
+        keep &= ~(ones & (a3 == 1))  # a square
+    if a2 == a4 == 1:
+        keep &= ~ones  # a cube
+    return survivors(keep)
 
 
 def _select(spec: EnumSpec, a1: np.ndarray, a2: int, a3: np.ndarray, a4: int,
             a5: np.ndarray) -> list[tuple[int, ...]]:
-    """The candidates (a1[k], a2, a3[k], a4, a5[k]) that meet the spec, as tuples.
+    """The candidates (a1[k], a2, a3[k], a4, a5[k]) that meet the spec (see _meet), as tuples."""
+    return _tuples(a2, a4, *_meet(spec, a1, a2, a3, a4, a5))
 
-    a1, a3, a5 squarefree, all five pairwise coprime (a2, a4 are coprime
-    squarefree already), m of the spec's Type, and x^6 - m irreducible.  On
-    such a tuple m = sign a1 a2^2 a3^3 a4^4 a5^5 is a square iff sign > 0 and
-    a1 = a3 = a5 = 1, and a cube iff a1 = a2 = a4 = a5 = 1 (Capelli: x^6 - m is
-    irreducible iff m is neither).
-    """
-    sign = spec.sign
-    if len(a1):
-        sf = _squarefree_sieve(int(max(a1.max(), a3.max(), a5.max())))
-        keep = sf[a1] & sf[a3] & sf[a5]
-        a234 = a3 * (a2 * a4)
-        keep &= (np.gcd(a1, a234) == 1) & (np.gcd(a5, a234) == 1)
-        keep &= (np.gcd(a3, a2 * a4) == 1) & (np.gcd(a1, a5) == 1)
-        acase, bcase = classify_array(_type_residues(sign * a2 ** 2 * a4 ** 4, a1, a3, a5))
-        keep &= (acase == spec.type.i) & (bcase == spec.type.j)
-        ones = (a1 == 1) & (a5 == 1)
-        if sign > 0:
-            keep &= ~(ones & (a3 == 1))  # a square
-        if a2 == a4 == 1:
-            keep &= ~ones  # a cube
-        a1, a3, a5 = a1[keep], a3[keep], a5[keep]
+
+def _tuples(a2: int, a4: int, a1: np.ndarray, a3: np.ndarray,
+            a5: np.ndarray) -> list[tuple[int, ...]]:
     return [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())]
+
+
+def _carefree(a2: int, a3: int, a4: int) -> bool:
+    """a2, a3, a4 squarefree and pairwise coprime: the slices that can hold a carefree tuple."""
+    return is_squarefree(a2 * a3 * a4)
 
 
 def _cells(N: int, box: Box3, carefree: bool):
     """(a2, a4, slices) for each cell of the box that holds a tuple under N, with
     the slices (a3, M, S', S) of the module docstring; with `carefree`, only the
     cells and the a3 of carefree tuples."""
-    def keep(a3, a2, a4):
-        return not carefree or (is_squarefree(a3) and math.gcd(a3, a2 * a4) == 1)
-
     if box.kind == "C":
         for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3), carefree):
             r = Fr(a2, a4)
             slices = [s for s in slices_M3(N // (a2 ** 4 * a4 ** 4), box.r1p * r, box.r1 * r,
-                                           box.r2p / r, box.r2 / r) if keep(s[0], a2, a4)]
+                                           box.r2p / r, box.r2 / r)
+                      if not carefree or _carefree(a2, s[0], a4)]
             if slices:
                 yield a2, a4, slices
         return
@@ -140,23 +164,40 @@ def _cells(N: int, box: Box3, carefree: bool):
     for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2), carefree):
         for a3 in range(int(box.r3p), int(box.r3) + 1):
             M = iroot(N // (a2 ** 4 * a3 ** 3 * a4 ** 4), 5)
-            if M and keep(a3, a2, a4):
+            if M and (not carefree or _carefree(a2, a3, a4)):
                 yield a2, a4, [(a3, M, Sp, S)]
 
 
-def _enum_shard(args) -> list[tuple[int, ...]]:
-    """The tuples of one cell that meet the spec: its windows, expanded and _select-ed."""
+_NO_CANDIDATES = (np.zeros(0, dtype=np.int64),) * 3
+
+
+def _shard(args) -> tuple[list[list[tuple[int, int, int]]], tuple[np.ndarray, ...]]:
+    """One cell, walked once: the windows (x1, lo, hi) of each of its slices, and
+    (a1, a3, a5) of the candidates in its carefree slices that meet the spec."""
     spec, a2, a4, slices = args
-    windows = [(a3, x1, lo, hi) for a3, M, Sp, S in slices for x1, lo, hi in windows_M2(M, Sp, S)]
-    if not windows:
-        return []
+    walked = [list(windows_M2(M, Sp, S)) for _, M, Sp, S in slices]
+    care = [(s[0], ws) for s, ws in zip(slices, walked) if ws and _carefree(a2, s[0], a4)]
+    if not care:
+        return walked, _NO_CANDIDATES
+    windows = [(a3, *w) for a3, ws in care for w in ws]
     _check_shard(spec.N, a2, a4, windows)
     a3, a1, a5 = _expand(windows)
+    a1, a3, a5 = _meet(spec, a1, a2, care[0][0] if len(care) == 1 else a3, a4, a5)
+    a3 = np.broadcast_to(a3, a1.shape)
     if a2 > a4:
         # ratio-1 leaf: keep a4 >= a2 (in C, a1 = a5 gives lambda1^3 = a4/a2 >= R1' >= 1)
         keep = a1 != a5
         a1, a3, a5 = a1[keep], a3[keep], a5[keep]
-    return _select(spec, a1, a2, a3, a4, a5)
+    return walked, (a1, a3, a5)
+
+
+def _map_shards(spec: EnumSpec, cells: list, workers: int) -> list:
+    """_shard of every cell, in `workers` processes if more than one."""
+    shards = [(spec, *cell) for cell in cells]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(_shard, shards))
+    return list(map(_shard, shards))
 
 
 def _check_family(name: str, box: Box3, kind: str) -> None:
@@ -165,15 +206,13 @@ def _check_family(name: str, box: Box3, kind: str) -> None:
 
 
 def _enumerate(spec: EnumSpec, kind: str, workers: int) -> list[tuple[int, ...]]:
-    """The sorted union of the carefree cells' shards, in `workers` processes if more than one."""
+    """The sorted tuples of the carefree cells' shards."""
     _check_family("enumerate", spec.box, kind)
-    shards = [(spec, *cell) for cell in _cells(spec.N, spec.box, carefree=True)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_enum_shard, shards))
-    else:
-        parts = map(_enum_shard, shards)
-    return sorted(x for part in parts for x in part)
+    cells = list(_cells(spec.N, spec.box, carefree=True))
+    tuples = []
+    for (a2, a4, _), (_, kept) in zip(cells, _map_shards(spec, cells, workers)):
+        tuples += _tuples(a2, a4, *kept)
+    return sorted(tuples)
 
 
 def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
@@ -299,28 +338,56 @@ def fit_slope(ns: list[int], counts: list[int]) -> float:
     return float(slope)
 
 
+def _ladder_counts(family: str, spec: EnumSpec, ladder: list[int],
+                   workers: int) -> list[tuple[int, int]]:
+    """(raw, carefree) count of every rung N of the ladder, from one walk of the top rung spec.N.
+
+    A slice's ratio windows do not depend on N, so its windows at N are those of
+    the top rung cut at x5 <= M_N // x1, with M_N = floor((N / K)^(1/5)) and
+    K = (a2 a4)^4 a3^3, and a kept candidate is under N iff a1 a5 <= M_N.
+    """
+    _check_family("compare", spec.box, family)
+    cells = list(_cells(spec.N, spec.box, carefree=False))
+    K, walked, a1a5, kept_slice = [], [], [_NO_CANDIDATES[0]], [_NO_CANDIDATES[0]]
+    for (a2, a4, slices), (windows, (a1, a3, a5)) in zip(cells, _map_shards(spec, cells, workers)):
+        a1a5.append(a1 * a5)
+        kept_slice.append(len(K) + np.searchsorted([s[0] for s in slices], a3))
+        K += [(a2 * a4) ** 4 * s[0] ** 3 for s in slices]
+        walked += windows
+    n = sum(map(len, walked))
+    # no count, window end or M_N exceeds the largest M of the top rung
+    top = max((s[1] for *_, slices in cells for s in slices), default=0)
+    dtype = np.int64 if (top + 1) * (n + 1) < 2 ** 63 else object
+    x1, lo, hi = np.fromiter(chain.from_iterable(chain.from_iterable(walked)), dtype,
+                             3 * n).reshape(n, 3).T
+    window_slice = np.repeat(np.arange(len(K)), [len(w) for w in walked])
+    a1a5, kept_slice = np.concatenate(a1a5), np.concatenate(kept_slice)
+    counts = []
+    for N in ladder:
+        M = np.array([iroot(N // k, 5) for k in K], dtype=dtype)
+        raw = np.maximum(np.minimum(hi, M[window_slice] // x1) - lo + 1, 0).sum()
+        counts.append((int(raw), int(np.count_nonzero(a1a5 <= M[kept_slice]))))
+    return counts
+
+
 def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int],
             workers: int = 1, prime_bound: int = 10 ** 6) -> dict:
     """Empirical counts over the ladder vs every prediction variant.
 
-    The box is enumerated once, at the largest N of the ladder.  A rung N counts
-    the tuples with a1^5 a2^4 a3^3 a4^4 a5^5 <= N: every other condition of a
-    cell is the same at every N (a T cell's a1 a5 <= (N/(a2^4 a3^3 a4^4))^(1/5)
-    is that bound, and so is a C slice's), so the count is len(enumerate_X) at
-    N.  The raw counts are one walk per rung.  For the T family the report
+    Both counts of every rung come from one walk of the box at the largest N of
+    the ladder (see _ladder_counts): the raw count is the lattice points under N,
+    raw_count_X(N), and the carefree count the tuples with
+    a1^5 a2^4 a3^3 a4^4 a5^5 <= N, len(enumerate_X) at N, since every other
+    condition of a cell is the same at every N.  For the T family the report
     carries both the linear-in-N reading of Prop T-main and the N^(1/5)
     reading, and flags which one the data supports.
     """
     kind = "mu" if family == "C" else "nu"
     preds = densities.integrate_measure(kind, t, sign, box, prime_bound)
-    enumerate_ = enumerate_C if family == "C" else enumerate_T
-    raw_count = raw_count_C if family == "C" else raw_count_T
-    top = enumerate_(EnumSpec(max(ladder), sign, t, box), workers) if ladder else []
-    bounds = sorted((a1 * a5) ** 5 * (a2 * a4) ** 4 * a3 ** 3 for a1, a2, a3, a4, a5 in top)
+    counts = _ladder_counts(family, EnumSpec(max(ladder), sign, t, box), ladder,
+                            workers) if ladder else []
     rows = []
-    for N in ladder:
-        cf = bisect_right(bounds, N)
-        raw = raw_count(N, box)
+    for N, (raw, cf) in zip(ladder, counts):
         row = {
             "N": N,
             "raw_count": raw,

@@ -96,6 +96,14 @@ def test_type_marginal_identity():
     assert total == count
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 97, 12345])
+def test_primes_up_to_matches_trial_division(n):
+    # the uncached sieve, so the cache stays cold for the bound 12345 of test_harness.py
+    want = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    got = D.primes_up_to.__wrapped__(n)
+    assert got.dtype == "int64" and got.tolist() == want
+
+
 def test_euler_basic_closed_form():
     val, tail = D.euler_product("basic", 10 ** 6)
     assert abs(val - 9 / math.pi ** 2) < 1e-6

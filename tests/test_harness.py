@@ -286,26 +286,102 @@ def test_compare_on_an_empty_ladder(family, box):
     assert rep["rows"] == [] and math.isnan(rep["fitted_slope"])
 
 
-def test_compare_enumerates_once_at_the_top_rung(monkeypatch):
-    """One enumeration, at max(ladder), and one raw count per rung."""
+def test_compare_walks_each_slice_of_the_top_rung_once(monkeypatch):
+    """Every rung is counted from one walk of max(ladder): compare calls neither
+    enumerate_T nor raw_count_T, and windows_M2 once per (a2, a4, a3) slice of
+    the top rung, carefree or not."""
     from puresextic import harness
-    enumerated, counted = [], []
-    enumerate_, raw_count = harness.enumerate_T, harness.raw_count_T
+    from puresextic.field import iroot
 
-    def counting_enumerate(spec, *args, **kwargs):
-        enumerated.append(spec.N)
-        return enumerate_(spec, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare called a per-rung function")
 
-    def counting_raw_count(N, box):
-        counted.append(N)
-        return raw_count(N, box)
+    walked = []
+    windows_M2 = harness.windows_M2
 
-    monkeypatch.setattr(harness, "enumerate_T", counting_enumerate)
-    monkeypatch.setattr(harness, "raw_count_T", counting_raw_count)
+    def counting_windows_M2(M, Sp, S):
+        walked.append(M)
+        return windows_M2(M, Sp, S)
+
+    monkeypatch.setattr(harness, "enumerate_T", refuse)
+    monkeypatch.setattr(harness, "raw_count_T", refuse)
+    monkeypatch.setattr(harness, "windows_M2", counting_windows_M2)
     ladder = [10 ** 7, 10 ** 9, 10 ** 6, 10 ** 8]
     compare("T", T11, 1, BOX_T, ladder, prime_bound=10 ** 3)
-    assert enumerated == [10 ** 9]
-    assert counted == ladder
+    want = [iroot(10 ** 9 // ((a2 * a4) ** 4 * a3 ** 3), 5)
+            for n in range(1, 7) for a2 in range(1, n + 1) if n % a2 == 0
+            for a4 in [n // a2] for a3 in range(1, 4)]
+    assert len(want) == 42 and min(want) > 0
+    assert sorted(walked) == sorted(want)
+
+
+def test_t_report_reproducible_with_two_workers():
+    ladder = [10 ** 6, 10 ** 9]
+    r1 = compare("T", T11, 1, BOX_T, ladder, prime_bound=10 ** 4)
+    r2 = compare("T", T11, 1, BOX_T, ladder, workers=2, prime_bound=10 ** 4)
+    assert report_to_json(r1) == report_to_json(r2)
+    assert r1["rows"][0]["carefree_count"] > 0
+
+
+@pytest.mark.parametrize("family, box", [("C", Box3(1, 8, Fr(1, 8), 8, 7, 7, kind="C")),
+                                         ("T", Box3(1, 4, 2, 6, 5, 6, kind="T"))])
+def test_rungs_below_every_tuple_bound_count_zero(family, box):
+    """Every lattice point of these boxes has a1^5 a2^4 a3^3 a4^4 a5^5 >= 7^4 (C) or
+    2^4 5^3 (T), above the rungs 1 and 10^3; the top rung holds tuples."""
+    enum, raw = (enumerate_C, raw_count_C) if family == "C" else (enumerate_T, raw_count_T)
+    rows = compare(family, T11, 1, box, [1, 10 ** 3, 10 ** 12], prime_bound=10 ** 3)["rows"]
+    assert [(r["raw_count"], r["carefree_count"]) for r in rows[:2]] == [(0, 0), (0, 0)]
+    assert rows[2]["carefree_count"] == len(enum(EnumSpec(10 ** 12, 1, T11, box))) > 0
+    assert rows[2]["raw_count"] == raw(10 ** 12, box)
+
+
+def test_c_rungs_that_lose_top_rung_slices_count_as_their_own_walks():
+    """At 10^3..10^5 cells of BOX_C hold fewer x3-slices than at the top rung 10^8."""
+    from puresextic.harness import _cells
+
+    def slices(N):
+        return {(a2, a4): len(s) for a2, a4, s in _cells(N, BOX_C, carefree=False)}
+
+    ladder = [10 ** 8, 10 ** 3, 10 ** 4, 10 ** 5]
+    assert all(slices(N) != slices(ladder[0]) for N in ladder[1:])
+    rows = compare("C", T11, 1, BOX_C, ladder, prime_bound=10 ** 3)["rows"]
+    for r in rows:
+        assert r["raw_count"] == raw_count_C(r["N"], BOX_C)
+        assert r["carefree_count"] == len(enumerate_C(EnumSpec(r["N"], 1, T11, BOX_C))) > 0
+
+
+def test_compare_counts_windows_beyond_int64():
+    """No carefree cell (a2 a4 = 4), and the top rung's M = (10^100 / 4^4)^(1/5) is
+    above 2^63: the raw counts stay exact."""
+    box = Box3(10 ** 12, 10 ** 12 + 1, 4, 4, 1, 1, kind="T")
+    ladder = [10 ** 100, 10 ** 80, 10 ** 60]
+    rows = compare("T", T11, 1, box, ladder, prime_bound=10 ** 3)["rows"]
+    assert [r["raw_count"] for r in rows] == [raw_count_T(N, box) for N in ladder]
+    assert rows[0]["raw_count"] > 0 and all(r["carefree_count"] == 0 for r in rows)
+
+
+def test_compare_refuses_a_top_rung_over_the_candidate_limit():
+    """The same refusal as enumerate_C at the top rung, raised before a lower rung is counted."""
+    with pytest.raises(ValueError, match="candidates in one shard") as want:
+        enumerate_C(EnumSpec(10 ** 50, 1, T11, BOX_C))
+    with pytest.raises(ValueError, match="candidates in one shard") as got:
+        compare("C", T11, 1, BOX_C, [10 ** 6, 10 ** 50], prime_bound=10 ** 3)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"N={10 ** 50} needs ")
+
+
+def test_a_c_cell_whose_slices_fit_but_whose_sum_does_not_is_refused():
+    """At 10^32 each carefree slice of the cell (1, 1) of BOX_C holds fewer than
+    _CANDIDATE_LIMIT candidates, and together they hold more."""
+    from puresextic.geometry import count_slices
+    from puresextic.harness import _CANDIDATE_LIMIT, _cells
+    N = 10 ** 32
+    a2, a4, slices = next(_cells(N, BOX_C, carefree=True))
+    sizes = [count_slices([s]) for s in slices]
+    assert (a2, a4) == (1, 1) and len(sizes) > 1
+    assert max(sizes) <= _CANDIDATE_LIMIT < sum(sizes)
+    with pytest.raises(ValueError, match=f"N={N} needs {sum(sizes)} candidates in one shard"):
+        compare("C", T11, 1, BOX_C, [N], prime_bound=10 ** 3)
 
 
 def test_one_compare_sieves_the_primes_once():
