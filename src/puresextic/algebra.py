@@ -15,7 +15,8 @@ their left factor, so a diagonal Gram costs little) and determinants (a
 forward Bareiss elimination over Z[c], dividing exactly through the norm) never
 build a Fraction; the reference tables and the shape certificate (gram) build
 their entries from integer numerators with the constructors here.  Numeric
-evaluation (display, cross-checks) uses mpmath.
+evaluation (display, cross-checks) uses mpmath, imported on first use: exact
+work never loads it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 
 class RadicandMismatch(ValueError):
@@ -158,6 +160,7 @@ class CubicNum(_RadicalNum):
 
     def evaluate(self, prec: int = 50) -> mpmath.mpf:
         """Numeric value at the real cube root of m."""
+        import mpmath
         with mpmath.workdps(prec):
             c = mpmath.cbrt(mpmath.mpf(abs(self.m)))
             if self.m < 0:
@@ -210,6 +213,7 @@ def _adj3(q: Sequence, m: int) -> tuple:
 
 
 def _mpf_frac(q: Fraction) -> mpmath.mpf:
+    import mpmath
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
 
 
@@ -289,6 +293,7 @@ def trace_numeric(x: SexticNum, prec: int = 60):
     Cross-checks SexticNum.trace(): the embeddings send theta to |m|^(1/6) * w
     with w running over the sixth roots of sign(m).
     """
+    import mpmath
     m = x.m
     with mpmath.workdps(prec):
         r = mpmath.mpf(abs(m)) ** (mpmath.mpf(1) / 6)

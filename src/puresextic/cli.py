@@ -12,8 +12,6 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import densities
 from .algebra import CubicMatrix
 from .basis import build_basis, derived_transition, tabulated_transition
@@ -111,6 +109,7 @@ def cmd_gram(cfg: Config, args) -> int:
     g = gram6(f)
     out = {"m": args.m, "type": str(classify(args.m)), "gram": g.to_json()}
     if cfg.digits:
+        import mpmath
         with mpmath.workdps(cfg.digits):
             out["gram_decimal"] = [[mpmath.nstr(x.evaluate(cfg.digits + 10), cfg.digits)
                                     for x in row] for row in g.entries]

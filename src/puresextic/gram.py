@@ -23,13 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .algebra import CubicMatrix, CubicNum, SexticNum, hermitian_gram, _mpf_frac
 from .basis import Aux, IntegralBasis, aux_constants, build_basis, derived_transition, power_type_basis
 from .field import SexticField
 from .types import SexticType
+
+if TYPE_CHECKING:
+    import mpmath
 
 Fr = Fraction
 
@@ -83,6 +85,7 @@ class Monomial:
         return hash(frozenset(self.reduced().items()))
 
     def value(self, prec: int = 30) -> mpmath.mpf:
+        import mpmath
         with mpmath.workdps(prec):
             v = mpmath.mpf(1)
             for b, e in zip(self.bases, self.exponents):
@@ -125,6 +128,7 @@ class ShapeParams:
             "lambda4": self.lam4.to_json(),
         }
         if digits:
+            import mpmath
             vals = self.values(digits + 10)
             with mpmath.workdps(digits):
                 out["decimal"] = [mpmath.nstr(+v, digits) for v in vals]

@@ -17,13 +17,14 @@ the largest N of its ladder, and counts each rung from that walk with no tuples:
 a slice's windows and kept candidates are the same at every N, cut at
 a1 a5 <= M_N = floor((N / K)^(1/5)), K = (a2 a4)^4 a3^3.  It fits the growth
 exponent and reports the empirical constant against every prediction variant.
+With workers > 1 the shards run in a process pool, imported on first use: a
+one-worker run never loads multiprocessing.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -195,6 +196,7 @@ def _map_shards(spec: EnumSpec, cells: list, workers: int) -> list:
     """_shard of every cell, in `workers` processes if more than one."""
     shards = [(spec, *cell) for cell in cells]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(_shard, shards))
     return list(map(_shard, shards))

@@ -231,6 +231,27 @@ def test_half_one_plus_theta_cubed_integral_iff_m_is_1_mod_4():
         assert x.is_algebraic_integer() == (m % 4 == 1), m
 
 
+def test_integrality_agrees_with_the_char_poly_denominators():
+    """is_algebraic_integer is "char_poly has integer coefficients", however it is computed.
+
+    Integral elements with den > 1: beta, gamma, delta (the last three) of the
+    bases of Types A1..A5,B3.  Non-integral ones: theta/2, theta^2/3, (1+theta^3)/4."""
+    from puresextic.basis import build_basis
+    from puresextic.field import sextic_field
+    from puresextic.types import SexticType, smallest_m_of_type
+    integral = [e for i in range(1, 6)
+                for e in build_basis(sextic_field(smallest_m_of_type(SexticType(i, 3), 1)[0]))
+                .elements[3:]]
+    assert all(x.den > 1 for x in integral)
+    others = [x for m in (2, 3, -5, 17, 12) for x in (
+        SexticNum.theta_power(m, 1, Fr(1, 2)), SexticNum.theta_power(m, 2, Fr(1, 3)),
+        SexticNum.of(m, (Fr(1, 4), 0, 0, Fr(1, 4), 0, 0)))]
+    for x in integral + others:
+        assert x.is_algebraic_integer() == all(c.denominator == 1 for c in x.char_poly()), x
+    assert all(x.is_algebraic_integer() for x in integral)
+    assert not any(x.is_algebraic_integer() for x in others)
+
+
 # The power-sum kernel against its oracle: Faddeev-LeVerrier on the multiplication
 # matrix, for any degree n and radicand m (theta^n = m need not define a field).
 
