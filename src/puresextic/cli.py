@@ -194,8 +194,7 @@ def cmd_euler(cfg: Config, args) -> int:
 def cmd_measure(cfg: Config, args) -> int:
     t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
-    kind = "mu" if args.family == "C" else "nu"
-    out = densities.integrate_measure(kind, t, args.sign, box, args.prime_bound)
+    out = densities.integrate_measure(t, args.sign, box, args.prime_bound)
     _emit(cfg, {"family": args.family, "type": str(t), "sign": args.sign,
                 "box": box.to_json(), "variants": out})
     return 0

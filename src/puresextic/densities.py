@@ -16,7 +16,8 @@ Measure integrals come in variants:
               (n_{i,j}/15552^3 instead of /6^6);
   discrete -- pair-based asymptotics with a discrete a3-sum (the form the
               exact lattice counts actually follow; see notes in the repo
-              README about the 3d count lemma).
+              README about the 3d count lemma), a sum over the carefree
+              cells of geometry.box_cells, the cells the counts walk.
 Each local flavor is 'loose' (mod-l^2 closed forms) or 'strict' (true local
 densities of squarefree pairwise-coprime tuples).
 """
@@ -29,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import factorize, is_squarefree
-from .geometry import Box3
+from .field import divisors, factorize, is_squarefree
+from .geometry import Box3, box_cells, divisor_pairs
 from .types import TYPE_MOD, SexticType, type_table
 
 Fr = Fraction
@@ -364,7 +365,7 @@ def alpha_terms(t: SexticType, sign: int, n: int) -> list[tuple[Fraction, int]]:
         if l not in (2, 3):
             w *= Fr(l - 1, l + 2)
     out = []
-    for n1 in sorted(_divisors(n)):
+    for n1 in sorted(divisors(n)):
         n2 = n // n1
         cnt = n_table(t, sign, n1, n2)
         if cnt:
@@ -387,28 +388,10 @@ def beta_value(t: SexticType, sign: int, m: int, n: int,
         if l not in (2, 3):
             w *= Fr(l - 1, l + 2) if stated_weight else Fr(l - 1, l + 1)
     total = Fr(0)
-    for n1 in sorted(_divisors(n)):
+    for n1 in sorted(divisors(n)):
         n2 = n // n1
         total += Fr(m_table(t, sign, n1, m, n2), n ** 4 * m ** 3)
     return w * total
-
-
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return out
-
-
-def divisor_pairs(lo: int, hi: int, squarefree: bool = True):
-    """(a2, a4) with a2 * a4 = n and n in [max(lo, 1), hi], in `_divisors` order.
-
-    With `squarefree`, only squarefree n, whose two parts are then coprime.
-    """
-    for n in range(max(lo, 1), hi + 1):
-        if not squarefree or is_squarefree(n):
-            for a2 in _divisors(n):
-                yield a2, n // a2
 
 
 # ---------------------------------------------------------------------------
@@ -473,94 +456,67 @@ def _mu_log_width(box: Box3, a2: int, a4: int, a3: int) -> float:
     return math.log(hi / lo) if hi > lo else 0.0
 
 
-def mu_box_discrete(t: SexticType, sign: int, box: Box3, strict: bool = True,
-                    prime_bound: int = 10 ** 6) -> dict:
-    """Pair-based asymptotic constant lim #C_cf / N^(1/5) (discrete a3-sum).
-
-    This is the form exact lattice counting follows; 'strict' uses the true
-    pair densities of squarefree coprime tuples (note the strict pair density
-    (1-1/l)^2(1+2/l) equals the loose triple density 1-3/l^2+2/l^3).
-    """
-    kind = "carefree" if strict else "basic"
-    ep, tail = euler_product(kind, prime_bound)
-    s = 0.0
-    for a2, a4 in divisor_pairs(int(box.r3p), int(box.r3)):
-        a3 = 0
-        while True:
-            a3 += 1
-            # beta > alpha needs R2' a3^3 a4/a2 < sqrt(R1 a2/a4), i.e.
-            # a3^6 R2'^2 a4^3 < R1 a2^3
-            if Fr(a3) ** 6 * box.r2p ** 2 * a4 ** 3 >= box.r1 * a2 ** 3:
-                break
-            if not is_squarefree(a3) or math.gcd(a3, a2 * a4) != 1:
-                continue
-            width = _mu_log_width(box, a2, a4, a3)
-            if width <= 0:
-                continue
-            cnt = m_table(t, sign, a2, a3, a4)
-            if not cnt:
-                continue
-            w = _weight(a2 * a3 * a4, 0, 2) if strict else _weight(a2 * a3 * a4, -1, 1)
-            s += float(Fr(cnt) / _MOD2) * w * width / (a2 ** 0.8 * a3 ** 0.6 * a4 ** 0.8)
-    val = 0.5 * ep * s
-    return {"value": val, "euler_tail": tail}
-
-
-def nu_box_linear(t: SexticType, sign: int, box: Box3, stated_weight: bool = False,
-                 prime_bound: int = 10 ** 6) -> dict:
+def nu_box_linear(t: SexticType, sign: int, box: Box3, cells: list,
+                  stated_weight: bool = False, prime_bound: int = 10 ** 6) -> dict:
     """The stated linear-in-N closed form for the ratio-window family.
 
-    sum of beta(a3, a2*a4) over the discrete box coordinates; default weight
+    sum of beta(a3, a2*a4) over the T box's cells (box_cells); default weight
     (l-1)/(l+1) per the beta definition and the proof, stated_weight=True for
     the alternative (l-1)/(l+2) weighting.
     """
     ep, tail = euler_product("basic", prime_bound)
-    s = Fr(0)
-    for n in range(int(box.r2p), int(box.r2) + 1):
-        for m in range(int(box.r3p), int(box.r3) + 1):
-            s += beta_value(t, sign, m, n, stated_weight=stated_weight)
+    # beta(a3, n) sums over the divisors of n = a2 a4 itself: one term per (n, a3), at a2 = 1
+    s = sum((beta_value(t, sign, a3, a4, stated_weight=stated_weight)
+             for a2, a4, a3, _, _ in cells if a2 == 1), Fr(0))
     val = float(Fr(1, 2592)) * math.log(float(box.r1) / float(box.r1p)) * ep * float(s)
     return {"value": val, "euler_tail": tail}
 
 
-def nu_box_discrete(t: SexticType, sign: int, box: Box3, strict: bool = True,
-                    prime_bound: int = 10 ** 6) -> dict:
-    """Pair-based asymptotic constant lim #T_cf / N^(1/5) for T-boxes."""
+def box_discrete(t: SexticType, sign: int, box: Box3, cells: list, strict: bool = True,
+                 prime_bound: int = 10 ** 6) -> dict:
+    """Pair-based asymptotic constant lim #C_cf / N^(1/5) or lim #T_cf / N^(1/5)
+    (discrete a3-sum), over the carefree cells of the box's cells (box_cells).
+
+    This is the form exact lattice counting follows; 'strict' uses the true
+    pair densities of squarefree coprime tuples (note the strict pair density
+    (1-1/l)^2(1+2/l) equals the loose triple density 1-3/l^2+2/l^3).  A C cell
+    weighs its (a1, a5)-wedge by its float width log(beta/alpha)_+; a T cell
+    has width 1, its log(R1/R1') is in the constant.
+    """
     kind = "carefree" if strict else "basic"
     ep, tail = euler_product(kind, prime_bound)
     s = 0.0
-    for a2, a4 in divisor_pairs(int(box.r2p), int(box.r2)):
-        for a3 in range(int(box.r3p), int(box.r3) + 1):
-            if not is_squarefree(a3) or math.gcd(a3, a2 * a4) != 1:
-                continue
-            cnt = m_table(t, sign, a2, a3, a4)
-            if not cnt:
-                continue
-            w = _weight(a2 * a3 * a4, 0, 2) if strict else _weight(a2 * a3 * a4, -1, 1)
-            s += float(Fr(cnt) / _MOD2) * w / (a2 ** 0.8 * a3 ** 0.6 * a4 ** 0.8)
-    val = 0.5 * math.log(float(box.r1) / float(box.r1p)) * ep * s
-    return {"value": val, "euler_tail": tail}
+    for a2, a4, a3, Sp, S in cells:
+        if Sp == S or not is_squarefree(a2 * a3 * a4):
+            continue  # a point window, or no carefree tuple
+        width = _mu_log_width(box, a2, a4, a3) if box.kind == "C" else 1.0
+        if width <= 0:
+            continue
+        cnt = m_table(t, sign, a2, a3, a4)
+        if not cnt:
+            continue
+        w = _weight(a2 * a3 * a4, 0, 2) if strict else _weight(a2 * a3 * a4, -1, 1)
+        s += float(Fr(cnt) / _MOD2) * w * width / (a2 ** 0.8 * a3 ** 0.6 * a4 ** 0.8)
+    scale = 0.5 if box.kind == "C" else 0.5 * math.log(float(box.r1) / float(box.r1p))
+    return {"value": (scale * ep) * s, "euler_tail": tail}
 
 
-def integrate_measure(kind: str, t: SexticType, sign: int, box: Box3,
-                      prime_bound: int = 10 ** 6) -> dict:
-    """All prediction variants for one family and box.
-
-    kind 'mu' (C-family, lambda windows) or 'nu' (T-family, ratio windows).
-    """
-    if kind == "mu":
+def integrate_measure(t: SexticType, sign: int, box: Box3, prime_bound: int = 10 ** 6) -> dict:
+    """All prediction variants for the box's family: mu (C, lambda windows) or
+    nu (T, ratio windows).  The box's cells are listed once, first, so a box
+    with too many of them is refused before any variant is computed."""
+    cells = box_cells(box)
+    if box.kind == "C":
         return {
             "stated": mu_box_stated(t, sign, box, prime_bound),
             "volume_loose": mu_box_volume(t, sign, box, False, prime_bound),
             "volume_strict": mu_box_volume(t, sign, box, True, prime_bound),
-            "discrete_loose": mu_box_discrete(t, sign, box, False, prime_bound),
-            "discrete_strict": mu_box_discrete(t, sign, box, True, prime_bound),
+            "discrete_loose": box_discrete(t, sign, box, cells, False, prime_bound),
+            "discrete_strict": box_discrete(t, sign, box, cells, True, prime_bound),
         }
-    if kind == "nu":
-        return {
-            "linear_stated": nu_box_linear(t, sign, box, True, prime_bound),
-            "linear_derived": nu_box_linear(t, sign, box, False, prime_bound),
-            "discrete_loose": nu_box_discrete(t, sign, box, False, prime_bound),
-            "discrete_strict": nu_box_discrete(t, sign, box, True, prime_bound),
-        }
-    raise ValueError("kind must be 'mu' or 'nu'")
+    return {
+        "linear_stated": nu_box_linear(t, sign, box, cells, True, prime_bound),
+        "linear_derived": nu_box_linear(t, sign, box, cells, False, prime_bound),
+        "discrete_loose": box_discrete(t, sign, box, cells, False, prime_bound),
+        "discrete_strict": box_discrete(t, sign, box, cells, True, prime_bound),
+    }

@@ -228,6 +228,14 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
+def divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, built prime by prime in factorize's order."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Strongly carefree tuples
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ union of x3-slices (slices_M3), each a 2d region {x1 x5 <= M, (x5/x1)^2 in
 walks x1 over such a region and gives each x1 an interval of x5; it is the one
 lattice walk of both families.  Each end is the floor, ceiling or integer root
 of a quotient of Python ints, cross-multiplied from the windows' numerators and
-denominators, so counts agree bit-for-bit with brute force.
+denominators, so counts agree bit-for-bit with brute force.  box_cells lists
+the (a2, a4, a3) cells of a box, each one such 2d region (a C cell is one
+x3-slice of the 3d region at a2/a4); the enumeration, the raw counts and the
+discrete predictions all sum over that one list.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import ceil_root, floor_root, iroot
+from .field import ceil_root, divisors, floor_root, iroot, is_squarefree
 
 Fr = Fraction
 
@@ -107,9 +110,9 @@ def _x1_cap(M: int, Sp: Fraction) -> int:
     return M if Sp <= 0 else min(M, math.isqrt(math.isqrt(M * M * Sp.denominator // Sp.numerator)))
 
 
-def _check_walk(steps: int, region: str, what: str) -> None:
+def _check_walk(steps: int, where: str, what: str) -> None:
     if steps > _WALK_LIMIT:
-        raise ValueError(f"the region {region} needs more than {_WALK_LIMIT} {what}, "
+        raise ValueError(f"the {where} needs more than {_WALK_LIMIT} {what}, "
                          f"above the walk limit")
 
 
@@ -122,7 +125,7 @@ def windows_M2(M: int, Sp, S):
     if M < 1 or S <= 0 or Sp > S:
         return
     cap = _x1_cap(M, Sp)
-    _check_walk(cap, f"x1 x5 <= {M}", "values of x1")
+    _check_walk(cap, f"region x1 x5 <= {M}", "values of x1")
     p, q, P, Q = max(Sp.numerator, 0), Sp.denominator, S.numerator, S.denominator
     d, isqrt = int(p > 0), math.isqrt
     for x1 in range(1, cap + 1):
@@ -146,14 +149,78 @@ def slices_M3(n: int, Sp, S, L2p, L2) -> list[tuple[int, int, Fraction, Fraction
         raise ValueError("L2' must be positive for a finite region")
     if n < 1 or S <= 0 or Sp > S or L2p > L2:
         return []
-    # nonempty iff S' <= (L2 x3^3)^2 and (L2' x3^3)^2 <= S; x1, x5 >= 1 give x3^3 <= n
-    lo3, hi3 = max(1, ceil_root(Sp / L2 ** 2, 6)), min(floor_root(S / L2p ** 2, 6), iroot(n, 3))
-    region, what = f"x1^5 x3^3 x5^5 <= {n}", "values of x3 and x1"
-    _check_walk(hi3 - lo3 + 1, region, what)
-    slices = [(x3, iroot(n // x3 ** 3, 5), max(Sp, (L2p * x3 ** 3) ** 2),
-               min(S, (L2 * x3 ** 3) ** 2)) for x3 in range(lo3, hi3 + 1)]
+    x3s = _x3_range(Sp, S, L2p, L2, n)
+    region, what = f"region x1^5 x3^3 x5^5 <= {n}", "values of x3 and x1"
+    _check_walk(len(x3s), region, what)
+    slices = [(x3, iroot(n // x3 ** 3, 5), *_x3_window(x3, Sp, S, L2p, L2)) for x3 in x3s]
     _check_walk(len(slices) + sum(_x1_cap(M, Sq) for _, M, Sq, _ in slices), region, what)
     return slices
+
+
+def _x3_range(Sp: Fraction, S: Fraction, L2p: Fraction, L2: Fraction, n: int | None) -> range:
+    """The x3 >= 1 whose window _x3_window is nonempty, that is S' <= (L2 x3^3)^2 and
+    (L2' x3^3)^2 <= S; given n, also x3^3 <= n (x1, x5 >= 1 and x1^5 x3^3 x5^5 <= n)."""
+    hi3 = floor_root(S / L2p ** 2, 6)
+    if n is not None:
+        hi3 = min(hi3, iroot(n, 3))
+    return range(max(1, ceil_root(Sp / L2 ** 2, 6)), hi3 + 1)
+
+
+def _x3_window(x3: int, Sp: Fraction, S: Fraction, L2p: Fraction,
+               L2: Fraction) -> tuple[Fraction, Fraction]:
+    """[S', S] cut to the squared x5/x1 window [(L2' x3^3)^2, (L2 x3^3)^2] of the slice x3."""
+    return max(Sp, (L2p * x3 ** 3) ** 2), min(S, (L2 * x3 ** 3) ** 2)
+
+
+def divisor_pairs(lo: int, hi: int, squarefree: bool = True):
+    """(a2, a4) with a2 * a4 = n and n in [max(lo, 1), hi], in `divisors` order.
+
+    With `squarefree`, only squarefree n, whose two parts are then coprime.
+    """
+    for n in range(max(lo, 1), hi + 1):
+        if not squarefree or is_squarefree(n):
+            for a2 in divisors(n):
+                yield a2, n // a2
+
+
+def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Fraction, Fraction]]:
+    """The cells (a2, a4, a3, S', S) of the box, in order of a2 a4, then of a2 as
+    divisor_pairs lists it, then of a3.  This is the one place that knows them.
+
+    A cell is the region a1 a5 <= M, (a5/a1)^2 in [S', S] of windows_M2 with
+    M = floor((N / K)^(1/5)) and K = (a2 a4)^4 a3^3.  A T box holds a2 a4 in
+    [R2', R2] and a3 in [R3', R3], all with [S', S] = [R1'^2, R1^2].  A C box
+    holds a2 a4 in [R3', R3]; at r = a2/a4 its windows (a5/a1)^2 in [R1' r, R1 r]
+    and a5/(a1 a3^3) in [R2'/r, R2/r] pin a3 to the x3 of slices_M3, each with its
+    cut window.  Given N, only the cells with K <= N, and a C cell list goes
+    through slices_M3 and its walk check.  More than _WALK_LIMIT values of a2 a4,
+    or (a2, a4) pairs and cells together, raise ValueError before the list is
+    complete.
+    """
+    where = f"{box.kind} box " + ",".join(map(str, (box.r1p, box.r1, box.r2p, box.r2,
+                                                    box.r3p, box.r3)))
+    lo, hi = (int(box.r3p), int(box.r3)) if box.kind == "C" else (int(box.r2p), int(box.r2))
+    if N is not None:
+        hi = min(hi, iroot(N, 4))  # K <= N needs (a2 a4)^4 <= N
+    _check_walk(hi - max(lo, 1) + 1, where, "values of a2*a4")
+    cells, Sp, S = [], box.r1p ** 2, box.r1 ** 2
+    for pairs, (a2, a4) in enumerate(divisor_pairs(lo, hi, squarefree=False), 1):
+        n = None if N is None else N // (a2 * a4) ** 4
+        if box.kind == "T":
+            top = int(box.r3) if n is None else min(int(box.r3), iroot(n, 3))
+            a3s = range(int(box.r3p), top + 1)
+            windows = ((a3, Sp, S) for a3 in a3s)
+        else:
+            r = Fr(a2, a4)
+            region = box.r1p * r, box.r1 * r, box.r2p / r, box.r2 / r
+            if n is None:
+                a3s = _x3_range(*region, None)
+                windows = ((x3, *_x3_window(x3, *region)) for x3 in a3s)
+            else:
+                a3s = windows = [(x3, Sq, Sx) for x3, _, Sq, Sx in slices_M3(n, *region)]
+        _check_walk(pairs + len(cells) + len(a3s), where, "(a2, a4) pairs and cells")
+        cells += [(a2, a4, *w) for w in windows]
+    return cells
 
 
 def count_slices(slices) -> int:

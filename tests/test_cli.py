@@ -323,6 +323,23 @@ def test_equidist_beyond_the_c_walk_limit_exit_1_fast():
     assert "walk limit" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "--family", "T", "--box", "1,4,1,6,1,10000000000"),
+    ("equidist", "--family", "T", "--box", "1,4,1,6,1,10000000000", "--ladder", "1000000"),
+    ("measure", "--family", "C", "--box", f"1,{10 ** 60},1/8,8,1,6"),
+    ("measure", "--family", "C", "--box", f"1,8,1/8,8,1,{10 ** 12}"),
+], ids=["T-measure", "T-equidist", "C-measure-R1", "C-measure-R3"])
+def test_a_box_of_too_many_cells_exit_1_fast(argv):
+    """10^10 values of a3, about 10^10 of x3 (lambda1^3 up to 10^60) or 10^12 of
+    a2*a4: the box's cells are refused before the predictions or counts start."""
+    code, err, seconds = run_module(*argv, "--type", "1,1")
+    assert seconds < 10
+    assert code == 1
+    box = argv[argv.index("--box") + 1]
+    assert err.startswith(f"error: the {argv[2]} box {box} needs more than ")
+    assert "walk limit" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("op,N", [("count", 10 ** 61), ("count2", 10 ** 30)],
                          ids=["count-1e61", "count2-1e30"])
 def test_geometry_count_beyond_the_walk_limit_exit_1_fast(op, N):

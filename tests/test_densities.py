@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from puresextic import densities as D
-from puresextic.geometry import Box3
+from puresextic.geometry import Box3, box_cells
 from puresextic.types import SexticType, type_table
 
 
@@ -152,18 +152,18 @@ def test_measure_additivity_and_monotonicity():
     b = D.mu_box_stated(t, 1, right, 10 ** 4)["value"]
     assert abs(full - (a + b)) < 1e-9 * full
     smaller = Box3(1, 8, Fr(1, 8), 8, 1, 3, kind="C")
-    assert D.mu_box_discrete(t, 1, smaller, prime_bound=10 ** 4)["value"] <= \
-        D.mu_box_discrete(t, 1, box, prime_bound=10 ** 4)["value"]
+    assert D.box_discrete(t, 1, smaller, box_cells(smaller), prime_bound=10 ** 4)["value"] <= \
+        D.box_discrete(t, 1, box, box_cells(box), prime_bound=10 ** 4)["value"]
 
 
 def test_integrate_measure_variants_present():
     t = SexticType(1, 1)
     box = Box3(1, 8, Fr(1, 8), 8, 1, 2, kind="C")
-    out = D.integrate_measure("mu", t, 1, box, 10 ** 4)
+    out = D.integrate_measure(t, 1, box, 10 ** 4)
     assert set(out) == {"stated", "volume_loose", "volume_strict",
                         "discrete_loose", "discrete_strict"}
     boxt = Box3(1, 4, 1, 2, 1, 2, kind="T")
-    outt = D.integrate_measure("nu", t, 1, boxt, 10 ** 4)
+    outt = D.integrate_measure(t, 1, boxt, 10 ** 4)
     assert set(outt) == {"linear_stated", "linear_derived",
                          "discrete_loose", "discrete_strict"}
 
@@ -220,7 +220,22 @@ def test_measure_empty_box_zero():
     t = SexticType(1, 1)
     degenerate = Box3(2, 2, Fr(1, 8), 8, 1, 6, kind="C")
     assert D.mu_box_stated(t, 1, degenerate, 10 ** 3)["value"] == 0.0
-    assert D.mu_box_discrete(t, 1, degenerate, prime_bound=10 ** 3)["value"] == 0.0
+    assert D.box_discrete(t, 1, degenerate, box_cells(degenerate),
+                          prime_bound=10 ** 3)["value"] == 0.0
+
+
+def test_a_point_window_adds_nothing_to_the_discrete_sum():
+    """R1 = R2'^2 / 27: the one cell (a2, a4, a3) = (3, 1, 1) of this box has the
+    point window (a5/a1)^2 = 3969/289, where the float width log(beta/alpha) of
+    _mu_log_width rounds to one step above 0."""
+    box = Box3(1, Fr(1323, 289), Fr(189, 17), Fr(240, 17), 3, 3, kind="C")
+    cells = box_cells(box)
+    assert cells == [(3, 1, 1, Fr(3969, 289), Fr(3969, 289))]
+    assert D._mu_log_width(box, 3, 1, 1) > 0
+    for sign in (1, -1):
+        for strict in (True, False):
+            assert D.box_discrete(SexticType(1, 1), sign, box, cells, strict,
+                                  10 ** 3)["value"] == 0.0
 
 
 def test_types_sharing_a_row_share_its_memo_entry(monkeypatch):

@@ -5,9 +5,9 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from puresextic.field import decompose, dual, is_irreducible_sextic, is_squarefree
-from puresextic.geometry import Box3
-from puresextic.harness import (EnumSpec, _select, compare, enumerate_C, enumerate_T,
+from puresextic.field import decompose, dual, iroot, is_irreducible_sextic, is_squarefree
+from puresextic.geometry import Box3, box_cells
+from puresextic.harness import (EnumSpec, _meet, compare, enumerate_C, enumerate_T,
                                 naive_scan, raw_count_C, raw_count_T, report_to_json)
 from puresextic.types import ALL_TYPES, SexticType, classify
 
@@ -229,13 +229,24 @@ def reference_type(a, sign):
                                           (1, 2, 1, SexticType(4, 3)), (5, 2, -1, SexticType(5, 4))])
 def test_vector_masks_match_the_scalar_filter(a2, a4, sign, t):
     """Every (a1, a3, a5) in [1, 30]^3: squares, shared primes and every Type occur."""
-    import numpy as np
-    grid = np.arange(1, 31, dtype=np.int64)
-    a1, a3, a5 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
-    got = _select(EnumSpec(1, sign, t, BOX_C), a1, a2, a3, a4, a5)
-    want = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())
-            if reference_type((x1, a2, x3, a4, x5), sign) == t]
+    got = select(EnumSpec(1, sign, t, BOX_C), a2, a4, 30)
+    want = [a for a in grid_tuples(a2, a4, 30) if reference_type(a, sign) == t]
     assert got == want and got
+
+
+def grid_tuples(a2, a4, top):
+    """(a1, a2, a3, a4, a5) for every (a1, a3, a5) in [1, top]^3, in order of a3, a1, a5."""
+    r = range(1, top + 1)
+    return [(x1, a2, x3, a4, x5) for x3 in r for x1 in r for x5 in r]
+
+
+def select(spec, a2, a4, top):
+    """The tuples of grid_tuples that _meet keeps, one a3 at a time."""
+    import numpy as np
+    grid = np.arange(1, top + 1, dtype=np.int64)
+    a1, a5 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    return [(x1, a2, a3, a4, x5) for a3 in range(1, top + 1)
+            for x1, x5 in zip(*(k.tolist() for k in _meet(spec, a1, a2, a3, a4, a5)))]
 
 
 SMALL_CELLS = [(a2, a4) for a2 in range(1, 7) for a4 in range(1, 6 // a2 + 1)
@@ -248,14 +259,11 @@ def test_capelli_mask_matches_the_scalar_filter(a2, a4, sign):
     """Every Type on every (a1, a3, a5) in [1, 20]^3 of the cells a2*a4 <= 6: the
     squares (sign +, a1 = a3 = a5 = 1) and the cubes (a1 = a2 = a4 = a5 = 1) that
     the mask rejects occur among the carefree tuples."""
-    import numpy as np
-    grid = np.arange(1, 21, dtype=np.int64)
-    a1, a3, a5 = (g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij"))
-    tuples = [(x1, a2, x3, a4, x5) for x1, x3, x5 in zip(a1.tolist(), a3.tolist(), a5.tolist())]
+    tuples = grid_tuples(a2, a4, 20)
     verdicts = [reference_type(a, sign) for a in tuples]
     kept = 0
     for t in ALL_TYPES:
-        got = _select(EnumSpec(1, sign, t, BOX_C), a1, a2, a3, a4, a5)
+        got = select(EnumSpec(1, sign, t, BOX_C), a2, a4, 20)
         assert got == [a for a, v in zip(tuples, verdicts) if v == t], t
         kept += len(got)
     assert kept == sum(v is not None for v in verdicts) > 0
@@ -336,11 +344,11 @@ def test_rungs_below_every_tuple_bound_count_zero(family, box):
 
 
 def test_c_rungs_that_lose_top_rung_slices_count_as_their_own_walks():
-    """At 10^3..10^5 cells of BOX_C hold fewer x3-slices than at the top rung 10^8."""
-    from puresextic.harness import _cells
+    """At 10^3..10^5 the (a2, a4) of BOX_C hold fewer a3-cells than at the top rung 10^8."""
+    from collections import Counter
 
     def slices(N):
-        return {(a2, a4): len(s) for a2, a4, s in _cells(N, BOX_C, carefree=False)}
+        return Counter((a2, a4) for a2, a4, *_ in box_cells(BOX_C, N))
 
     ladder = [10 ** 8, 10 ** 3, 10 ** 4, 10 ** 5]
     assert all(slices(N) != slices(ladder[0]) for N in ladder[1:])
@@ -370,18 +378,18 @@ def test_compare_refuses_a_top_rung_over_the_candidate_limit():
     assert str(got.value).startswith(f"N={10 ** 50} needs ")
 
 
-def test_a_c_cell_whose_slices_fit_but_whose_sum_does_not_is_refused():
-    """At 10^32 each carefree slice of the cell (1, 1) of BOX_C holds fewer than
-    _CANDIDATE_LIMIT candidates, and together they hold more."""
+def test_a_c_box_whose_a3_cells_fit_one_by_one_is_counted():
+    """At 10^32 the a3-cells of (a2, a4) = (1, 1) of BOX_C hold more than
+    _CANDIDATE_LIMIT candidates together, and each fits: every a3 is its own shard."""
     from puresextic.geometry import count_slices
-    from puresextic.harness import _CANDIDATE_LIMIT, _cells
+    from puresextic.harness import _CANDIDATE_LIMIT
     N = 10 ** 32
-    a2, a4, slices = next(_cells(N, BOX_C, carefree=True))
-    sizes = [count_slices([s]) for s in slices]
-    assert (a2, a4) == (1, 1) and len(sizes) > 1
+    sizes = [count_slices([(a3, iroot(N // a3 ** 3, 5), Sp, S)])
+             for a2, a4, a3, Sp, S in box_cells(BOX_C, N) if (a2, a4) == (1, 1)]
     assert max(sizes) <= _CANDIDATE_LIMIT < sum(sizes)
-    with pytest.raises(ValueError, match=f"N={N} needs {sum(sizes)} candidates in one shard"):
-        compare("C", T11, 1, BOX_C, [N], prime_bound=10 ** 3)
+    row, = compare("C", T11, 1, BOX_C, [N], prime_bound=10 ** 3)["rows"]
+    assert row["carefree_count"] == len(enumerate_C(EnumSpec(N, 1, T11, BOX_C))) == 502764
+    assert row["raw_count"] == raw_count_C(N, BOX_C)
 
 
 def test_one_compare_sieves_the_primes_once():

@@ -70,3 +70,11 @@ def test_cli_commands_without_digits_leave_mpmath_unloaded():
     for argv in (("classify", "--m", "5"), ("basis", "--m", "5")):
         assert not _imported(*argv) & set(LAZY), argv
     assert "mpmath" in _imported("gram", "--m", "2", "--digits", "12")
+
+
+def test_importing_the_main_module_does_not_run_the_cli():
+    """`import puresextic.__main__` (a pkgutil walk, say) leaves the importer's argv alone."""
+    code = ("import sys; sys.argv = ['walker', '--no-such-flag']; "
+            "import puresextic.__main__; print('ok')")
+    proc = _python("-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
