@@ -27,7 +27,6 @@ from .types import ALL_TYPES, SexticType, classify, smallest_m_of_type, type_par
 @dataclass
 class Config:
     digits: int
-    workers: int
     format: str
     seed: int
 
@@ -203,8 +202,7 @@ def cmd_measure(cfg: Config, args) -> int:
 def cmd_equidist(cfg: Config, args) -> int:
     t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
-    report = compare(args.family, t, args.sign, box, args.ladder,
-                     workers=cfg.workers, prime_bound=args.prime_bound)
+    report = compare(args.family, t, args.sign, box, args.ladder, prime_bound=args.prime_bound)
     report["config"] = cfg.echo()
     text = report_to_json(report)
     if args.out:
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                                              "shapes of pure sextic fields")
     ap.add_argument("--digits", type=_nonnegative_int, default=0,
                     help="decimal digits for numeric output")
-    ap.add_argument("--workers", type=_positive_int, default=1)
     ap.add_argument("--format", choices=("json", "pretty"), default="json")
     ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = Config(digits=args.digits, workers=args.workers, format=args.format, seed=args.seed)
+    cfg = Config(digits=args.digits, format=args.format, seed=args.seed)
     try:
         return args.fn(cfg, args)
     except ValueError as e:

@@ -45,9 +45,15 @@ class InvalidPair(ValueError):
 # Primes
 # ---------------------------------------------------------------------------
 
+# The largest n to sieve: 0.6 s and 120 MB on a 2-CPU host (naive_scan uses 1.2e7).
+_PRIME_LIMIT = 10 ** 8
+
+
 @lru_cache(maxsize=None)
 def primes_up_to(n: int) -> np.ndarray:
     """The primes <= n, sieved once per n per process; the shared array is read-only."""
+    if n > _PRIME_LIMIT:
+        raise ValueError(f"primes up to {n} are above the prime limit {_PRIME_LIMIT}")
     if n < 2:
         out = np.zeros(0, dtype=np.int64)
     else:

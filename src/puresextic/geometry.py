@@ -275,9 +275,15 @@ def count_lattice_M2_brute(M, L1p, L1) -> int:
 
 # --- Monte Carlo volume check ------------------------------------------------
 
+# The most samples one estimate may draw: about 4 s on a 2-CPU host.
+_SAMPLE_LIMIT = 10 ** 8
+
+
 def monte_carlo_volume_M3(N, L1p, L1, L2p, L2, samples: int = 10 ** 6,
                           seed: int = 0) -> tuple[float, float]:
     """(estimate, standard_error) for vol(M(...)) via a seeded indicator average."""
+    if samples > _SAMPLE_LIMIT:
+        raise ValueError(f"{samples} samples are above the sample limit {_SAMPLE_LIMIT}")
     N, L1p, L1, L2p, L2 = map(float, (N, L1p, L1, L2p, L2))
     if L1p <= 0 or L2p <= 0:
         raise ValueError(f"Monte Carlo needs a bounded region: L1' = {L1p} and L2' = {L2p} "

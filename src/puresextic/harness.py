@@ -14,9 +14,8 @@ the window lengths of every cell at one N.  compare() walks every cell once, at
 the largest N of its ladder, and counts each rung from that walk with no tuples:
 a cell's windows and kept candidates are the same at every N, cut at
 a1 a5 <= M_N.  It fits the growth exponent and reports the empirical constant
-against every prediction variant.  With workers > 1 the shards run in a
-process pool, imported on first use: a one-worker run never loads
-multiprocessing.
+against every prediction variant.  The shards run in cell order in one
+process, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -125,10 +124,6 @@ def _meet(spec: EnumSpec, a1: np.ndarray, a2: int, a3: int, a4: int,
     return a1[keep], a5[keep]
 
 
-def _tuples(a2: int, a3: int, a4: int, a1: np.ndarray, a5: np.ndarray) -> list[tuple[int, ...]]:
-    return [(x1, a2, a3, a4, x5) for x1, x5 in zip(a1.tolist(), a5.tolist())]
-
-
 def _carefree(a2: int, a4: int, a3: int) -> bool:
     """a2, a3, a4 squarefree and pairwise coprime: the cells that can hold a carefree tuple."""
     return is_squarefree(a2 * a3 * a4)
@@ -142,10 +137,10 @@ def _a1a5_bound(N: int, a2: int, a4: int, a3: int) -> int:
 _NO_CANDIDATES = (np.zeros(0, dtype=np.int64),) * 2
 
 
-def _shard(args) -> tuple[list[tuple[int, int, int]], tuple[np.ndarray, np.ndarray]]:
+def _shard(spec: EnumSpec, cell: tuple) -> tuple[list[tuple[int, int, int]], tuple[np.ndarray, np.ndarray]]:
     """One cell (a2, a4, a3, S', S) at spec.N, walked once: its windows (x1, lo, hi),
     and (a1, a5) of its candidates that meet the spec if the cell is carefree."""
-    spec, (a2, a4, a3, Sp, S) = args
+    a2, a4, a3, Sp, S = cell
     windows = list(windows_M2(_a1a5_bound(spec.N, a2, a4, a3), Sp, S))
     if not (windows and _carefree(a2, a4, a3)):
         return windows, _NO_CANDIDATES
@@ -159,44 +154,36 @@ def _shard(args) -> tuple[list[tuple[int, int, int]], tuple[np.ndarray, np.ndarr
     return windows, (a1, a5)
 
 
-def _map_shards(spec: EnumSpec, cells: list, workers: int) -> list:
-    """_shard of every cell, in `workers` processes if more than one."""
-    shards = [(spec, cell) for cell in cells]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_shard, shards))
-    return list(map(_shard, shards))
-
-
 def _check_family(name: str, box: Box3, kind: str) -> None:
     if box.kind != kind:
         raise ValueError(f"{name}_{kind} needs a {kind}-family box")
 
 
-def _enumerate(spec: EnumSpec, kind: str, workers: int) -> list[tuple[int, ...]]:
+def _enumerate(spec: EnumSpec, kind: str) -> list[tuple[int, ...]]:
     """The sorted tuples of the carefree cells' shards."""
     _check_family("enumerate", spec.box, kind)
-    cells = [c for c in box_cells(spec.box, spec.N) if _carefree(*c[:3])]
     tuples = []
-    for (a2, a4, a3, *_), (_, kept) in zip(cells, _map_shards(spec, cells, workers)):
-        tuples += _tuples(a2, a3, a4, *kept)
+    for cell in box_cells(spec.box, spec.N):
+        a2, a4, a3 = cell[:3]
+        if _carefree(a2, a4, a3):
+            a1, a5 = _shard(spec, cell)[1]
+            tuples += [(x1, a2, a3, a4, x5) for x1, x5 in zip(a1.tolist(), a5.tolist())]
     return sorted(tuples)
 
 
-def enumerate_C(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
+def enumerate_C(spec: EnumSpec) -> list[tuple[int, ...]]:
     """All tuples of the fixed sign and Type in the lambda-window region.
 
     The returned tuples are canonically oriented automatically: the box
     requires lambda1^3 >= R1' >= 1 and the boundary lambda1 = 1 is
     unattainable for valid tuples.
     """
-    return _enumerate(spec, "C", workers)
+    return _enumerate(spec, "C")
 
 
-def enumerate_T(spec: EnumSpec, workers: int = 1) -> list[tuple[int, ...]]:
+def enumerate_T(spec: EnumSpec) -> list[tuple[int, ...]]:
     """Tuples with (a5/a1, a2*a4, a3) in the box, deduplicated on the ratio-1 leaf."""
-    return _enumerate(spec, "T", workers)
+    return _enumerate(spec, "T")
 
 
 def _raw_count(N: int, box: Box3, kind: str) -> int:
@@ -308,7 +295,7 @@ def fit_slope(ns: list[int], counts: list[int]) -> float:
     return float(slope)
 
 
-def _ladder_counts(spec: EnumSpec, ladder: list[int], workers: int) -> list[tuple[int, int]]:
+def _ladder_counts(spec: EnumSpec, ladder: list[int]) -> list[tuple[int, int]]:
     """(raw, carefree) count of every rung N of the ladder, from one walk of the top rung spec.N.
 
     A cell's ratio window does not depend on N, so its windows at N are those of
@@ -316,7 +303,7 @@ def _ladder_counts(spec: EnumSpec, ladder: list[int], workers: int) -> list[tupl
     K = (a2 a4)^4 a3^3, and a kept candidate is under N iff a1 a5 <= M_N.
     """
     cells = box_cells(spec.box, spec.N)
-    shards = _map_shards(spec, cells, workers)
+    shards = [_shard(spec, cell) for cell in cells]
     walked = [windows for windows, _ in shards]
     a1a5 = [a1 * a5 for _, (a1, a5) in shards]
     n = sum(map(len, walked))
@@ -337,7 +324,7 @@ def _ladder_counts(spec: EnumSpec, ladder: list[int], workers: int) -> list[tupl
 
 
 def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int],
-            workers: int = 1, prime_bound: int = 10 ** 6) -> dict:
+            prime_bound: int = 10 ** 6) -> dict:
     """Empirical counts over the ladder vs every prediction variant.
 
     Both counts of every rung come from one walk of the box at the largest N of
@@ -350,7 +337,7 @@ def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int],
     """
     _check_family("compare", box, family)
     preds = densities.integrate_measure(t, sign, box, prime_bound)
-    counts = _ladder_counts(EnumSpec(max(ladder), sign, t, box), ladder, workers) if ladder else []
+    counts = _ladder_counts(EnumSpec(max(ladder), sign, t, box), ladder) if ladder else []
     rows = []
     for N, (raw, cf) in zip(ladder, counts):
         row = {

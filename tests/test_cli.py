@@ -374,14 +374,36 @@ def test_count_option_that_is_not_positive_exit_2(capsys, argv):
     assert "is not a positive integer; write it in digits" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_that_is_not_positive_exit_2(capsys, workers):
-    with pytest.raises(SystemExit) as e:
-        main(["--workers", workers, "equidist", "--family", "C", "--type", "1,1",
-              "--box", "1,8,1/8,8,1,6", "--ladder", "1000000", "--prime-bound", "1000"])
-    assert e.value.code == 2
-    assert f"--workers: {workers!r} is not a positive integer; write it in digits" in \
-        capsys.readouterr().err
+def test_workers_flag_is_unrecognised_exit_2(capsys):
+    """The shards run in one process: --workers is no flag.  Written apart from its
+    value, the value is read as the command."""
+    rest = ["equidist", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6",
+            "--ladder", "1000000", "--prime-bound", "1000"]
+    for flag, said in ((["--workers", "2"], "argument cmd: invalid choice: '2'"),
+                       (["--workers=2"], "unrecognized arguments: --workers=2")):
+        with pytest.raises(SystemExit) as e:
+            main(flag + rest)
+        assert e.value.code == 2
+        assert said in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, limit",
+                         [(("euler", "--kind", "carefree", "--bound", "1000000000000"),
+                           "prime limit 100000000"),
+                          (("measure", "--family", "C", "--type", "1,1", "--box",
+                            "1,8,1/8,8,1,6", "--prime-bound", "100000000000"),
+                           "prime limit 100000000"),
+                          (("geometry", "mc", "--N", "1000000", "--samples", "100000000000"),
+                           "sample limit 100000000")],
+                         ids=["euler-bound", "measure-prime-bound", "mc-samples"])
+def test_input_above_a_limit_fails_fast_exit_1(argv, limit):
+    """A fresh interpreter, so no warm cache hides the cost of an input past the limit."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "puresextic", *argv], capture_output=True,
+                          text=True, timeout=10, env=env)
+    assert proc.returncode == 1
+    assert any(line.startswith("error: ") and limit in line for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 def test_monte_carlo_without_a_hit_has_an_honest_interval(capsys):

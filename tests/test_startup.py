@@ -1,9 +1,10 @@
-"""Start-up: the exact paths load neither mpmath nor the process pool.
+"""Start-up: the exact paths load neither mpmath nor a process pool.
 
 mpmath serves only decimal output (CubicNum.evaluate, trace_numeric,
-Monomial.value, --digits) and the process pool only workers > 1, so each is
-imported on first use.  These tests run fresh interpreters, because the test
-process itself has long since loaded both.
+Monomial.value, --digits), so it is imported on first use.  The shards run in
+one process, so multiprocessing and concurrent.futures stay unloaded.  These
+tests run fresh interpreters, because the test process itself has long since
+loaded all three.
 """
 
 import os
@@ -36,7 +37,7 @@ assert gram6(f, b).det().is_rational()
 assert shape_gram(f).certificate_holds()
 assert all(e.is_algebraic_integer() for e in b.elements)
 rep = compare("C", SexticType(1, 1), 1, Box3(1, 8, Fr(1, 8), 8, 1, 6, kind="C"),
-              [10 ** 6, 10 ** 8], workers=1, prime_bound=10 ** 3)
+              [10 ** 6, 10 ** 8], prime_bound=10 ** 3)
 assert [r["N"] for r in rep["rows"]] == [10 ** 6, 10 ** 8]
 loaded = [m for m in {LAZY!r} if m in sys.modules]
 assert not loaded, loaded
