@@ -374,13 +374,14 @@ def test_count_option_that_is_not_positive_exit_2(capsys, argv):
     assert "is not a positive integer; write it in digits" in capsys.readouterr().err
 
 
-def test_workers_flag_is_unrecognised_exit_2(capsys):
-    """The shards run in one process: --workers is no flag.  Written apart from its
-    value, the value is read as the command."""
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_that_is_not_positive_exit_2(capsys, workers):
+    """The shards run in one process: --workers is no flag, whatever its value.
+    Written apart from its value, the value is read as the command."""
     rest = ["equidist", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6",
             "--ladder", "1000000", "--prime-bound", "1000"]
-    for flag, said in ((["--workers", "2"], "argument cmd: invalid choice: '2'"),
-                       (["--workers=2"], "unrecognized arguments: --workers=2")):
+    for flag, said in ((["--workers", workers], f"argument cmd: invalid choice: {workers!r}"),
+                       ([f"--workers={workers}"], f"unrecognized arguments: --workers={workers}")):
         with pytest.raises(SystemExit) as e:
             main(flag + rest)
         assert e.value.code == 2
