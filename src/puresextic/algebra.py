@@ -6,17 +6,16 @@ sum nums[t] theta^t / den; a matrix over the cubic field (CubicMatrix) is three
 integer matrices over one denominator.  Equal values have equal fields, and
 `coeffs`, the `fractions.Fraction` coefficients, is a derived read-only view.
 A characteristic polynomial (the integrality check) comes from power sums in
-Z[theta]/(theta^n - m) and Newton's identities (radical_char_poly);
-Faddeev-LeVerrier on the multiplication matrix (char_poly_rational of
-mult_matrix) stays as its independent test oracle.  One fraction-free (Bareiss)
-Gauss-Jordan elimination gives rational determinants and solves.  Gram
-products, congruences (integer matrix products that skip the zero entries of
-their left factor, so a diagonal Gram costs little) and determinants (a
-forward Bareiss elimination over Z[c], dividing exactly through the norm) never
-build a Fraction; the reference tables and the shape certificate (gram) build
-their entries from integer numerators with the constructors here.  Numeric
-evaluation (display, cross-checks) uses mpmath, imported on first use: exact
-work never loads it.
+Z[theta]/(theta^n - m) and Newton's identities (radical_char_poly); its
+independent test oracle, Faddeev-LeVerrier on the multiplication matrix, lives
+in tests/oracles.py.  One fraction-free (Bareiss) Gauss-Jordan elimination
+gives rational determinants and solves.  Gram products, congruences (integer
+matrix products that skip the zero entries of their left factor, so a diagonal
+Gram costs little) and determinants (a forward Bareiss elimination over Z[c],
+dividing exactly through the norm) never build a Fraction; the reference
+tables and the shape certificate (gram) build their entries from integer
+numerators with the constructors here.  Numeric evaluation (display,
+cross-checks) uses mpmath, imported on first use: exact work never loads it.
 """
 
 from __future__ import annotations
@@ -287,54 +286,18 @@ def _power_sum_char_poly(m: int, y: Sequence[int], d: int) -> list[Fraction]:
     return [Fraction(-e[k] if k % 2 else e[k], d ** k) for k in range(n, 0, -1)] + [Fraction(1)]
 
 
-def trace_numeric(x: SexticNum, prec: int = 60):
-    """Sum of x over all six archimedean embeddings, numerically.
-
-    Cross-checks SexticNum.trace(): the embeddings send theta to |m|^(1/6) * w
-    with w running over the sixth roots of sign(m).
-    """
-    import mpmath
-    m = x.m
-    with mpmath.workdps(prec):
-        r = mpmath.mpf(abs(m)) ** (mpmath.mpf(1) / 6)
-        total = mpmath.mpc(0)
-        for k in range(6):
-            if m > 0:
-                w = mpmath.e ** (2j * mpmath.pi * k / 6)
-            else:
-                w = mpmath.e ** (1j * mpmath.pi * (2 * k + 1) / 6)
-            th = r * w
-            total += sum(_mpf_frac(c) * th ** t for t, c in enumerate(x.coeffs))
-        return total
-
-
 # ---------------------------------------------------------------------------
 # The Minkowski pairing
 # ---------------------------------------------------------------------------
 
-def gram_pair(x: SexticNum, y: SexticNum) -> CubicNum:
-    """<J(x), J(y)> = sum_k sigma_k(x) * conj(sigma_k(y)), exactly.
-
-    Equals 6 * sum_t x_t y_t |m|^(t/3); the powers |m|^(t/3) reduce into the
-    cubic ring via gamma = sign(m)*c, gamma^3 = |m|.  For m > 0 this is the
-    literal rule 6 * sum_t x_t y_t theta^(2t) with theta^2 = c.
-    """
-    x._check(y)
-    m = x.m
-    s, am = (1 if m > 0 else -1), abs(m)
-    # gamma^t for t = 0..5 on the basis (1, c, c^2)
-    gam = [(1, 0, 0), (0, s, 0), (0, 0, 1), (am, 0, 0), (0, s * am, 0), (0, 0, am)]
-    acc = [sum(6 * a * b * g[k] for a, b, g in zip(x.nums, y.nums, gam)) for k in range(3)]
-    return CubicNum(m, acc, x.den * y.den)
-
-
 def hermitian_gram(basis: Sequence[SexticNum]) -> "CubicMatrix":
     """Gram matrix of a tuple of sextic numbers under the Minkowski pairing.
 
-    The pairing of gram_pair as integer products: with X the coefficients over one
-    denominator D, the c^s-component of the Gram (s = 0, 1, 2) is X diag(w) X^T / D^2,
-    where w_t is the c^s-coefficient of 6 gamma^t.  Only gamma^s and gamma^(s+3) =
-    |m| gamma^s have one, and it is sign(m)^s.
+    <J(x), J(y)> = sum_k sigma_k(x) conj(sigma_k(y)) = 6 sum_t x_t y_t gamma^t, with
+    gamma = sign(m) c and gamma^3 = |m|, as integer products: with X the coefficients
+    over one denominator D, the c^s-component of the Gram (s = 0, 1, 2) is
+    X diag(w) X^T / D^2, where w_t is the c^s-coefficient of 6 gamma^t.  Only gamma^s
+    and gamma^(s+3) = |m| gamma^s have one, and it is sign(m)^s.
     """
     m = basis[0].m
     if any(x.m != m for x in basis):
@@ -563,35 +526,3 @@ def mat_solve(a: Sequence[Sequence[Fraction]],
     if p == 0:
         raise ZeroDivisionError("singular matrix")
     return [[Fraction(x, p) for x in row[n:]] for row in rows]
-
-
-def mult_matrix(m: int, vec: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Matrix of multiplication by sum vec[t] theta^t on the power basis, theta^n = m:
-    column j is the element times theta^j, entry (i, j) vec[i-j] or m vec[i-j+n].
-
-    With char_poly_rational it is the test oracle of radical_char_poly: elimination
-    on the matrix against power sums on the element."""
-    n = len(vec)
-    return [[vec[i - j] if i >= j else m * vec[i - j + n] for j in range(n)] for i in range(n)]
-
-
-def char_poly_rational(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """Coefficients [c0, ..., c_{n-1}, 1] of det(xI - A), by Faddeev-LeVerrier in ints.
-
-    On B = dA, d the lcm of A's denominators, the coefficients b_k of det(xI - B)
-    are integers (each division by k is exact); that of x^(n-k) for A is b_k / d^k.
-    Element char polys use radical_char_poly; this, on mult_matrix, is their test oracle.
-    """
-    n = len(a)
-    d = _den(x for row in a for x in row)
-    b = [_ints(row, d) for row in a]
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    mk = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        mk = _imul(b, mk)  # B * N_k with N_1 = I
-        bk, r = divmod(-sum(mk[i][i] for i in range(n)), k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact on an integer matrix"
-        coeffs[n - k] = Fraction(bk, d ** k)
-        for i in range(n):
-            mk[i][i] += bk  # becomes N_{k+1}
-    return coeffs

@@ -121,6 +121,9 @@ def cmd_shape(cfg: Config, args) -> int:
     canon = f if f.canonical else sextic_field(dual(f.tuple).m)
     sp = shape_params(canon)
     sg = shape_gram(f)
+    if not sg.certificate_holds():
+        print(f"error: the shape certificate fails for m={args.m}", file=sys.stderr)
+        return 1
     out = {
         "m": args.m,
         "canonical_m": canon.m,

@@ -71,52 +71,6 @@ def primes_up_to(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Omega_l for l >= 5
-# ---------------------------------------------------------------------------
-
-def omega_member(a: tuple[int, ...], l: int) -> bool:
-    """At most one coordinate divisible by l."""
-    return sum(1 for x in a if x % l == 0) <= 1
-
-
-def omega_count(l: int) -> int:
-    """(l^2-l)^5 + 5 l (l^2-l)^4 = l^10 (1-1/l)^4 (1+4/l)."""
-    u = l * l - l
-    return u ** 5 + 5 * l * u ** 4
-
-
-def omega_count_exhaustive(l: int) -> int:
-    """Full loop over (Z/l^2)^5 of the membership predicate."""
-    div = (np.arange(l * l) % l == 0).astype(np.int8)
-    s = div
-    for _ in range(4):
-        s = s[..., None] + div
-    return int((s <= 1).sum())
-
-
-def omega_count_strict(l: int) -> int:
-    """At most one coordinate divisible by l AND that one not by l^2."""
-    u = l * l - l
-    return u ** 5 + 5 * (l - 1) * u ** 4
-
-
-def local_pair_triple_counts(l: int, fixed_divisible: int, free: int) -> int:
-    """Brute-force count over (Z/l^2)^free of survivor tuples with
-    `fixed_divisible` of the remaining 5-free coordinates already divisible by l.
-
-    Survivor rule: at most one of the five coordinates divisible by l.
-    """
-    budget = 1 - fixed_divisible
-    if budget < 0:
-        return 0
-    div = (np.arange(l * l) % l == 0).astype(np.int8)
-    s = div
-    for _ in range(free - 1):
-        s = s[..., None] + div
-    return int((s <= budget).sum())
-
-
-# ---------------------------------------------------------------------------
 # The 2/3-part counters
 # ---------------------------------------------------------------------------
 

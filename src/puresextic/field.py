@@ -303,10 +303,6 @@ def is_canonical(t: CarefreeTuple) -> bool:
     return t.a <= dual(t).a
 
 
-def canonicalize(t: CarefreeTuple) -> CarefreeTuple:
-    return t if is_canonical(t) else dual(t)
-
-
 def big_c_n(a: tuple[int, ...]) -> tuple[int, ...]:
     """C_i = prod_j a_j^floor(i*j/n) for i = 0..n-1 (C_0 = 1), where n = len(a) + 1."""
     n = len(a) + 1

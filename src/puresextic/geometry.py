@@ -183,6 +183,13 @@ def divisor_pairs(lo: int, hi: int, squarefree: bool = True):
                 yield a2, n // a2
 
 
+def _pair_count(x: int) -> int:
+    """#{(a2, a4) : a2 a4 <= x}, the sum of the divisor counts d(n) over n <= x, in
+    O(sqrt(x)) steps by Dirichlet's hyperbola method."""
+    r = math.isqrt(max(x, 0))
+    return 2 * sum(x // k for k in range(1, r + 1)) - r * r
+
+
 def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Fraction, Fraction]]:
     """The cells (a2, a4, a3, S', S) of the box, in order of a2 a4, then of a2 as
     divisor_pairs lists it, then of a3.  This is the one place that knows them.
@@ -195,14 +202,16 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
     cut window.  Given N, only the cells with K <= N, and a C cell list goes
     through slices_M3 and its walk check.  More than _WALK_LIMIT values of a2 a4,
     or (a2, a4) pairs and cells together, raise ValueError before the list is
-    complete.
+    complete; a box whose pairs alone pass the limit, before the first pair.
     """
     where = f"{box.kind} box " + ",".join(map(str, (box.r1p, box.r1, box.r2p, box.r2,
                                                     box.r3p, box.r3)))
     lo, hi = (int(box.r3p), int(box.r3)) if box.kind == "C" else (int(box.r2p), int(box.r2))
+    lo = max(lo, 1)
     if N is not None:
         hi = min(hi, iroot(N, 4))  # K <= N needs (a2 a4)^4 <= N
-    _check_walk(hi - max(lo, 1) + 1, where, "values of a2*a4")
+    _check_walk(hi - lo + 1, where, "values of a2*a4")
+    _check_walk(_pair_count(hi) - _pair_count(lo - 1), where, "(a2, a4) pairs and cells")
     cells, Sp, S = [], box.r1p ** 2, box.r1 ** 2
     for pairs, (a2, a4) in enumerate(divisor_pairs(lo, hi, squarefree=False), 1):
         n = None if N is None else N // (a2 * a4) ** 4
@@ -238,39 +247,10 @@ def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
     return count_slices(slices_M3(math.floor(Fr(N)), L1p ** 2, L1 ** 2, L2p, L2))
 
 
-def count_lattice_M3_brute(N, L1p, L1, L2p, L2) -> int:
-    """Triple-loop oracle over the full bounding cube (tests only)."""
-    N = Fr(N); L1p = Fr(L1p); L1 = Fr(L1); L2p = Fr(L2p); L2 = Fr(L2)
-    top = iroot(int(N), 3) + 2
-    total = 0
-    for x1 in range(1, top + 1):
-        for x3 in range(1, top + 1):
-            for x5 in range(1, top + 1):
-                if Fr(x1) ** 5 * Fr(x3) ** 3 * Fr(x5) ** 5 > N:
-                    continue
-                r1 = Fr(x5, x1)
-                if not (L1p <= r1 <= L1):
-                    continue
-                r2 = Fr(x5, x3 ** 3 * x1)
-                if L2p <= r2 <= L2:
-                    total += 1
-    return total
-
-
 def count_lattice_M2(M, L1p, L1) -> int:
     """#{(x1,x5) positive integers : x1 x5 <= M, x5/x1 in [L1', L1]}, exact."""
     L1p, L1 = max(Fr(L1p), 0), max(Fr(L1), 0)
     return count_slices([(1, math.floor(Fr(M)), L1p ** 2, L1 ** 2)])
-
-
-def count_lattice_M2_brute(M, L1p, L1) -> int:
-    M = Fr(M); L1p = Fr(L1p); L1 = Fr(L1)
-    total = 0
-    for x1 in range(1, math.floor(M) + 1):
-        for x5 in range(1, math.floor(M / x1) + 1):
-            if L1p * x1 <= x5 <= L1 * x1:
-                total += 1
-    return total
 
 
 # --- Monte Carlo volume check ------------------------------------------------

@@ -186,14 +186,22 @@ def _next_prime(p: int) -> int:
     return q
 
 
+# The most fields one corpus may hold: `verify` takes about 25 s on 1000 per Type for
+# all 20 Types on a 2-CPU host (about 1.3 ms a field).
+_CORPUS_LIMIT = 1000
+
+
 def smallest_m_of_type(t: SexticType, count: int = 25, start: int = 2) -> list[int]:
     """The `count` smallest sixth-power-free non-square non-cube m >= start of Type t.
 
     Deterministic test corpus.  The Type of m is that of m mod TYPE_MOD, so the
     scan walks m = base + r over the residues r of Type t in the Type table
     (blocks of TYPE_MOD from the one holding `start`) and tests only those m for
-    irreducibility and sixth-power-freeness.
+    irreducibility and sixth-power-freeness.  More than _CORPUS_LIMIT fields raise
+    ValueError before the scan.
     """
+    if count > _CORPUS_LIMIT:
+        raise ValueError(f"{count} fields of one Type are above the corpus limit {_CORPUS_LIMIT}")
     a, b = type_table()
     res = np.flatnonzero((a == t.i) & (b == t.j)).tolist()
     out = []

@@ -11,6 +11,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from oracles import omega_count, omega_count_exhaustive
 from puresextic import densities as D
 from puresextic.algebra import CubicMatrix, hermitian_gram
 from puresextic.basis import build_basis, derived_transition, tabulated_transition
@@ -142,7 +143,7 @@ def test_criterion_6_type_partition():
 
 
 def test_criterion_7_local_densities():
-    ok_omega = D.omega_count_exhaustive(5) == 7_200_000 == D.omega_count(5)
+    ok_omega = omega_count_exhaustive(5) == 7_200_000 == omega_count(5)
     ok_identity = all(
         (l * l - l) ** 5 + 5 * l * (l * l - l) ** 4 == l ** 5 * (l - 1) ** 4 * (l + 4)
         for l in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,

@@ -6,10 +6,10 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from oracles import char_poly_rational, gram_pair, mult_matrix, trace_numeric
 from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum, _adj3,
-                                _imul, _norm3, char_poly_rational, gram_pair, hermitian_gram,
-                                mat_det, mat_solve, mult_matrix, radical_char_poly,
-                                trace_numeric)
+                                _imul, _norm3, hermitian_gram, mat_det, mat_solve,
+                                radical_char_poly)
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 

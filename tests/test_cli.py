@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import puresextic
+from puresextic import gram
 from puresextic.basis import build_basis, derived_transition, tabulated_transition
 from puresextic.cli import main
 from puresextic.field import is_prime
@@ -57,6 +59,36 @@ def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "--types", "3,2", "--per-type", "3")
     assert code == 0
     assert "PASS A3,B2: 3/3" in out
+
+
+def break_the_certificate(monkeypatch):
+    """shape_gram reads C' off a derived transition whose entry [5][5] is one too big."""
+    real = gram.derived_transition
+
+    def perturbed(b):
+        p = real(b)
+        rows = [list(row) for row in p.entries]
+        rows[5][5] += 1
+        return dataclasses.replace(p, entries=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(gram, "derived_transition", perturbed)
+
+
+def test_verify_reports_a_failed_certificate_exit_1(capsys, monkeypatch):
+    break_the_certificate(monkeypatch)
+    code, out = run(capsys, "verify", "--types", "1,1", "--per-type", "1")
+    assert code == 1
+    assert "FAIL A1,B1: 0/1" in out
+    failures = json.loads(out[out.index("["):])
+    assert ["certificate" in f["failed"] for f in failures] == [True]
+
+
+def test_shape_with_a_failed_certificate_exit_1(capsys, monkeypatch):
+    break_the_certificate(monkeypatch)
+    assert main(["shape", "--m", "32"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: the shape certificate fails for m=32")
+    assert "Traceback" not in err
 
 
 BUILDERS = (build_basis, derived_transition, tabulated_transition)
@@ -328,10 +360,14 @@ def test_equidist_beyond_the_c_walk_limit_exit_1_fast():
     ("equidist", "--family", "T", "--box", "1,4,1,6,1,10000000000", "--ladder", "1000000"),
     ("measure", "--family", "C", "--box", f"1,{10 ** 60},1/8,8,1,6"),
     ("measure", "--family", "C", "--box", f"1,8,1/8,8,1,{10 ** 12}"),
-], ids=["T-measure", "T-equidist", "C-measure-R1", "C-measure-R3"])
+    ("measure", "--family", "C", "--box", "1,1,1,1,1,1000000"),
+    ("measure", "--family", "C", "--box", "1,8,1/8,8,1,1000000"),
+], ids=["T-measure", "T-equidist", "C-measure-R1", "C-measure-R3", "C-measure-pairs",
+        "C-measure-pairs-criterion-10"])
 def test_a_box_of_too_many_cells_exit_1_fast(argv):
-    """10^10 values of a3, about 10^10 of x3 (lambda1^3 up to 10^60) or 10^12 of
-    a2*a4: the box's cells are refused before the predictions or counts start."""
+    """10^10 values of a3, about 10^10 of x3 (lambda1^3 up to 10^60), 10^12 of a2*a4
+    or about 1.4 * 10^7 (a2, a4) pairs: the box's cells are refused before the
+    predictions or counts start."""
     code, err, seconds = run_module(*argv, "--type", "1,1")
     assert seconds < 10
     assert code == 1
@@ -395,8 +431,13 @@ def test_workers_that_is_not_positive_exit_2(capsys, workers):
                             "1,8,1/8,8,1,6", "--prime-bound", "100000000000"),
                            "prime limit 100000000"),
                           (("geometry", "mc", "--N", "1000000", "--samples", "100000000000"),
-                           "sample limit 100000000")],
-                         ids=["euler-bound", "measure-prime-bound", "mc-samples"])
+                           "sample limit 100000000"),
+                          (("verify", "--types", "all", "--per-type", "1000000"),
+                           "corpus limit 1000"),
+                          (("general-basis", "--n", "1000000", "--m", "5"),
+                           "degree limit 500")],
+                         ids=["euler-bound", "measure-prime-bound", "mc-samples",
+                              "verify-per-type", "general-basis-degree"])
 def test_input_above_a_limit_fails_fast_exit_1(argv, limit):
     """A fresh interpreter, so no warm cache hides the cost of an input past the limit."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))

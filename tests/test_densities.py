@@ -3,14 +3,16 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from oracles import (local_pair_triple_counts, omega_count, omega_count_exhaustive,
+                     omega_count_strict)
 from puresextic import densities as D
 from puresextic.geometry import Box3, box_cells
 from puresextic.types import SexticType, type_table
 
 
 def test_omega_count_closed_form_l5():
-    assert D.omega_count(5) == 7_200_000
-    assert D.omega_count_exhaustive(5) == 7_200_000
+    assert omega_count(5) == 7_200_000
+    assert omega_count_exhaustive(5) == 7_200_000
 
 
 def test_omega_closed_form_identity():
@@ -20,25 +22,19 @@ def test_omega_closed_form_identity():
         assert u ** 5 + 5 * l * u ** 4 == l ** 5 * (l - 1) ** 4 * (l + 4)
 
 
-def test_omega_member():
-    assert D.omega_member((1, 2, 3, 4, 10), 5)
-    assert not D.omega_member((5, 2, 3, 4, 10), 5)
-    assert D.omega_member((25, 2, 3, 4, 1), 5)  # loose convention: 25 counts as one slot
-
-
 def test_strict_vs_loose():
-    assert D.omega_count_strict(5) == 6_400_000
-    assert D.omega_count_strict(5) < D.omega_count(5)
+    assert omega_count_strict(5) == 6_400_000
+    assert omega_count_strict(5) < omega_count(5)
 
 
 @pytest.mark.parametrize("l", [5, 7, 11, 13])
 def test_ratio_laws(l):
     """(l-1)/(l+2) for three free coordinates, (l-1)/(l+1) for two."""
-    c30 = D.local_pair_triple_counts(l, 0, 3)
-    c31 = D.local_pair_triple_counts(l, 1, 3)
+    c30 = local_pair_triple_counts(l, 0, 3)
+    c31 = local_pair_triple_counts(l, 1, 3)
     assert Fr(c31, c30) == Fr(l - 1, l + 2)
-    c20 = D.local_pair_triple_counts(l, 0, 2)
-    c21 = D.local_pair_triple_counts(l, 1, 2)
+    c20 = local_pair_triple_counts(l, 0, 2)
+    c21 = local_pair_triple_counts(l, 1, 2)
     assert Fr(c21, c20) == Fr(l - 1, l + 1)
 
 
@@ -206,7 +202,7 @@ def test_double_counting_against_independent_grid():
 def test_omega7_sampled_frequency():
     """Spot-check #Omega_7 = 239600592 by membership frequency on a seeded sample."""
     import numpy as np
-    assert D.omega_count(7) == 239_600_592
+    assert omega_count(7) == 239_600_592
     rng = np.random.default_rng(0)
     n = 200_000
     tup = rng.integers(0, 49, size=(n, 5))

@@ -2,13 +2,18 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from puresextic.algebra import char_poly_rational, mult_matrix
+from oracles import char_poly_rational, mult_matrix
+from puresextic.algebra import radical_char_poly
 from puresextic.basis import build_basis
 from puresextic.field import AssumptionViolated, check_assumption, is_irreducible_sextic, sextic_field
-from puresextic.general import (GeneralBasis, element_char_poly, general_integral_basis,
-                                general_shape_params, is_integral_basis_candidate,
+from puresextic.general import (GeneralBasis, general_integral_basis, general_shape_params,
                                 same_lattice, wild_data)
 from puresextic.gram import Monomial, shape_params
+
+
+def is_integral_basis_candidate(gb: GeneralBasis) -> bool:
+    """Every element integral (integer char poly)."""
+    return all(c.denominator == 1 for v in gb.vectors for c in radical_char_poly(gb.m, v))
 
 
 def test_wild_set_examples():
@@ -60,8 +65,9 @@ def test_various_degrees_integral():
 
 
 def test_element_char_poly_matches_the_mult_matrix_oracle():
-    """The power-sum char polys behind is_integral_basis_candidate equal Faddeev-LeVerrier
-    on the multiplication matrix for the n != 6 bases, and for their halves (not integral)."""
+    """The power-sum char polys (radical_char_poly) behind is_integral_basis_candidate equal
+    Faddeev-LeVerrier on the multiplication matrix for the n != 6 bases, and for their
+    halves (not integral)."""
     for n, m in [(2, 5), (3, 10), (4, 5), (5, 7), (8, 3), (9, 10), (12, 7), (10, 11)]:
         try:
             gb = general_integral_basis(n, m)
@@ -69,7 +75,7 @@ def test_element_char_poly_matches_the_mult_matrix_oracle():
             continue
         for v in gb.vectors:
             for w in (list(v), [c / 2 for c in v]):
-                assert element_char_poly(n, m, w) == char_poly_rational(mult_matrix(m, w)), (n, m)
+                assert radical_char_poly(m, w) == char_poly_rational(mult_matrix(m, w)), (n, m)
         half = GeneralBasis(n, m, tuple(tuple(c / 2 for c in v) for v in gb.vectors))
         assert not is_integral_basis_candidate(half)
 

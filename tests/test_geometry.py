@@ -4,9 +4,9 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import count_lattice_M2_brute, count_lattice_M3_brute
 from puresextic.field import iroot
-from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M2_brute,
-                                 count_lattice_M3, count_lattice_M3_brute, error_law_M2,
+from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M3, error_law_M2,
                                  monte_carlo_volume_M3, slices_M3, volume_V, windows_M2)
 
 

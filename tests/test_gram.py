@@ -70,7 +70,7 @@ def test_shape_certificate_exact():
 
 def test_shape_scale_invariance():
     """Scaling the basis by r scales the perp Gram by r^2 (monomials unchanged)."""
-    from puresextic.algebra import gram_pair
+    from oracles import gram_pair
     f = sextic_field(17)
     b = build_basis(f)
     alphas = [e * Fr(3, 2) for e in b.elements[1:]]
@@ -142,7 +142,7 @@ def test_monomial_hash_agrees_with_eq():
 
 
 def test_shape_certificate_runs_its_congruence_once(monkeypatch):
-    """shape_gram checks the certificate on construction; certificate_holds() reuses it."""
+    """certificate_holds() checks the certificate on its first call and reuses it."""
     calls = []
     congruence = CubicMatrix.congruence
 

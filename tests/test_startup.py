@@ -1,7 +1,7 @@
 """Start-up: the exact paths load neither mpmath nor a process pool.
 
-mpmath serves only decimal output (CubicNum.evaluate, trace_numeric,
-Monomial.value, --digits), so it is imported on first use.  The shards run in
+mpmath serves only decimal output (CubicNum.evaluate, Monomial.value,
+--digits) and the test oracle trace_numeric, so it is imported on first use.  The shards run in
 one process, so multiprocessing and concurrent.futures stay unloaded.  These
 tests run fresh interpreters, because the test process itself has long since
 loaded all three.
