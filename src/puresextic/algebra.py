@@ -6,7 +6,7 @@ sum nums[t] theta^t / den; a matrix over the cubic field (CubicMatrix) is three
 integer matrices over one denominator.  Equal values have equal fields, and
 `coeffs`, the `fractions.Fraction` coefficients, is a derived read-only view.
 A characteristic polynomial (the integrality check) comes from power sums in
-Z[theta]/(theta^n - m) and Newton's identities (radical_char_poly); its
+Z[theta]/(theta^n - m) and Newton's identities (_power_sum_char_poly); its
 independent test oracle, Faddeev-LeVerrier on the multiplication matrix, lives
 in tests/oracles.py.  One fraction-free (Bareiss) Gauss-Jordan elimination
 gives rational determinants and solves.  Gram products, congruences (integer
@@ -248,7 +248,7 @@ class SexticNum(_RadicalNum):
     def char_poly(self) -> list[Fraction]:
         """Characteristic polynomial of the multiplication matrix, x^6 + a5 x^5 + ... + a0.
 
-        Returned as [a0, ..., a5, 1], from power sums (radical_char_poly).  Integer
+        Returned as [a0, ..., a5, 1], from power sums (_power_sum_char_poly).  Integer
         coefficients certify algebraic integrality.
         """
         return _power_sum_char_poly(self.m, self.nums, self.den)
@@ -257,15 +257,10 @@ class SexticNum(_RadicalNum):
         return all(c.denominator == 1 for c in self.char_poly())
 
 
-def radical_char_poly(m: int, vec: Sequence) -> list[Fraction]:
-    """Coefficients [c0, ..., c_{n-1}, 1] of the characteristic polynomial of
-    x = sum vec[t] theta^t in Q[theta]/(theta^n - m), n = len(vec), from power sums."""
-    d = _den(vec)
-    return _power_sum_char_poly(m, _ints(vec, d), d)
-
-
 def _power_sum_char_poly(m: int, y: Sequence[int], d: int) -> list[Fraction]:
-    """radical_char_poly of x = y / d, for integer numerators y and d > 0.
+    """Coefficients [c0, ..., c_{n-1}, 1] of the characteristic polynomial of
+    x = sum y[t] theta^t / d in Q[theta]/(theta^n - m), n = len(y), for integer
+    numerators y and d > 0.
 
     Tr(theta^t) = 0 for 0 < t < n, so with y in Z[theta] each power sum p_k = Tr(y^k)
     is n times the constant coefficient of y^k.  Newton's identities

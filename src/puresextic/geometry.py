@@ -201,8 +201,10 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
     and a5/(a1 a3^3) in [R2'/r, R2/r] pin a3 to the x3 of slices_M3, each with its
     cut window.  Given N, only the cells with K <= N, and a C cell list goes
     through slices_M3 and its walk check.  More than _WALK_LIMIT values of a2 a4,
-    or (a2, a4) pairs and cells together, raise ValueError before the list is
-    complete; a box whose pairs alone pass the limit, before the first pair.
+    or (a2, a4) pairs and cells together, raise ValueError before any cell's
+    window is cut; a box whose pairs alone pass the limit, before the first pair.
+    The pairs are counted exactly while sqrt(a2 a4) stays within _WALK_LIMIT;
+    above it, by the lower bound of two pairs for each n >= 2.
     """
     where = f"{box.kind} box " + ",".join(map(str, (box.r1p, box.r1, box.r2p, box.r2,
                                                     box.r3p, box.r3)))
@@ -211,8 +213,12 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
     if N is not None:
         hi = min(hi, iroot(N, 4))  # K <= N needs (a2 a4)^4 <= N
     _check_walk(hi - lo + 1, where, "values of a2*a4")
-    _check_walk(_pair_count(hi) - _pair_count(lo - 1), where, "(a2, a4) pairs and cells")
-    cells, Sp, S = [], box.r1p ** 2, box.r1 ** 2
+    if math.isqrt(max(hi, 0)) <= _WALK_LIMIT:
+        all_pairs = _pair_count(hi) - _pair_count(lo - 1)
+    else:  # each n >= 2 has at least the two pairs (1, n) and (n, 1)
+        all_pairs = 2 * (hi - lo + 1) - (lo == 1)
+    _check_walk(all_pairs, where, "(a2, a4) pairs and cells")
+    plan, count, Sp, S = [], 0, box.r1p ** 2, box.r1 ** 2
     for pairs, (a2, a4) in enumerate(divisor_pairs(lo, hi, squarefree=False), 1):
         n = None if N is None else N // (a2 * a4) ** 4
         if box.kind == "T":
@@ -224,12 +230,18 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
             region = box.r1p * r, box.r1 * r, box.r2p / r, box.r2 / r
             if n is None:
                 a3s = _x3_range(*region, None)
-                windows = ((x3, *_x3_window(x3, *region)) for x3 in a3s)
+                windows = _x3_cells(a3s, region)
             else:
                 a3s = windows = [(x3, Sq, Sx) for x3, _, Sq, Sx in slices_M3(n, *region)]
-        _check_walk(pairs + len(cells) + len(a3s), where, "(a2, a4) pairs and cells")
-        cells += [(a2, a4, *w) for w in windows]
-    return cells
+        count += len(a3s)
+        _check_walk(pairs + count, where, "(a2, a4) pairs and cells")
+        plan.append((a2, a4, windows))
+    return [(a2, a4, *w) for a2, a4, windows in plan for w in windows]
+
+
+def _x3_cells(x3s: range, region: tuple[Fraction, ...]):
+    """The (x3, S', S) of x3s, each with its cut window of region, made when iterated."""
+    return ((x3, *_x3_window(x3, *region)) for x3 in x3s)
 
 
 def count_slices(slices) -> int:

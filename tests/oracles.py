@@ -7,6 +7,8 @@ power sums, loops over the bounding box against the slice and window walks, and
 brute-force residue loops against the closed-form local counts.  Nothing in the
 package, the CLI or the bench calls them; tests import them with
 `from oracles import ...` (pytest puts this directory on sys.path).
+radical_char_poly is no oracle: it is the package's power-sum char poly at any
+degree n, which only tests ask for (SexticNum.char_poly runs it at n = 6).
 """
 
 import math
@@ -15,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from puresextic.algebra import CubicNum, SexticNum, _den, _imul, _ints, _mpf_frac
+from puresextic.algebra import (CubicNum, SexticNum, _den, _imul, _ints, _mpf_frac,
+                                _power_sum_char_poly)
 from puresextic.field import iroot
 
 Fr = Fraction
@@ -60,6 +63,13 @@ def gram_pair(x: SexticNum, y: SexticNum) -> CubicNum:
     gam = [(1, 0, 0), (0, s, 0), (0, 0, 1), (am, 0, 0), (0, s * am, 0), (0, 0, am)]
     acc = [sum(6 * a * b * g[k] for a, b, g in zip(x.nums, y.nums, gam)) for k in range(3)]
     return CubicNum(m, acc, x.den * y.den)
+
+
+def radical_char_poly(m: int, vec: Sequence[Fraction]) -> list[Fraction]:
+    """Coefficients [c0, ..., c_{n-1}, 1] of the characteristic polynomial of
+    x = sum vec[t] theta^t in Q[theta]/(theta^n - m), n = len(vec), from power sums."""
+    d = _den(vec)
+    return _power_sum_char_poly(m, _ints(vec, d), d)
 
 
 def mult_matrix(m: int, vec: Sequence[Fraction]) -> list[list[Fraction]]:

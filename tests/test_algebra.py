@@ -6,10 +6,9 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import char_poly_rational, gram_pair, mult_matrix, trace_numeric
+from oracles import char_poly_rational, gram_pair, mult_matrix, radical_char_poly, trace_numeric
 from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum, _adj3,
-                                _imul, _norm3, hermitian_gram, mat_det, mat_solve,
-                                radical_char_poly)
+                                _imul, _norm3, hermitian_gram, mat_det, mat_solve)
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 

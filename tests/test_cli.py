@@ -362,11 +362,14 @@ def test_equidist_beyond_the_c_walk_limit_exit_1_fast():
     ("measure", "--family", "C", "--box", f"1,8,1/8,8,1,{10 ** 12}"),
     ("measure", "--family", "C", "--box", "1,1,1,1,1,1000000"),
     ("measure", "--family", "C", "--box", "1,8,1/8,8,1,1000000"),
+    ("measure", "--family", "C", "--box", f"1,8,1/8,8,{10 ** 20},{10 ** 20}"),
+    ("measure", "--family", "C", "--box", f"1,8,1/8,8,{10 ** 12},{10 ** 12 + 5}"),
 ], ids=["T-measure", "T-equidist", "C-measure-R1", "C-measure-R3", "C-measure-pairs",
-        "C-measure-pairs-criterion-10"])
+        "C-measure-pairs-criterion-10", "C-measure-narrow-1e20", "C-measure-narrow-1e12"])
 def test_a_box_of_too_many_cells_exit_1_fast(argv):
-    """10^10 values of a3, about 10^10 of x3 (lambda1^3 up to 10^60), 10^12 of a2*a4
-    or about 1.4 * 10^7 (a2, a4) pairs: the box's cells are refused before the
+    """10^10 values of a3, about 10^10 of x3 (lambda1^3 up to 10^60), 10^12 of a2*a4,
+    about 1.4 * 10^7 (a2, a4) pairs, or a few a2*a4 near 10^20 or 10^12 whose
+    pairs hold about 10^10 or 10^6 cells: the box's cells are refused before the
     predictions or counts start."""
     code, err, seconds = run_module(*argv, "--type", "1,1")
     assert seconds < 10
@@ -374,6 +377,15 @@ def test_a_box_of_too_many_cells_exit_1_fast(argv):
     box = argv[argv.index("--box") + 1]
     assert err.startswith(f"error: the {argv[2]} box {box} needs more than ")
     assert "walk limit" in err and "Traceback" not in err
+
+
+def test_a_narrow_box_of_large_a2a4_runs_fast():
+    """a2*a4 = 10^20 alone: its 441 (a2, a4) pairs are walked, not the sqrt(10^20)
+    steps of an exact pair count up to 10^20."""
+    code, err, seconds = run_module("measure", "--family", "T", "--type", "1,1", "--box",
+                                    f"1,4,{10 ** 20},{10 ** 20},1,3")
+    assert seconds < 10
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("op,N", [("count", 10 ** 61), ("count2", 10 ** 30)],

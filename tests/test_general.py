@@ -2,8 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from oracles import char_poly_rational, mult_matrix
-from puresextic.algebra import radical_char_poly
+from oracles import char_poly_rational, mult_matrix, radical_char_poly
 from puresextic.basis import build_basis
 from puresextic.field import AssumptionViolated, check_assumption, is_irreducible_sextic, sextic_field
 from puresextic.general import (GeneralBasis, general_integral_basis, general_shape_params,

@@ -1,12 +1,14 @@
 """The package holds the code it runs; test oracles live in tests/oracles.py.
 
-Every public top-level function or class of src/puresextic must be named in some
+Every public top-level function or class of src/puresextic must be used by some
 module of the package or the bench outside its own definition: a name only tests
-use belongs on the test side.
+use belongs on the test side.  A use is a reference in the code, read off the
+syntax tree: a name, an attribute, an imported name, or a string that is the name
+(the bench's tracer wraps functions by getattr).  A mention in a comment or in
+the words of a docstring is no use.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,22 +20,34 @@ CALLERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 EXEMPT = {"disc_valuations"}
 
 
-def _public_definitions():
-    for path in PACKAGE:
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield path, node
+def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names tree's code uses, outside the node skip."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
 
 
 def test_every_public_name_in_src_has_a_caller_outside_tests():
-    texts = {path: path.read_text() for path in CALLERS}
+    trees = {path: ast.parse(path.read_text()) for path in CALLERS}
+    uses = {path: _uses(tree) for path, tree in trees.items()}
     unused = []
-    for path, node in _public_definitions():
-        word = re.compile(rf"\b{node.name}\b")
-        lines = texts[path].splitlines()
-        elsewhere = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-        if not word.search(elsewhere) and not any(
-                word.search(text) for other, text in texts.items() if other != path):
-            unused.append(f"{path.name}:{node.name}")
+    for path in PACKAGE:
+        for node in trees[path].body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                if node.name not in _uses(trees[path], skip=node) and not any(
+                        node.name in names for other, names in uses.items() if other != path):
+                    unused.append(f"{path.name}:{node.name}")
     assert sorted(unused) == sorted(f"field.py:{name}" for name in EXEMPT), unused
