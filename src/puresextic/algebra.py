@@ -108,9 +108,6 @@ class _RadicalNum:
     def __truediv__(self, r):
         return self * (1 / _rat(r))
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def to_json(self) -> list[dict]:
         return [{"num": str(q.numerator), "den": str(q.denominator)} for q in self.coeffs]
 
@@ -167,10 +164,6 @@ class CubicNum(_RadicalNum):
             q0, q1, q2 = self.coeffs
             val = _mpf_frac(q0) + _mpf_frac(q1) * c + _mpf_frac(q2) * c * c
             return +val
-
-    def norm(self) -> Fraction:
-        """Field norm N(q0 + q1 c + q2 c^2) = q0^3 + m q1^3 + m^2 q2^3 - 3 m q0 q1 q2."""
-        return Fraction(_norm3(self.nums, self.m), self.den ** 3)
 
     def sign(self) -> int:
         """Exact sign of the value at the real cube root of m.
@@ -356,10 +349,6 @@ class CubicMatrix:
         return CubicMatrix._of(m, ([_ints(row, d) for row in rows], zero, zero), d)
 
     @staticmethod
-    def identity(m: int, n: int) -> "CubicMatrix":
-        return CubicMatrix.from_rational(m, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def diagonal(m: int, diag: Sequence[CubicNum]) -> "CubicMatrix":
         n = len(diag)
         zero = CubicNum(m, (0, 0, 0), 1)
@@ -394,25 +383,16 @@ class CubicMatrix:
         elimination over Z[c] of the numerator matrix."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        sign, pivots = _zc_bareiss(self._triples(), self.m, pivoting=True)
+        sign, pivots = _zc_bareiss(self._triples(), self.m)
         last = pivots[-1] if pivots else (1, 0, 0)
         return CubicNum(self.m, [sign * q for q in last], self.den ** self.rows)
-
-    def is_positive_definite(self) -> bool:
-        """Leading principal minors all positive at the real root (exact signs).
-
-        They are the pivots of one elimination without row swaps, over den^k > 0,
-        and the sign of a cubic number is that of its norm (see CubicNum.sign).
-        """
-        _, pivots = _zc_bareiss(self._triples(), self.m, pivoting=False)
-        return all(_norm3(p, self.m) > 0 for p in pivots)
 
     def to_json(self) -> list:
         return [[x.to_json() for x in row] for row in self.entries]
 
 
-def _zc_bareiss(a: list[list[tuple[int, int, int]]], m: int,
-                pivoting: bool) -> tuple[int, list[tuple[int, int, int]]]:
+def _zc_bareiss(a: list[list[tuple[int, int, int]]],
+                m: int) -> tuple[int, list[tuple[int, int, int]]]:
     """Forward fraction-free (Bareiss 1968) elimination, in place, over Z[c], c^3 = m.
 
     Step k replaces a[i][j] (i, j > k) by (p a[i][j] - a[i][k] a[k][j]) / prev, with p
@@ -420,18 +400,17 @@ def _zc_bareiss(a: list[list[tuple[int, int, int]]], m: int,
     so it lies in Z[c]: dividing is multiplying by prev's adjugate (prev prev' =
     N(prev)) and then dividing each integer coefficient by N(prev), exactly.
     Returns (sign, pivots) with sign that of the row permutation and sign * pivots[-1]
-    = det(a).  A zero pivot ends the elimination as the last one returned; without
-    pivoting no row moves, and pivots[k] is the leading principal (k+1)-minor.
+    = det(a).  A zero pivot, left when no row below has a nonzero entry in its
+    column, ends the elimination as the last one returned.
     """
     n = len(a)
     sign, pivots = 1, []
     adj, nrm = (1, 0, 0), 1
     for k in range(n):
-        if pivoting:
-            r = next((r for r in range(k, n) if any(a[r][k])), k)
-            if r != k:
-                a[k], a[r] = a[r], a[k]
-                sign = -sign
+        r = next((r for r in range(k, n) if any(a[r][k])), k)
+        if r != k:
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
         p = a[k][k]
         pivots.append(p)
         if not any(p):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import SexticNum, mat_det
+from .algebra import SexticNum
 from .field import SexticField
 from .types import SexticType, classify
 
@@ -209,9 +209,6 @@ def power_type_basis(f: SexticField) -> tuple[SexticNum, ...]:
 class TransitionMatrix:
     type: SexticType
     entries: tuple[tuple[Fraction, ...], ...]  # 6x6, columns = basis elements over {theta^t/C_t}
-
-    def det(self) -> Fraction:
-        return mat_det([list(r) for r in self.entries])
 
     def to_json(self) -> list:
         return [[{"num": str(x.numerator), "den": str(x.denominator)} for x in row]

@@ -1,7 +1,10 @@
 """Command-line interface: single-field queries, density/measure computation,
 geometry diagnostics, equidistribution runs, and the identity verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Each option belongs to the one subcommand (or geometry op) that reads it; there
+are no global flags.  JSON output holds the command's own inputs and results.
+Exit codes: 0 success, 1 verification failure or invalid input (`error: ...` on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -9,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import densities
 from .algebra import CubicMatrix
 from .basis import build_basis, derived_transition, tabulated_transition
-from .field import AssumptionViolated, carefree_decompose_n, dual, sextic_field
+from .field import carefree_decompose_n, dual, sextic_field
 from .general import general_integral_basis, general_shape_params, wild_data
 from .geometry import (Box3, area_A, count_lattice_M2, count_lattice_M3, error_law_M2,
                        error_law_M3, monte_carlo_volume_M3, volume_V)
@@ -24,25 +27,8 @@ from .harness import compare, report_to_json
 from .types import ALL_TYPES, SexticType, classify, smallest_m_of_type, type_partition_check
 
 
-@dataclass
-class Config:
-    digits: int
-    format: str
-    seed: int
-
-    def echo(self) -> dict:
-        return asdict(self)
-
-
-def _emit(cfg: Config, payload: dict) -> None:
-    payload = {"config": cfg.echo(), **payload}
-    if cfg.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        for k, v in payload.items():
-            if k == "config":
-                continue
-            print(f"{k}: {v}")
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
 def _parse_sign(s: str) -> int:
@@ -71,52 +57,47 @@ def _parse_ladder(s: str) -> list[int]:
     return [_positive_int(entry, "ladder entry ") for entry in s.split(",")]
 
 
-def cmd_classify(cfg: Config, args) -> int:
+def cmd_classify(args) -> int:
     t = classify(args.m)
-    _emit(cfg, {"m": args.m, "type": str(t)})
+    _emit({"m": args.m, "type": str(t)})
     return 0
 
 
-def cmd_basis(cfg: Config, args) -> int:
+def cmd_basis(args) -> int:
     f = sextic_field(args.m)
     b = build_basis(f)
     out = b.to_json()
     out["C"] = list(f.big_c)
-    _emit(cfg, out)
+    _emit(out)
     return 0
 
 
-def cmd_general_basis(cfg: Config, args) -> int:
-    try:
-        gb = general_integral_basis(args.n, args.m)
-    except AssumptionViolated as e:
-        _emit(cfg, {"error": str(e)})
-        return 1
-    out = gb.to_json()
+def cmd_general_basis(args) -> int:
+    out = general_integral_basis(args.n, args.m).to_json()
     wd = wild_data(args.n, args.m)
     out["S"] = list(wd.S)
     if args.shape:
         a = carefree_decompose_n(args.n, args.m)
         sp = general_shape_params(args.n, a)
         out["shape_exponents"] = {str(i): [str(e) for e in v] for i, v in sp.items()}
-    _emit(cfg, out)
+    _emit(out)
     return 0
 
 
-def cmd_gram(cfg: Config, args) -> int:
+def cmd_gram(args) -> int:
     f = sextic_field(args.m)
     g = gram6(f)
     out = {"m": args.m, "type": str(classify(args.m)), "gram": g.to_json()}
-    if cfg.digits:
+    if args.digits:
         import mpmath
-        with mpmath.workdps(cfg.digits):
-            out["gram_decimal"] = [[mpmath.nstr(x.evaluate(cfg.digits + 10), cfg.digits)
+        with mpmath.workdps(args.digits):
+            out["gram_decimal"] = [[mpmath.nstr(x.evaluate(args.digits + 10), args.digits)
                                     for x in row] for row in g.entries]
-    _emit(cfg, out)
+    _emit(out)
     return 0
 
 
-def cmd_shape(cfg: Config, args) -> int:
+def cmd_shape(args) -> int:
     f = sextic_field(args.m)
     canon = f if f.canonical else sextic_field(dual(f.tuple).m)
     sp = shape_params(canon)
@@ -128,43 +109,55 @@ def cmd_shape(cfg: Config, args) -> int:
         "m": args.m,
         "canonical_m": canon.m,
         "type": str(classify(args.m)),
-        "lambdas": sp.to_json(cfg.digits),
+        "lambdas": sp.to_json(args.digits),
         "shape_gram": sg.to_json(),
         "normalized_diagonal_exponents": [mono.to_json() for mono in normalized_shape_diag(canon)],
     }
-    _emit(cfg, out)
+    _emit(out)
     return 0
 
 
-def cmd_geometry(cfg: Config, args) -> int:
-    if args.op == "volume":
-        _emit(cfg, {"volume": volume_V(args.N, args.L1p, args.L1, args.L2p, args.L2)})
-    elif args.op == "count":
-        _emit(cfg, {"count": count_lattice_M3(args.N, args.L1p, args.L1, args.L2p, args.L2)})
-    elif args.op == "area":
-        _emit(cfg, {"area": area_A(args.N, args.L1p, args.L1)})
-    elif args.op == "count2":
-        _emit(cfg, {"count": count_lattice_M2(args.N, args.L1p, args.L1)})
-    elif args.op == "mc":
-        est, se = monte_carlo_volume_M3(args.N, args.L1p, args.L1, args.L2p, args.L2,
-                                        samples=args.samples, seed=cfg.seed)
-        _emit(cfg, {"estimate": est, "standard_error": se,
-                    "exact": volume_V(args.N, args.L1p, args.L1, args.L2p, args.L2)})
-    elif args.op == "diagnose":
-        rows3 = error_law_M3(args.ladder, args.L1p, args.L1, args.L2p, args.L2)
-        rows2 = error_law_M2(args.ladder, args.L1p, args.L1)
-        if args.csv:
-            print("kind,N,count,main_term,scaled_error")
-            for r in rows3:
-                print(f"M3,{r.N},{r.count},{r.volume},{r.scaled_error}")
-            for r in rows2:
-                print(f"M2,{r.N},{r.count},{r.volume},{r.scaled_error}")
-        else:
-            _emit(cfg, {"M3": [asdict(r) for r in rows3], "M2": [asdict(r) for r in rows2]})
+# geometry's region flags and their defaults; the 2d ops take the first three
+_REGION = {"N": 10 ** 6, "L1p": 1, "L1": 2, "L2p": 1, "L2": 2}
+_3D, _2D = tuple(_REGION), tuple(_REGION)[:3]
+
+
+def _mc(args, *region) -> None:
+    est, se = monte_carlo_volume_M3(*region, samples=args.samples, seed=args.seed)
+    _emit({"estimate": est, "standard_error": se, "exact": volume_V(*region),
+           "samples": args.samples, "seed": args.seed})
+
+
+def _diagnose(args, *windows) -> None:
+    rows3 = error_law_M3(args.ladder, *windows)
+    rows2 = error_law_M2(args.ladder, *windows[:2])
+    if not args.csv:
+        _emit({"M3": [asdict(r) for r in rows3], "M2": [asdict(r) for r in rows2]})
+        return
+    print("kind,N,count,volume,scaled_error,discrete_term")
+    for kind, rows in (("M3", rows3), ("M2", rows2)):
+        for r in rows:
+            print(f"{kind},{r.N},{r.count},{r.volume},{r.scaled_error},{r.discrete_term}")
+
+
+# op -> (the region flags it takes, in the order it passes them on; what it prints)
+_GEOMETRY_OPS = {
+    "volume": (_3D, lambda args, *region: _emit({"volume": volume_V(*region)})),
+    "count": (_3D, lambda args, *region: _emit({"count": count_lattice_M3(*region)})),
+    "area": (_2D, lambda args, *region: _emit({"area": area_A(*region)})),
+    "count2": (_2D, lambda args, *region: _emit({"count": count_lattice_M2(*region)})),
+    "mc": (_3D, _mc),
+    "diagnose": (_3D[1:], _diagnose),
+}
+
+
+def cmd_geometry(args) -> int:
+    flags, run = _GEOMETRY_OPS[args.op]
+    run(args, *(getattr(args, flag) for flag in flags))
     return 0
 
 
-def cmd_density(cfg: Config, args) -> int:
+def cmd_density(args) -> int:
     t = SexticType.parse(args.type)
     if args.validate and args.a3 is not None:
         print("error: --validate checks the n-count only; drop --a3 or --validate",
@@ -182,31 +175,29 @@ def cmd_density(cfg: Config, args) -> int:
         v = densities.m_table(t, args.sign, args.a2, args.a3, args.a4)
         out = {"kind": "m", "type": str(t), "sign": args.sign,
                "a2": args.a2, "a3": args.a3, "a4": args.a4, "count": v}
-    _emit(cfg, out)
+    _emit(out)
     return 0
 
 
-def cmd_euler(cfg: Config, args) -> int:
+def cmd_euler(args) -> int:
     val, tail = densities.euler_product(args.kind, args.bound)
-    _emit(cfg, {"kind": args.kind, "prime_bound": args.bound,
-                "value": val, "tail_bound": tail})
+    _emit({"kind": args.kind, "prime_bound": args.bound, "value": val, "tail_bound": tail})
     return 0
 
 
-def cmd_measure(cfg: Config, args) -> int:
+def cmd_measure(args) -> int:
     t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
     out = densities.integrate_measure(t, args.sign, box, args.prime_bound)
-    _emit(cfg, {"family": args.family, "type": str(t), "sign": args.sign,
-                "box": box.to_json(), "variants": out})
+    _emit({"family": args.family, "type": str(t), "sign": args.sign,
+           "box": box.to_json(), "variants": out})
     return 0
 
 
-def cmd_equidist(cfg: Config, args) -> int:
+def cmd_equidist(args) -> int:
     t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
     report = compare(args.family, t, args.sign, box, args.ladder, prime_bound=args.prime_bound)
-    report["config"] = cfg.echo()
     text = report_to_json(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -217,7 +208,7 @@ def cmd_equidist(cfg: Config, args) -> int:
     return 0
 
 
-def cmd_verify(cfg: Config, args) -> int:
+def cmd_verify(args) -> int:
     """The full identity suite: for each Type and the per-type corpus, check
     gram6 == reference table == C^T G_power C and derived == tabulated transitions."""
     types = ALL_TYPES if args.types == "all" else [SexticType.parse(args.types)]
@@ -254,12 +245,12 @@ def cmd_verify(cfg: Config, args) -> int:
     return 0
 
 
-def cmd_partition(cfg: Config, args) -> int:
+def cmd_partition(args) -> int:
     if args.lo > args.hi:
         print(f"error: --lo {args.lo} is above --hi {args.hi}", file=sys.stderr)
         return 2
     rep = type_partition_check(args.lo, args.hi)
-    _emit(cfg, rep)
+    _emit(rep)
     return 0 if rep["violation_count"] == 0 else 1
 
 
@@ -267,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="puresextic",
                                  description="Integral bases, Gram matrices and lattice "
                                              "shapes of pure sextic fields")
-    ap.add_argument("--digits", type=_nonnegative_int, default=0,
-                    help="decimal digits for numeric output")
-    ap.add_argument("--format", choices=("json", "pretty"), default="json")
-    ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify");  p.add_argument("--m", type=int, required=True)
@@ -288,21 +275,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("gram", cmd_gram), ("shape", cmd_shape)):
         p = sub.add_parser(name)
         p.add_argument("--m", type=int, required=True)
-        # SUPPRESS: given here it sets the one global value, absent it leaves it alone
-        p.add_argument("--digits", type=_nonnegative_int, default=argparse.SUPPRESS)
+        p.add_argument("--digits", type=_nonnegative_int, default=0,
+                       help="decimal digits for numeric output")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("geometry")
-    p.add_argument("op", choices=("volume", "count", "area", "count2", "mc", "diagnose"))
-    p.add_argument("--N", type=Fraction, default=Fraction(10 ** 6))
-    p.add_argument("--L1p", type=Fraction, default=Fraction(1))
-    p.add_argument("--L1", type=Fraction, default=Fraction(2))
-    p.add_argument("--L2p", type=Fraction, default=Fraction(1))
-    p.add_argument("--L2", type=Fraction, default=Fraction(2))
-    p.add_argument("--samples", type=_positive_int, default=10 ** 6)
-    p.add_argument("--ladder", type=_parse_ladder, default="1000000,100000000")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(fn=cmd_geometry)
+    ops = sub.add_parser("geometry").add_subparsers(dest="op", required=True)
+    for op, (flags, _) in _GEOMETRY_OPS.items():
+        p = ops.add_parser(op)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=Fraction, default=Fraction(_REGION[flag]))
+        p.set_defaults(fn=cmd_geometry)
+    ops.choices["mc"].add_argument("--samples", type=_positive_int, default=10 ** 6)
+    ops.choices["mc"].add_argument("--seed", type=int, default=0)
+    ops.choices["diagnose"].add_argument("--ladder", type=_parse_ladder,
+                                         default="1000000,100000000")
+    ops.choices["diagnose"].add_argument("--csv", action="store_true")
 
     p = sub.add_parser("density")
     p.add_argument("--type", required=True)
@@ -352,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = Config(digits=args.digits, format=args.format, seed=args.seed)
     try:
-        return args.fn(cfg, args)
+        return args.fn(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

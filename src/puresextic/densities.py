@@ -292,20 +292,16 @@ _EULER_KINDS = {
 
 
 @lru_cache(maxsize=None)
-def euler_product(kind: str, prime_bound: int = 10 ** 6,
-                  exclude: tuple[int, ...] = (2, 3)) -> tuple[float, float]:
-    """(truncated product over primes <= prime_bound, rigorous tail bound).
+def euler_product(kind: str, prime_bound: int = 10 ** 6) -> tuple[float, float]:
+    """(truncated product over the primes 5 <= l <= prime_bound, rigorous tail bound).
 
     The true value lies in [value * exp(-tail), value]: each omitted factor is
     1 - x_l with 0 < x_l <= c/l^2, and sum_{n > B} (c/n^2 + c^2/n^4) < c/B + c^2/(3 B^3).
-    Computed once per (kind, prime_bound, exclude) per process.
+    Computed once per (kind, prime_bound) per process.
     """
     fn, c = _EULER_KINDS[kind]
     ps = primes_up_to(prime_bound)
-    keep = np.ones(len(ps), dtype=bool)
-    for q in exclude:
-        keep &= ps != q
-    val = float(np.exp(fn(ps[keep].astype(np.float64)).sum()))
+    val = float(np.exp(fn(ps[ps >= 5].astype(np.float64)).sum()))
     b = float(prime_bound)
     tail = c / b + c * c / (3 * b ** 3)
     return val, tail

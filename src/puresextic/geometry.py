@@ -249,14 +249,27 @@ def count_slices(slices) -> int:
     return sum(hi - lo + 1 for _, M, Sp, S in slices for _, lo, hi in windows_M2(M, Sp, S))
 
 
-def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
-    """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact.
-
-    The arguments are ints or Fractions.  The ratio window x5/x1 in [L1', L1]
-    is the squared window [max(L1', 0)^2, max(L1, 0)^2] of slices_M3.
-    """
+def _slices_of_M(N, L1p, L1, L2p, L2) -> list[tuple[int, int, Fraction, Fraction]]:
+    """slices_M3 of M(N, L1', L1, L2', L2), for ints or Fractions: the ratio window
+    x5/x1 in [L1', L1] is the squared window [max(L1', 0)^2, max(L1, 0)^2]."""
     L1p, L1 = max(Fr(L1p), 0), max(Fr(L1), 0)
-    return count_slices(slices_M3(math.floor(Fr(N)), L1p ** 2, L1 ** 2, L2p, L2))
+    return slices_M3(math.floor(Fr(N)), L1p ** 2, L1 ** 2, L2p, L2)
+
+
+def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
+    """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact."""
+    return count_slices(_slices_of_M(N, L1p, L1, L2p, L2))
+
+
+def discrete_term_M3(N, L1p, L1, L2p, L2) -> float:
+    """The main term of count_lattice_M3, slice by slice: the sum over the x3-slices
+    (x3, M, S', S) of the area (N^(1/5)/2) x3^(-3/5) (1/2) log(S/S') of the 2d
+    region {x1 x5 <= (N / x3^3)^(1/5), (x5/x1)^2 in [S', S]}.  With both ratio
+    windows bounded x3 takes finitely many values, so this sum, not volume_V,
+    is what the count follows."""
+    n5 = float(N) ** 0.2
+    return sum(n5 / 4 * x3 ** -0.6 * math.log(S / Sp)
+               for x3, _, Sp, S in _slices_of_M(N, L1p, L1, L2p, L2))
 
 
 def count_lattice_M2(M, L1p, L1) -> int:
@@ -316,17 +329,20 @@ class ErrorLawRow:
     count: int
     volume: float
     scaled_error: float  # |count - volume| / N^exponent
+    discrete_term: float  # the main term summed over the x3-slices; in 2d, the area
 
     @staticmethod
-    def of(N, count: int, volume: float, exponent: float) -> "ErrorLawRow":
-        return ErrorLawRow(N, count, volume, abs(count - volume) / float(N) ** exponent)
+    def of(N, count: int, volume: float, exponent: float, discrete: float) -> "ErrorLawRow":
+        return ErrorLawRow(N, count, volume, abs(count - volume) / float(N) ** exponent, discrete)
 
 
-def error_law_M3(Ns, L1p, L1, L2p, L2, exponent: float = 0.1) -> list[ErrorLawRow]:
-    return [ErrorLawRow.of(N, count_lattice_M3(N, L1p, L1, L2p, L2),
-                           volume_V(N, L1p, L1, L2p, L2), exponent) for N in Ns]
+def error_law_M3(Ns, L1p, L1, L2p, L2) -> list[ErrorLawRow]:
+    w = (L1p, L1, L2p, L2)
+    return [ErrorLawRow.of(N, count_lattice_M3(N, *w), volume_V(N, *w), 0.1,
+                           discrete_term_M3(N, *w)) for N in Ns]
 
 
-def error_law_M2(Ms, L1p, L1, exponent: float = 0.5) -> list[ErrorLawRow]:
-    return [ErrorLawRow.of(M, count_lattice_M2(M, L1p, L1), area_A(M, L1p, L1), exponent)
-            for M in Ms]
+def error_law_M2(Ms, L1p, L1) -> list[ErrorLawRow]:
+    """The 2d region is a single slice, so its discrete term is the area."""
+    areas = [area_A(M, L1p, L1) for M in Ms]
+    return [ErrorLawRow.of(M, count_lattice_M2(M, L1p, L1), a, 0.5, a) for M, a in zip(Ms, areas)]

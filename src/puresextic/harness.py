@@ -229,15 +229,15 @@ def carefree_arrays(limit: int) -> tuple[list[np.ndarray], np.ndarray]:
     return a, valid
 
 
-def naive_scan(spec: EnumSpec, limit: int | None = None) -> list[tuple[int, ...]]:
-    """All tuples meeting the spec by scanning every sixth-power-free |m| <= limit.
+def naive_scan(spec: EnumSpec) -> list[tuple[int, ...]]:
+    """All tuples meeting the spec by scanning every sixth-power-free |m| <= N
+    (the bound dominates |m|).
 
     Independent of the structured enumeration: tuples come from exponent-class
-    sieving of each m.  limit defaults to N (the bound dominates |m|).
+    sieving of each m.
     """
     N = spec.N
-    limit = limit or N
-    arrs, valid = carefree_arrays(limit)
+    arrs, valid = carefree_arrays(N)
     a1, a2, a3, a4, a5 = arrs
     idx = np.flatnonzero(valid)
     # cheap per-coordinate caps implied by the discriminant bound

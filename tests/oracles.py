@@ -9,6 +9,8 @@ package, the CLI or the bench calls them; tests import them with
 `from oracles import ...` (pytest puts this directory on sys.path).
 radical_char_poly is no oracle: it is the package's power-sum char poly at any
 degree n, which only tests ask for (SexticNum.char_poly runs it at n = 6).
+is_positive_definite is no oracle either: the tests of gram6 and the shape Gram
+read positive definiteness off det() on the leading corners.
 """
 
 import math
@@ -17,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from puresextic.algebra import (CubicNum, SexticNum, _den, _imul, _ints, _mpf_frac,
-                                _power_sum_char_poly)
+from puresextic.algebra import (CubicMatrix, CubicNum, SexticNum, _den, _imul, _ints,
+                                _mpf_frac, _power_sum_char_poly)
 from puresextic.field import iroot
 
 Fr = Fraction
@@ -63,6 +65,14 @@ def gram_pair(x: SexticNum, y: SexticNum) -> CubicNum:
     gam = [(1, 0, 0), (0, s, 0), (0, 0, 1), (am, 0, 0), (0, s * am, 0), (0, 0, am)]
     acc = [sum(6 * a * b * g[k] for a, b, g in zip(x.nums, y.nums, gam)) for k in range(3)]
     return CubicNum(m, acc, x.den * y.den)
+
+
+def is_positive_definite(g: CubicMatrix) -> bool:
+    """Every leading principal minor of the symmetric g positive at the real cube
+    root: the exact signs of det() on its k x k corners, k = 1..n."""
+    rows = g.entries
+    return all(CubicMatrix(k, k, [row[:k] for row in rows[:k]], g.m).det().sign() > 0
+               for k in range(1, g.rows + 1))
 
 
 def radical_char_poly(m: int, vec: Sequence[Fraction]) -> list[Fraction]:

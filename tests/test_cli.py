@@ -197,12 +197,54 @@ def test_classify_rejects_m_without_a_pure_sextic_field(capsys, m):
 
 @pytest.mark.parametrize("cmd", ["gram", "shape"])
 def test_digits_before_or_after_the_subcommand(capsys, cmd):
-    _, before = run(capsys, "--digits", "12", cmd, "--m", "2")
+    """--digits belongs to gram and shape: before the subcommand it is no flag, and
+    its value is read as the command."""
+    with pytest.raises(SystemExit) as e:
+        main(["--digits", "12", cmd, "--m", "2"])
+    assert e.value.code == 2
+    assert "argument cmd: invalid choice: '12'" in capsys.readouterr().err
     _, after = run(capsys, cmd, "--m", "2", "--digits", "12")
-    assert before == after
-    data = json.loads(before)
-    assert data["config"]["digits"] == 12
+    data = json.loads(after)
+    assert "config" not in data
     assert "gram_decimal" in data if cmd == "gram" else data["lambdas"]["decimal"]
+
+
+# A cheap run of each command and geometry op.  Before each option moved to the
+# command that reads it, every run below exited 0 with one more flag that it
+# took and never read: a global flag before the command, or a geometry flag.
+CHEAP = {"classify": "--m 5", "basis": "--m 17", "general-basis": "--n 4 --m 5",
+         "gram": "--m 2", "shape": "--m 32", "density": "--type 1,1 --a2 1 --a4 1",
+         "euler": "--bound 1000",
+         "measure": "--family T --type 1,1 --box 1,4,1,6,1,3 --prime-bound 1000",
+         "equidist": "--family C --type 1,1 --box 1,8,1/8,8,1,6 --ladder 1000000 "
+                     "--prime-bound 1000",
+         "verify": "--types 1,1 --per-type 1", "partition": "--lo -10 --hi 10",
+         "geometry volume": "", "geometry count": "", "geometry area": "",
+         "geometry count2": "", "geometry mc": "--samples 1000",
+         "geometry diagnose": "--ladder 1000000 --csv"}
+GLOBAL_READERS = {"--digits 3": ("gram", "shape"), "--seed 1": ("geometry mc",),
+                  "--format pretty": tuple(c for c in CHEAP if c not in
+                                           ("equidist", "verify", "geometry diagnose"))}
+_M3_UNREAD = ["--samples 5", "--ladder 1000", "--csv"]
+_M2_UNREAD = ["--L2p 1/2", "--L2 3", *_M3_UNREAD]
+GEOMETRY_UNREAD = {"geometry volume": _M3_UNREAD, "geometry count": _M3_UNREAD,
+                   "geometry area": _M2_UNREAD, "geometry count2": _M2_UNREAD,
+                   "geometry mc": ["--ladder 1000", "--csv"],
+                   "geometry diagnose": ["--N 10", "--samples 5"]}
+UNREAD = ([(f"{flag} {cmd} {CHEAP[cmd]}", f"argument cmd: invalid choice: {flag.split()[1]!r}")
+           for flag, readers in GLOBAL_READERS.items() for cmd in CHEAP if cmd not in readers]
+          + [(f"{cmd} {CHEAP[cmd]} {flag}", f"unrecognized arguments: {flag}")
+             for cmd, flags in GEOMETRY_UNREAD.items() for flag in flags])
+
+
+@pytest.mark.parametrize("argv, said", UNREAD, ids=[argv for argv, _ in UNREAD])
+def test_a_flag_the_command_does_not_read_exit_2(capsys, argv, said):
+    """Before the command a flag's value is read as the command; after it, the
+    flag is unrecognized."""
+    with pytest.raises(SystemExit) as e:
+        main(argv.split())
+    assert e.value.code == 2
+    assert said in capsys.readouterr().err
 
 
 def test_basis_of_an_843_digit_m(capsys):
@@ -223,6 +265,15 @@ def test_general_basis_rejects_unit_m(capsys, m):
 def test_general_basis_rejects_reducible_x_n_minus_m(capsys, n, m):
     assert main(["general-basis", "--n", n, "--m", m]) == 1
     assert capsys.readouterr().err == f"error: x^{n} - ({m}) is reducible\n"
+
+
+def test_general_basis_outside_its_assumptions_exit_1(capsys):
+    """m = 12 has v_2(m) = 2, which shares a factor with n = 6: refused like
+    every other invalid input, on stderr, with nothing on stdout."""
+    assert main(["general-basis", "--n", "6", "--m", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: v_2(m)=2 shares a factor with 2\n"
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
@@ -261,10 +312,9 @@ def test_density_of_a_triple_that_is_not_coprime_exit_1(capsys):
     assert "must be coprime squarefree" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [("--digits", "-3", "shape", "--m", "32"),
-                                  ("shape", "--m", "32", "--digits", "-3"),
+@pytest.mark.parametrize("argv", [("shape", "--m", "32", "--digits", "-3"),
                                   ("gram", "--m", "2", "--digits", "-1")],
-                         ids=["before", "after", "gram"])
+                         ids=["after", "gram"])
 def test_negative_digits_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as e:
         main(list(argv))
@@ -458,6 +508,17 @@ def test_input_above_a_limit_fails_fast_exit_1(argv, limit):
     assert proc.returncode == 1
     assert any(line.startswith("error: ") and limit in line for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def test_monte_carlo_records_its_seed_and_samples(capsys):
+    code, out = run(capsys, "geometry", "mc", "--samples", "1000", "--seed", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["seed"], data["samples"]) == (3, 1000)
+    _, again = run(capsys, "geometry", "mc", "--samples", "1000", "--seed", "3")
+    _, other = run(capsys, "geometry", "mc", "--samples", "1000", "--seed", "4")
+    assert again == out
+    assert json.loads(other)["estimate"] != data["estimate"]
 
 
 def test_monte_carlo_without_a_hit_has_an_honest_interval(capsys):

@@ -104,9 +104,6 @@ def test_euler_basic_closed_form():
     val, tail = D.euler_product("basic", 10 ** 6)
     assert abs(val - 9 / math.pi ** 2) < 1e-6
     assert tail < 2e-6
-    # without exclusions the product is 6/pi^2
-    val_all, _ = D.euler_product("basic", 10 ** 6, exclude=())
-    assert abs(val_all - 6 / math.pi ** 2) < 1e-6
 
 
 def test_euler_carefree_stability():

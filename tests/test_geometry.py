@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import count_lattice_M2_brute, count_lattice_M3_brute
 from puresextic.field import iroot
 from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M3, error_law_M2,
-                                 monte_carlo_volume_M3, slices_M3, volume_V, windows_M2)
+                                 error_law_M3, monte_carlo_volume_M3, slices_M3, volume_V,
+                                 windows_M2)
 
 
 def test_volume_examples():
@@ -133,6 +134,18 @@ def test_error_law_m2_stable():
     rows = error_law_M2([10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7], 1, 2)
     qs = [r.scaled_error for r in rows]
     assert max(qs) / min(qs) < 2
+    # the 2d region is a single slice: its discrete term is the area
+    assert [r.discrete_term for r in rows] == [r.volume for r in rows]
+
+
+def test_error_law_m3_follows_the_discrete_term():
+    """On the criterion-9 box (1, 2) x (1, 2) x3 is pinned to a few integers: the
+    count is off the volume by a growing multiple of N^(1/10), but off the main
+    term summed over those x3-slices by a stable one."""
+    rows = error_law_M3([10 ** k for k in range(6, 17, 2)], 1, 2, 1, 2)
+    qs = [abs(r.count - r.discrete_term) / r.N ** 0.1 for r in rows]
+    assert max(qs) / min(qs) < 2
+    assert all(r.discrete_term > 4 * r.volume for r in rows)
 
 
 def test_box3_validation():

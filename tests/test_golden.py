@@ -6,15 +6,19 @@ the raw counts moved onto geometry's window kernels; the partition, density and
 measure digests before the Type rule became one table mod 15552.  So a change of
 internal representation that alters a single byte of the output (a denominator,
 an ordering, a decimal, a count) fails here.  When an output change is
-intended, record the new digest in the same change that makes it.  The config
-echo lost its `cache_dir` line when the density disk cache went, so every digest
-of a command that echoes its config was re-recorded as the output before that
-change with that one line removed.  The echo lost its `workers` key when the
-process pool went; those 11 digests were re-recorded by one rule: the old
-stdout through json.loads, `config["workers"]` deleted, then
-json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n" (the rule gives
-the old stdout back byte for byte when nothing is deleted).  The verify and
-diagnose --csv digests echo no config and did not change.
+intended, record the new digest in the same change that makes it, by a rule
+that rebuilds it from the old stdout:
+
+- JSON outputs lost their `config` echo (first its `cache_dir` line, then its
+  `workers` key, then the whole echo when the global flags went).  Each time
+  the digests were re-recorded by one rule: the old stdout through json.loads,
+  the key deleted, then json.dumps(obj, indent=2, sort_keys=True, default=str)
+  + "\n" (the rule gives the old stdout back byte for byte when nothing is
+  deleted).
+- `geometry diagnose --csv` renamed its header column `main_term` to `volume`,
+  the value it always printed there, and gained a last column
+  `discrete_term`: the old header renamed, the new column appended to each row.
+- `verify` echoes no config and prints no new column; its digest never changed.
 """
 
 import hashlib
@@ -25,33 +29,33 @@ from puresextic.cli import main
 
 GOLDEN = {
     ("gram", "--m", "2", "--digits", "12"):
-        "00675fc6ea48abec6ba770feee1a6be15125a97174e863fa11ffc3dc45b1f78b",
+        "f84ee4e527ef02f02ff1a1d65613f07f23f4497547126c5f21fdb72b8de9b00b",
     ("gram", "--m", "-44"):
-        "258e9c6112106d284cde6419214c1d18783150a323affec53cbedc004c869f33",
+        "b01f99ddb1f48a198263409895ec94d6edcf772da9d72c6597cea078f739e114",
     ("shape", "--m", "32", "--digits", "10"):
-        "2115381d1c2b76eb1b18aaab5f87694c6d5b937e62b761dcf1d24aa7b2d78af8",
+        "e5a3f4473d23c346cead824a5de3b753f1b7b59d2d4716c2bf31ed31b299c287",
     ("shape", "--m", "8775"):
-        "71c068589f8f32fb842ca622070f70fe9be397e7fb71cecd1b748ac95ea55fff",
+        "daa55d710ac09984be9528e6a02130d0aec672fb5fb11a656d40ac55fcbafff9",
     ("verify", "--types", "all", "--per-type", "5"):
         "c49ff824a0a341358966a674a644bd98aa2f20188cbbf2b177c63940674b795d",
     ("geometry", "count", "--N", "100000"):
-        "c13554fa80e785e36b10677f413757d17b2a61f5b170b3f4e5a26f7271f1ff98",
+        "d8414cb6c0ff664926cfee385bb5589464c953ae716862363bfcc0759f125151",
     ("geometry", "count2", "--N", "500", "--L1p", "1/3", "--L1", "7"):
-        "32166011b0482061764566aabd5e62818a5486140633de35f3f6bf30ac2c37b6",
+        "e5a55c5ed6ce8ad2d530771c62c7091a6999d97d1e62d9aa862451dcc0662f41",
     ("geometry", "diagnose", "--ladder", "1000000,100000000", "--csv"):
-        "3a14932fc8cb135b68a5038c36dcb78ca53fd8280da46c44e08a643cc23a5119",
+        "f1eb1f8e51783789e9b65d2ccf948b98a69dedcbd9447b99110680deffc7f754",
     ("equidist", "--family", "C", "--type", "1,1", "--sign", "+", "--box", "1,8,1/8,8,1,6",
      "--ladder", "1000000000,1000000000000"):
-        "a3f721ac29a597bd1771b13740a3257a3f5103754264f47f4d105b171c9d8c97",
+        "2db53b21f3dc45c6e983451f842b92c28b26666b2e4caf59affe1728091b1797",
     ("equidist", "--family", "T", "--type", "1,1", "--sign", "+", "--box", "1,4,1,6,1,3",
      "--ladder", "1000000000,1000000000000"):
-        "e89a0ddd47ed3c5ee7054795edb0c55409a833809d99c2b36a287fdeacf5ce29",
+        "ab221615d8e8900f1f760d63dc14a821328b99fc0ff7045d66f27c4a60af820c",
     ("partition", "--lo", "-1000000", "--hi", "1000000"):
-        "ea4e4e4e4e2f1a9c75242cbe77f3b335a64541c098bbc3a11fc415d4f9d346f6",
+        "3c71301835b544c377d470123947925591b0ef0727661505f1dfcdf07cc06eaa",
     ("density", "--type", "2,2", "--a2", "1", "--a3", "7", "--a4", "2"):
-        "bc6ec0d09a423ee5655c1d2d059fd2cf1ee8bc1ef268e6cd1421b233210526af",
+        "c3aca064ab0078bd90eb399ea9824fbba3c6522efdb825a87116a5cbb18b3c57",
     ("measure", "--family", "C", "--type", "3,2", "--sign", "-", "--box", "1,8,1/8,8,1,6"):
-        "d45fd9d8a6660ac3ba52806ab0b7f32a671064f94cbee4be0135cb6b5aaa7850",
+        "d1d5195f0a4e2e1ed30553d05eda8db52d728698026537ec35cdbc197eefec11",
 }
 
 

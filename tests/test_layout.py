@@ -1,11 +1,12 @@
 """The package holds the code it runs; test oracles live in tests/oracles.py.
 
-Every public top-level function or class of src/puresextic must be used by some
-module of the package or the bench outside its own definition: a name only tests
-use belongs on the test side.  A use is a reference in the code, read off the
-syntax tree: a name, an attribute, an imported name, or a string that is the name
-(the bench's tracer wraps functions by getattr).  A mention in a comment or in
-the words of a docstring is no use.
+Every public top-level function or class of src/puresextic, and every public
+method of its classes, must be used by some module of the package or the bench
+outside its own definition: a name only tests use belongs on the test side.  A
+use is a reference in the code, read off the syntax tree: a name, an attribute,
+an imported name, or a string that is the name (the bench's tracer wraps
+functions by getattr).  A mention in a comment or in the words of a docstring
+is no use.
 """
 
 import ast
@@ -14,10 +15,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "puresextic").glob("*.py"))
 CALLERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-# Read off the paper's valuation formula; the |disc| = k_t * P check will call it
-# from the package, and until then only tests do.
-EXEMPT = {"disc_valuations"}
+# Read off the paper's valuation formula; the |disc| = k_t * P check will call
+# them from the package, and until then only tests do.
+EXEMPT = {"field.py:disc_valuations", "field.py:DiscValuations.valuation",
+          "field.py:DiscValuations.abs_disc"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of the public top-level functions and classes of
+    tree, and of the public methods of all its top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
 
 
 def _uses(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -44,10 +59,8 @@ def test_every_public_name_in_src_has_a_caller_outside_tests():
     uses = {path: _uses(tree) for path, tree in trees.items()}
     unused = []
     for path in PACKAGE:
-        for node in trees[path].body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                if node.name not in _uses(trees[path], skip=node) and not any(
-                        node.name in names for other, names in uses.items() if other != path):
-                    unused.append(f"{path.name}:{node.name}")
-    assert sorted(unused) == sorted(f"field.py:{name}" for name in EXEMPT), unused
+        for qualname, node in _definitions(trees[path]):
+            if node.name not in _uses(trees[path], skip=node) and not any(
+                    node.name in names for other, names in uses.items() if other != path):
+                unused.append(f"{path.name}:{qualname}")
+    assert sorted(unused) == sorted(EXEMPT), unused
