@@ -5,6 +5,7 @@ denominator, in lowest terms.  A ring element (CubicNum, SexticNum) is
 sum nums[t] theta^t / den; a matrix over the cubic field (CubicMatrix) is three
 integer matrices over one denominator.  Equal values have equal fields, and
 `coeffs`, the `fractions.Fraction` coefficients, is a derived read-only view.
+Every JSON output writes a rational as rational_json's {"num", "den"} strings.
 A characteristic polynomial (the integrality check) comes from power sums in
 Z[theta]/(theta^n - m) and Newton's identities (_power_sum_char_poly); its
 independent test oracle, Faddeev-LeVerrier on the multiplication matrix, lives
@@ -42,6 +43,11 @@ def _rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def rational_json(q) -> dict:
+    """The one JSON form of an exact rational (an int or a Fraction)."""
+    return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +115,7 @@ class _RadicalNum:
         return self * (1 / _rat(r))
 
     def to_json(self) -> list[dict]:
-        return [{"num": str(q.numerator), "den": str(q.denominator)} for q in self.coeffs]
+        return [rational_json(q) for q in self.coeffs]
 
 
 def _mul_radical(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import SexticNum
+from .algebra import SexticNum, rational_json
 from .field import SexticField
 from .types import SexticType, classify
 
@@ -211,8 +211,7 @@ class TransitionMatrix:
     entries: tuple[tuple[Fraction, ...], ...]  # 6x6, columns = basis elements over {theta^t/C_t}
 
     def to_json(self) -> list:
-        return [[{"num": str(x.numerator), "den": str(x.denominator)} for x in row]
-                for row in self.entries]
+        return [[rational_json(x) for x in row] for row in self.entries]
 
 
 @lru_cache(maxsize=2)

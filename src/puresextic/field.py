@@ -7,7 +7,8 @@ module produces that decomposition (and its degree-n analogue), the C_i
 normalising constants, the dual (orientation-reversing) involution, and the
 valuation formula for the field discriminant of Q(m^(1/n)) when the wild part
 is tame enough.  The floor and ceiling roots here are the only ones the
-exact code paths use.
+exact code paths use, and power_free is the one sieve for e-th-power-free
+integers (squarefree at e = 2, sixth-power-free at e = 6).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 class NotPowerFree(ValueError):
@@ -184,6 +187,23 @@ def iroot(n: int, k: int) -> int:
         if s >= r:
             return r
         r = s
+
+
+def power_free(lo: int, hi: int, e: int) -> np.ndarray:
+    """The mask of [lo, hi] (Python ints of any size): keep[i] is True iff no j^e
+    with j >= 2 divides lo + i.  0, which every j^e divides, is marked even when
+    no j runs.
+
+    Strikes keep[(-lo) % j^e :: j^e] for j up to max(|lo|, |hi|)^(1/e); a
+    composite j only repeats a strike, so no primes are needed.
+    """
+    keep = np.ones(max(hi - lo + 1, 0), dtype=bool)
+    for j in range(2, iroot(max(abs(lo), abs(hi)), e) + 1):
+        q = j ** e
+        keep[-lo % q::q] = False
+    if lo <= 0 <= hi:
+        keep[-lo] = False
+    return keep
 
 
 def floor_root(q, k: int) -> int:

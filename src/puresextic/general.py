@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import mat_det, mat_solve
+from .algebra import mat_det, mat_solve, rational_json
 from .field import (InvalidField, _val, big_c_n, carefree_decompose_n, check_assumption,
                     factorize, is_irreducible_radical)
 
@@ -120,8 +120,7 @@ class GeneralBasis:
 
     def to_json(self) -> dict:
         return {"n": self.n, "m": self.m,
-                "elements": [[{"num": str(c.numerator), "den": str(c.denominator)} for c in v]
-                             for v in self.vectors]}
+                "elements": [[rational_json(c) for c in v] for v in self.vectors]}
 
 
 def _delta(wd: WildData, p: int, t: int) -> list[Fraction]:
@@ -211,19 +210,14 @@ def same_lattice(m1: list[list[Fraction]], m2: list[list[Fraction]]) -> bool:
 # Shape parameters for general n with S empty (diagonal case)
 # ---------------------------------------------------------------------------
 
-def general_shape_params(n: int, a: tuple[int, ...]) -> dict:
-    """Exponent vectors of lam_1..lam_floor((n-1)/2) (and lam_{n/2} for even n).
+def shape_exponents(n: int, i: int) -> tuple[Fraction, ...]:
+    """Exponents of lam_i on a_1..a_{n-1}, the one rule for every shape monomial:
+    lam_i = (prod_j a_j^(2ij - 2n floor(ij/n) - n))^(1/n) over j = 1..n-1."""
+    return tuple(Fr(2 * i * j - 2 * n * (i * j // n) - n, n) for j in range(1, n))
 
-    lam_i = (prod_j a_j^(2ij - 2n floor(ij/n) - n))^(1/n) over j = 1..n-1;
-    for even n, lam_{n/2} = 1 / (a_2 a_4 ... a_{n-2}).
-    """
+
+def general_shape_params(n: int, a: tuple[int, ...]) -> dict:
+    """Exponent vectors of lam_1..lam_floor(n/2); for even n the rule gives
+    lam_{n/2} = 1 / (a_2 a_4 ... a_{n-2})."""
     assert len(a) == n - 1
-    out = {}
-    for i in range(1, (n - 1) // 2 + 1):
-        exps = [Fr(2 * i * j - 2 * n * ((i * j) // n) - n, n) for j in range(1, n)]
-        out[i] = tuple(exps)
-    if n % 2 == 0:
-        # 1/(a_2 a_4 ... a_{n-2}): exponent -1 on even indices up to n-2
-        exps = [Fr(-1) if (j % 2 == 0 and j <= n - 2) else Fr(0) for j in range(1, n)]
-        out[n // 2] = tuple(exps)
-    return out
+    return {i: shape_exponents(n, i) for i in range(1, n // 2 + 1)}

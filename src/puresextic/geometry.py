@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .algebra import rational_json
 from .field import ceil_root, divisors, floor_root, iroot, is_squarefree
 
 Fr = Fraction
@@ -61,8 +62,7 @@ class Box3:
                 raise ValueError("T-family boxes need integer R2', R2, R3', R3")
 
     def to_json(self) -> dict:
-        def f(x):
-            return {"num": str(x.numerator), "den": str(x.denominator)}
+        f = rational_json
         return {"kind": self.kind, "r1": [f(self.r1p), f(self.r1)],
                 "r2": [f(self.r2p), f(self.r2)], "r3": [f(self.r3p), f(self.r3)]}
 
@@ -261,15 +261,14 @@ def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
     return count_slices(_slices_of_M(N, L1p, L1, L2p, L2))
 
 
-def discrete_term_M3(N, L1p, L1, L2p, L2) -> float:
-    """The main term of count_lattice_M3, slice by slice: the sum over the x3-slices
-    (x3, M, S', S) of the area (N^(1/5)/2) x3^(-3/5) (1/2) log(S/S') of the 2d
-    region {x1 x5 <= (N / x3^3)^(1/5), (x5/x1)^2 in [S', S]}.  With both ratio
-    windows bounded x3 takes finitely many values, so this sum, not volume_V,
-    is what the count follows."""
+def discrete_term_M3(N, slices) -> float:
+    """The main term of count_lattice_M3 at N, slice by slice: the sum over its
+    x3-slices (x3, M, S', S) of the area (N^(1/5)/2) x3^(-3/5) (1/2) log(S/S') of
+    the 2d region {x1 x5 <= (N / x3^3)^(1/5), (x5/x1)^2 in [S', S]}.  With both
+    ratio windows bounded x3 takes finitely many values, so this sum, not
+    volume_V, is what the count follows."""
     n5 = float(N) ** 0.2
-    return sum(n5 / 4 * x3 ** -0.6 * math.log(S / Sp)
-               for x3, _, Sp, S in _slices_of_M(N, L1p, L1, L2p, L2))
+    return sum(n5 / 4 * x3 ** -0.6 * math.log(S / Sp) for x3, _, Sp, S in slices)
 
 
 def count_lattice_M2(M, L1p, L1) -> int:
@@ -338,8 +337,9 @@ class ErrorLawRow:
 
 def error_law_M3(Ns, L1p, L1, L2p, L2) -> list[ErrorLawRow]:
     w = (L1p, L1, L2p, L2)
-    return [ErrorLawRow.of(N, count_lattice_M3(N, *w), volume_V(N, *w), 0.1,
-                           discrete_term_M3(N, *w)) for N in Ns]
+    rungs = ((N, _slices_of_M(N, *w)) for N in Ns)  # the count and the main term share them
+    return [ErrorLawRow.of(N, count_slices(s), volume_V(N, *w), 0.1, discrete_term_M3(N, s))
+            for N, s in rungs]
 
 
 def error_law_M2(Ms, L1p, L1) -> list[ErrorLawRow]:

@@ -25,9 +25,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .algebra import CubicMatrix, CubicNum, SexticNum, hermitian_gram, _mpf_frac
+from .algebra import CubicMatrix, CubicNum, SexticNum, hermitian_gram, _mpf_frac, rational_json
 from .basis import Aux, IntegralBasis, aux_constants, build_basis, derived_transition, power_type_basis
 from .field import SexticField
+from .general import shape_exponents
 from .types import SexticType
 
 if TYPE_CHECKING:
@@ -96,7 +97,7 @@ class Monomial:
     def to_json(self) -> dict:
         return {
             "bases": list(self.bases),
-            "exponents": [{"num": str(e.numerator), "den": str(e.denominator)} for e in self.exponents],
+            "exponents": [rational_json(e) for e in self.exponents],
         }
 
 
@@ -110,8 +111,8 @@ def _mono(a: tuple[int, ...], exps) -> Monomial:
 
 @dataclass(frozen=True)
 class ShapeParams:
-    """lam1 = (a4 a5^2 / a1^2 a2)^(1/3), lam2 = (a2 a5 / a1 a3^3 a4)^(1/3),
-    lam3 = 1/(a2 a4), lam4 = lam2^(-1) / a3^2."""
+    """lam_i has the exponents shape_exponents(6, i): lam1 = (a4 a5^2 / a1^2 a2)^(1/3),
+    lam2 = (a2 a5 / a1 a3^3 a4)^(1/3), lam3 = 1/(a2 a4), lam4 = lam2^(-1) / a3^2."""
     lam1: Monomial
     lam2: Monomial
     lam3: Monomial
@@ -138,13 +139,7 @@ class ShapeParams:
 def shape_params(f: SexticField) -> ShapeParams:
     if not f.canonical:
         raise NotCanonical(f"m={f.m}: use the dual orientation (a4 a5^2 < a1^2 a2)")
-    a = f.tuple.a
-    third = Fr(1, 3)
-    lam1 = _mono(a, (-2 * third, -third, 0, third, 2 * third))
-    lam2 = _mono(a, (-third, third, -1, -third, third))
-    lam3 = _mono(a, (0, -1, 0, -1, 0))
-    lam4 = lam2.inverse() * _mono(a, (0, 0, -2, 0, 0))
-    return ShapeParams(lam1, lam2, lam3, lam4)
+    return ShapeParams(*(_mono(f.tuple.a, shape_exponents(6, i)) for i in range(1, 5)))
 
 
 def normalized_shape_diag(f: SexticField) -> list[Monomial]:
@@ -153,12 +148,7 @@ def normalized_shape_diag(f: SexticField) -> list[Monomial]:
     For the diagonal Type (A1,B1) this is the shape representative
     (lam1, lam2, lam3, lam4, lam1^(-1)).
     """
-    a = f.tuple.a
-    out = []
-    for t in range(1, 6):
-        exps = [Fr(t * j, 3) - 2 * ((t * j) // 6) - 1 for j in range(1, 6)]
-        out.append(_mono(a, exps))
-    return out
+    return [_mono(f.tuple.a, shape_exponents(6, t)) for t in range(1, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +421,7 @@ class ShapeGram:
             "perp_gram": self.entries.to_json(),
             "certificate": {
                 "scale": self.cert_scale,
-                "C": [[{"num": str(v.numerator), "den": str(v.denominator)} for v in row]
-                      for row in self.cert_c],
+                "C": [[rational_json(v) for v in row] for row in self.cert_c],
             },
         }
 

@@ -5,10 +5,11 @@ the region a1 a5 <= M, (a5/a1)^2 in [S', S] of geometry's one window kernel,
 with M = floor((N / K)^(1/5)) and K = (a2 a4)^4 a3^3.  Every cell is one
 shard.  The shard function walks its windows (x1, lo, hi) and, if a2, a3, a4
 are coprime squarefree, expands them into int64 candidate arrays (a1, a5) and
-filters them with one mask, each test on the survivors of the one before: a
-squarefree sieve sized to the shard's largest coordinate, np.gcd for pairwise
-coprimality, the Type table on m mod 15552 (a5^5 read from a table of fifth
-powers), and Capelli's irreducibility test read off the carefree tuple.
+filters them with one mask, each test on the survivors of the one before:
+field.power_free at e = 2 (the squarefree sieve) up to the shard's largest
+coordinate, np.gcd for pairwise coprimality, the Type table on m mod 15552
+(a5^5 read from a table of fifth powers), and Capelli's irreducibility test
+read off the carefree tuple.
 enumerate_C/enumerate_T sort the shards' tuples; raw_count_C/raw_count_T sum
 the window lengths of every cell at one N.  compare() walks every cell once, at
 the largest N of its ladder, and counts each rung from that walk with no tuples:
@@ -30,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from . import densities
-from .field import iroot, is_irreducible_sextic, is_squarefree
+from .field import iroot, is_irreducible_sextic, is_squarefree, power_free
 from .geometry import Box3, box_cells, count_slices, windows_M2
 from .types import TYPE_MOD, SexticType, classify_array
 
@@ -75,15 +76,6 @@ def _expand(windows: list[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray
     return np.repeat(w[:, 0], n), np.repeat(w[:, 1] - np.cumsum(n) + n, n) + np.arange(n.sum())
 
 
-def _squarefree_sieve(top: int) -> np.ndarray:
-    """sf[n] is True iff n is squarefree, for 0 <= n <= top."""
-    sf = np.ones(top + 1, dtype=bool)
-    sf[0] = False
-    for p in range(2, math.isqrt(top) + 1):
-        sf[p * p::p * p] = False
-    return sf
-
-
 @lru_cache(maxsize=1)
 def _fifth_powers() -> np.ndarray:
     """r^5 mod TYPE_MOD for every residue r, as a read-only int64 array."""
@@ -106,7 +98,7 @@ def _meet(spec: EnumSpec, a1: np.ndarray, a2: int, a3: int, a4: int,
     """
     if not (len(a1) and _carefree(a2, a4, a3)):
         return a1[:0], a5[:0]
-    sf = _squarefree_sieve(int(max(a1.max(), a5.max())))
+    sf = power_free(0, int(max(a1.max(), a5.max())), 2)
     keep = sf[a1] & sf[a5]
     a1, a5 = a1[keep], a5[keep]
     keep = (np.gcd(a1 * a5, a2 * a3 * a4) == 1) & (np.gcd(a1, a5) == 1)

@@ -5,7 +5,9 @@ sub-condition is usually stated mod 729, but on sixth-power-free
 integers it collapses to "m = 0 mod 243", so the pair (m mod 64, m mod 243)
 decides).  So the Type of a sixth-power-free m is that of m mod TYPE_MOD =
 15552 = 2^6 * 3^5, and one table over Z/TYPE_MOD serves every array consumer:
-the vectorized classifier, the corpus scan and the residue counts.
+the vectorized classifier, the corpus scan, the residue counts and the
+partition check, which finds its fields with field.power_free and checks the
+table against the scalar rules on every residue class they occupy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import factorize, is_irreducible_sextic, is_prime, sextic_field
+from .field import ceil_root, factorize, iroot, is_irreducible_sextic, power_free, sextic_field
 
 
 class UnclassifiableInput(ValueError):
@@ -125,65 +127,52 @@ def classify_array(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[idx], b[idx]
 
 
-_PARTITION_LIMIT = 10 ** 7  # integers in one scan; each takes a few int64 array slots
-_PARTITION_BOUND = 2 ** 62   # |m| below it keeps every int64 product of the scan exact
+_PARTITION_LIMIT = 10 ** 7  # integers in one scan: a bool each, two int64 slots per field
+# |m| below it keeps the sieve at 1289 strikes or fewer (one per j with j^6 <= |m|);
+# the strikes grow as |m|^(1/6), to 10^10 of them at |m| = 10^60
+_PARTITION_BOUND = 2 ** 62
 
 
 def type_partition_check(lo: int, hi: int) -> dict:
-    """Scan sixth-power-free non-square non-cube m in [lo, hi]; count per-Type matches.
+    """Scan the sixth-power-free non-square non-cube m in [lo, hi]; count them per Type.
 
-    Every admissible m must match exactly one (Ai, Bj).  Returns a report with
-    per-type counts and any violations (there should be none).  A range of more
-    than _PARTITION_LIMIT integers, or one reaching |m| >= _PARTITION_BOUND (where
-    (r + 1)^2 or the float roots would leave int64), raises ValueError before
-    anything is allocated.
+    The fields are power_free(lo, hi, 6) with the squares j^2 and cubes +-j^3 in
+    [lo, hi] struck by index; each has the table's Type at its residue mod
+    TYPE_MOD, and m itself never enters an array.  The check that can fail: on
+    every residue class r the fields occupy, the table's (A, B) must be
+    (a_case(r), b_case(r)), the rules build_basis reads through classify (a
+    class with 64 | r has no A-row and fails).  `violations` lists the first 20
+    fields of failing classes, `violation_count` counts them all.  A range of
+    more than _PARTITION_LIMIT integers, or one reaching |m| >= _PARTITION_BOUND,
+    raises ValueError before anything is allocated.
     """
     if hi - lo >= _PARTITION_LIMIT:
         raise ValueError(f"[{lo}, {hi}] holds {hi - lo + 1} integers, "
                          f"above the partition limit {_PARTITION_LIMIT}")
     if max(abs(lo), abs(hi)) >= _PARTITION_BOUND:
         raise ValueError(f"[{lo}, {hi}] reaches |m| >= 2^62, the partition bound")
-    ms = np.arange(lo, hi + 1, dtype=np.int64)
-    ms = ms[ms != 0]
-    # sixth-power-free: exclude p^6 | m for every prime p up to max|m|^(1/6)
-    keep = np.ones(ms.shape, dtype=bool)
-    top = max(abs(lo), abs(hi))
-    p = 2
-    while p ** 6 <= top:
-        keep &= (ms % p ** 6) != 0
-        p = _next_prime(p)
-    ms = ms[keep]
-    # exclude perfect squares and cubes
-    sq = np.zeros(ms.shape, dtype=bool)
-    pos = ms > 0
-    r = np.floor(np.sqrt(ms[pos].astype(np.float64))).astype(np.int64)
-    for d in (-1, 0, 1):
-        sq[pos] |= (r + d) ** 2 == ms[pos]
-    cb = np.zeros(ms.shape, dtype=bool)
-    rc = np.cbrt(np.abs(ms).astype(np.float64))
-    rc = np.floor(rc).astype(np.int64)
-    for d in (-1, 0, 1):
-        cb |= np.sign(ms) * (rc + d) ** 3 == ms
-    ms = ms[~sq & ~cb]
-    acase, bcase = classify_array(ms)
-    violations = ms[acase == 0]  # no A-row: 64 | m
-    counts: dict[str, int] = {}
-    for t in ALL_TYPES:
-        counts[str(t)] = int(np.count_nonzero((acase == t.i) & (bcase == t.j)))
+    keep = power_free(lo, hi, 6)
+    for sign, k in ((1, 2), (1, 3), (-1, 3)):  # m = sign * j^k, j^k in [bottom, top]
+        bottom, top = (lo, hi) if sign > 0 else (-hi, -lo)
+        if top >= 0:
+            js = range(ceil_root(bottom, k), iroot(top, k) + 1)
+            keep[[sign * j ** k - lo for j in js]] = False
+    offsets = np.flatnonzero(keep)
+    res = offsets + lo % TYPE_MOD
+    res %= TYPE_MOD
+    per_class = np.bincount(res, minlength=TYPE_MOD)
+    a, b = type_table()
+    bad = np.zeros(TYPE_MOD, dtype=bool)
+    for r in np.flatnonzero(per_class).tolist():
+        bad[r] = r % 64 == 0 or (a[r], b[r]) != (a_case(r), b_case(r))
+    hits = offsets[bad[res]]
     return {
         "range": [lo, hi],
-        "scanned": int(ms.size),
-        "violations": [int(v) for v in violations[:20]],
-        "violation_count": int(violations.size),
-        "counts": counts,
+        "scanned": int(offsets.size),
+        "violations": [lo + int(i) for i in hits[:20]],
+        "violation_count": int(hits.size),
+        "counts": {str(t): int(per_class[(a == t.i) & (b == t.j)].sum()) for t in ALL_TYPES},
     }
-
-
-def _next_prime(p: int) -> int:
-    q = p + 1
-    while not is_prime(q):
-        q += 1
-    return q
 
 
 # The most fields one corpus may hold: `verify` takes about 25 s on 1000 per Type for

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from puresextic.field import (AssumptionViolated, CarefreeTuple, NotPowerFree,
                               big_c, ceil_root, decompose, disc_valuations, dual,
                               factorize, floor_root, iroot, is_canonical, is_irreducible_radical,
-                              is_irreducible_sextic, is_prime, is_squarefree, sextic_field)
+                              is_irreducible_sextic, is_prime, is_squarefree, power_free,
+                              sextic_field)
 
 
 def test_decompose_examples():
@@ -185,3 +186,13 @@ def test_roots_bracket_large_inputs(n, k, d):
     lo, hi = floor_root(q, k), ceil_root(q, k)
     assert lo ** k <= q < (lo + 1) ** k
     assert hi ** k >= q and (hi == 0 or (hi - 1) ** k < q)
+
+
+@pytest.mark.parametrize("e", [2, 6])
+@pytest.mark.parametrize("lo, hi", [(-400, -1), (-1, 1), (0, 0), (0, 800), (-200, 300),
+                                    (5, 1), (10 ** 6 - 400, 10 ** 6)])
+def test_power_free_matches_the_definition(lo, hi, e):
+    """No j^e with j >= 2 divides lo + i, and 0 (which every j^e divides) is never kept."""
+    expected = [m != 0 and all(m % j ** e for j in range(2, math.isqrt(abs(m)) + 1))
+                for m in range(lo, hi + 1)]
+    assert power_free(lo, hi, e).tolist() == expected

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from puresextic import types
 from puresextic.field import factorize, is_irreducible_sextic, is_prime
 from puresextic.types import (ALL_TYPES, TYPE_MOD, SexticType, UnclassifiableInput, a_case,
                               b_case, classify, classify_array, smallest_m_of_type,
@@ -47,20 +48,35 @@ def test_partition_of_a_range_without_nonzero_m_scans_nothing():
         assert set(rep["counts"].values()) == {0}
 
 
+def test_partition_flags_a_table_row_that_disagrees_with_the_scalar_rules(monkeypatch):
+    """A Type table whose B-row is wrong on one occupied residue (that of the field
+    m = 5) is a violation: the check compares the table with a_case and b_case."""
+    a, b = types.type_table()
+    b = b.copy()
+    b[5] = b[5] % 4 + 1
+    monkeypatch.setattr(types, "type_table", lambda: (a, b))
+    rep = type_partition_check(-1000, 1000)
+    assert rep["violation_count"] == 1 and rep["violations"] == [5]
+
+
 def test_partition_above_the_range_limit_raises_before_allocating(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("allocated")
-    monkeypatch.setattr(np, "arange", forbidden)
+    for name in ("arange", "ones"):
+        monkeypatch.setattr(np, name, forbidden)
     with pytest.raises(ValueError, match="partition limit"):
         type_partition_check(-10 ** 9, 10 ** 9)
 
 
 def test_partition_just_below_the_int64_bound_matches_integer_arithmetic():
-    """Near 2^62 the float roots and int64 squares still find every square and cube."""
+    """Near 2^62 the sieve and the struck squares and cubes agree with the definition,
+    also on windows that end exactly on a square j^2, a cube -j^3 or a multiple of k^6."""
     primes = [p for p in range(2, 1300) if is_prime(p)]  # 1300^6 > 2^62
     square, cube = (2 ** 31 - 1) ** 2, 1664510 ** 3  # the largest below 2^62
-    for lo, hi in ((square - 50, square + 50), (-cube - 50, -cube + 50),
-                   (2 ** 62 - 101, 2 ** 62 - 1)):
+    sixth = 5 * 811 ** 6
+    for lo, hi in ((square - 50, square + 50), (square, square + 50), (square - 50, square),
+                   (-cube - 50, -cube + 50), (-cube, -cube + 50), (-cube - 50, -cube),
+                   (sixth, sixth + 50), (-sixth - 50, -sixth), (2 ** 62 - 101, 2 ** 62 - 1)):
         expected = sum(1 for m in range(lo, hi + 1)
                        if not any(m % p ** 6 == 0 for p in primes)
                        and not (m > 0 and math.isqrt(m) ** 2 == m)
