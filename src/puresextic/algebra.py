@@ -143,23 +143,6 @@ class CubicNum(_RadicalNum):
     def is_rational(self) -> bool:
         return not (self.nums[1] or self.nums[2])
 
-    def inverse(self) -> "CubicNum":
-        """q'/N(q), with q * q' = N(q) for the adjugate q' of `_adj3`.
-
-        So q is invertible iff its norm is not zero.  On numerators y = den * q:
-        q^-1 = den * y' / N(y).
-        """
-        n = _norm3(self.nums, self.m)
-        if n == 0:
-            raise ZeroDivisionError("inverse of a cubic number of norm 0")
-        return CubicNum(self.m, [v * self.den for v in _adj3(self.nums, self.m)], n)
-
-    def __truediv__(self, other) -> "CubicNum":
-        if isinstance(other, CubicNum):
-            self._check(other)
-            return self * other.inverse()
-        return super().__truediv__(other)
-
     def evaluate(self, prec: int = 50) -> mpmath.mpf:
         """Numeric value at the real cube root of m."""
         import mpmath
@@ -170,16 +153,6 @@ class CubicNum(_RadicalNum):
             q0, q1, q2 = self.coeffs
             val = _mpf_frac(q0) + _mpf_frac(q1) * c + _mpf_frac(q2) * c * c
             return +val
-
-    def sign(self) -> int:
-        """Exact sign of the value at the real cube root of m.
-
-        The conjugate pair of complex embeddings contributes the positive
-        factor |q(wc)|^2 to the norm, so sign(q(c)) = sign(N(q)).  No floating
-        point is involved.
-        """
-        n = _norm3(self.nums, self.m)
-        return (n > 0) - (n < 0)
 
     def __repr__(self) -> str:
         return f"CubicNum(m={self.m}, {self.coeffs[0]} + {self.coeffs[1]}*c + {self.coeffs[2]}*c^2)"
@@ -198,7 +171,7 @@ def _mul3(a: Sequence, b: Sequence, m: int) -> tuple:
 
 
 def _norm3(q: Sequence, m: int):
-    """The norm of CubicNum.norm, on a triple."""
+    """The norm N(q) = q(c) q(wc) q(w^2 c) of q0 + q1 c + q2 c^2, on a triple."""
     q0, q1, q2 = q
     return q0 ** 3 + m * q1 ** 3 + m * m * q2 ** 3 - 3 * m * q0 * q1 * q2
 
@@ -239,10 +212,6 @@ class SexticNum(_RadicalNum):
     @staticmethod
     def one(m: int) -> "SexticNum":
         return SexticNum.theta_power(m, 0)
-
-    def trace(self) -> Fraction:
-        # Tr(theta^t) = 0 for 1 <= t <= 5
-        return Fraction(6 * self.nums[0], self.den)
 
     def char_poly(self) -> list[Fraction]:
         """Characteristic polynomial of the multiplication matrix, x^6 + a5 x^5 + ... + a0.

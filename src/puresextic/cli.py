@@ -2,7 +2,8 @@
 geometry diagnostics, equidistribution runs, and the identity verification suite.
 
 Each option belongs to the one subcommand (or geometry op) that reads it; there
-are no global flags.  JSON output holds the command's own inputs and results.
+are no global flags, and a flag before the command is a usage error.  JSON
+output holds the command's own inputs and results.
 Exit codes: 0 success, 1 verification failure or invalid input (`error: ...` on
 stderr), 2 usage error.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from . import densities
 from .algebra import CubicMatrix
 from .basis import build_basis, derived_transition, tabulated_transition
-from .field import carefree_decompose_n, dual, sextic_field
+from .field import dual, sextic_field
 from .general import general_integral_basis, general_shape_params, wild_data
 from .geometry import (Box3, area_A, count_lattice_M2, count_lattice_M3, error_law_M2,
                        error_law_M3, monte_carlo_volume_M3, volume_V)
@@ -77,8 +78,7 @@ def cmd_general_basis(args) -> int:
     wd = wild_data(args.n, args.m)
     out["S"] = list(wd.S)
     if args.shape:
-        a = carefree_decompose_n(args.n, args.m)
-        sp = general_shape_params(args.n, a)
+        sp = general_shape_params(args.n)
         out["shape_exponents"] = {str(i): [str(e) for e in v] for i, v in sp.items()}
     _emit(out)
     return 0
@@ -159,18 +159,10 @@ def cmd_geometry(args) -> int:
 
 def cmd_density(args) -> int:
     t = SexticType.parse(args.type)
-    if args.validate and args.a3 is not None:
-        print("error: --validate checks the n-count only; drop --a3 or --validate",
-              file=sys.stderr)
-        return 2
     if args.a3 is None:
         v = densities.n_table(t, args.sign, args.a2, args.a4)
         out = {"kind": "n", "type": str(t), "sign": args.sign,
                "a2": args.a2, "a4": args.a4, "count": v}
-        if args.validate:
-            d = densities.n_table_direct(t, args.sign, args.a2, args.a4)
-            out["direct_mod_15552"] = d
-            out["crt_matches"] = d == v
     else:
         v = densities.m_table(t, args.sign, args.a2, args.a3, args.a4)
         out = {"kind": "m", "type": str(t), "sign": args.sign,
@@ -297,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", type=_positive_int, required=True)
     p.add_argument("--a3", type=_positive_int, default=None)
     p.add_argument("--a4", type=_positive_int, required=True)
-    p.add_argument("--validate", action="store_true",
-                   help="also run the direct mod-15552 count (slow; not with --a3)")
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("euler")
@@ -338,6 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Before the command, argparse reads a flag's separate value as the command
+    # and names the value; a flag written with "=" it names itself.
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help") \
+            and "=" not in argv[0]:
+        ap.error(f"{argv[0]} is given before a command: flags go after their command")
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

@@ -1,7 +1,8 @@
 """Local congruence densities and the limiting-measure integrals.
 
 Residue-level counts over Z/64 and Z/243 (CRT-split, memoised per process)
-feed the coefficient functions and the box integrals of the limiting measures.
+feed the coefficient functions and the box integrals of the limiting measures;
+the tests check the split against one sweep over (Z/15552)^3.
 Each count folds one free coordinate at a time into a histogram of (number of
 p-divisible coordinates, product residue), O(mod^2) per coordinate instead of
 a (Z/mod)^k cube.  For primes l >= 5 the carefree survivor set is "at most
@@ -118,14 +119,16 @@ def _count_free(mod: int, p: int, psq: int, powers: tuple[int, ...], const: int,
     return int(hist[:, in_set].sum())
 
 
-def _fixed_part(mod: int, p: int, psq: int, residues: tuple[int, ...],
+def _fixed_part(p: int, sign: int, fixed: tuple[int, ...],
                 weights: tuple[int, ...]) -> tuple[int, int] | None:
-    """(combined constant, number of p-divisible fixed residues); None if inadmissible."""
-    const = 1
+    """(sign * prod fixed^weights mod 64 or 243, number of p-divisible fixed
+    coordinates), all that a count reads of its fixed coordinates; None if one
+    of them is not p^2-free."""
+    mod = 64 if p == 2 else 243
+    const = sign % mod
     ndiv = 0
-    for r, e in zip(residues, weights):
-        r %= mod
-        if r % psq == 0:
+    for r, e in zip(fixed, weights):
+        if r % (p * p) == 0:
             return None
         if r % p == 0:
             ndiv += 1
@@ -140,11 +143,11 @@ def _local_count(p: int, case: int, sign: int, fixed: tuple[int, ...],
     divisible by p, with sign * prod fixed^weights * prod free^powers in row
     `case` of the Type table at p (the A-rows at 2, the B-rows at 3)."""
     mod = 64 if p == 2 else 243
-    part = _fixed_part(mod, p, p * p, fixed, weights)
+    part = _fixed_part(p, sign, fixed, weights)
     if part is None:
         return 0
     const, ndiv = part
-    return _count_free(mod, p, p * p, free, const * sign % mod,
+    return _count_free(mod, p, p * p, free, const,
                        type_table()[p - 2][:mod] == case, 1 - ndiv)
 
 
@@ -168,8 +171,10 @@ def m3_count(j: int, sign: int, a2: int, a3: int, a4: int) -> int:
 # The in-process memo of the 2/3-part counts
 # ---------------------------------------------------------------------------
 
-# Keyed by (kind, case, sign, key mod 64 or 243): Types sharing an A-row share
-# their n2/m2 entries, Types sharing a B-row their n3/m3 entries.
+# Keyed by (kind, case, _fixed_part's pair): a count reads its sign and fixed
+# coordinates only through that pair, so n3, say, has at most 2 * 243 entries
+# for its 243^2 residue pairs (a2, a4).  Types sharing an A-row share their
+# n2/m2 entries, Types sharing a B-row their n3/m3 entries.
 _CACHE: dict[tuple, int] = {}
 
 
@@ -178,11 +183,11 @@ def set_cache_dir(path: str | None) -> None:
     callers written when they could also be cached on disk."""
 
 
-def _cached(kind: str, case: int, sign: int, modulus: int, key: tuple[int, ...],
-            compute) -> int:
+def _cached(kind: str, case: int, p: int, sign: int, fixed: tuple[int, ...],
+            weights: tuple[int, ...], compute) -> int:
     """`compute` names its kernel at call time, so a wrapper set on the module
     attribute (a tracer, a test counter) sees every miss."""
-    ck = (kind, case, sign, tuple(k % modulus for k in key))
+    ck = (kind, case, _fixed_part(p, sign, fixed, weights))
     if ck not in _CACHE:
         _CACHE[ck] = compute()
     return _CACHE[ck]
@@ -200,83 +205,19 @@ def n_table(t: SexticType, sign: int, a2: int, a4: int) -> int:
     """#{(a1bar, a3bar, a5bar) in (Z/15552)^3} satisfying the survivor and Type
     conditions, as a product of the mod-64 and mod-243 counts (cached)."""
     _check_coordinates(a2=a2, a4=a4)
-    c2 = _cached("n2", t.i, sign, 64, (a2, a4), lambda: n2_count(t.i, sign, a2, a4))
-    c3 = _cached("n3", t.j, sign, 243, (a2, a4), lambda: n3_count(t.j, sign, a2, a4))
+    c2 = _cached("n2", t.i, 2, sign, (a2, a4), (2, 4), lambda: n2_count(t.i, sign, a2, a4))
+    c3 = _cached("n3", t.j, 3, sign, (a2, a4), (2, 4), lambda: n3_count(t.j, sign, a2, a4))
     return c2 * c3
 
 
 def m_table(t: SexticType, sign: int, a2: int, a3: int, a4: int) -> int:
     """#{(a1bar, a5bar) in (Z/15552)^2} survivor pairs for fixed (a2, a3, a4)."""
     _check_coordinates(a2=a2, a3=a3, a4=a4)
-    c2 = _cached("m2", t.i, sign, 64, (a2, a3, a4),
+    c2 = _cached("m2", t.i, 2, sign, (a2, a3, a4), (2, 3, 4),
                  lambda: m2_count(t.i, sign, a2, a3, a4))
-    c3 = _cached("m3", t.j, sign, 243, (a2, a3, a4),
+    c3 = _cached("m3", t.j, 3, sign, (a2, a3, a4), (2, 3, 4),
                  lambda: m3_count(t.j, sign, a2, a3, a4))
     return c2 * c3
-
-
-# ---------------------------------------------------------------------------
-# Direct mod-15552 validation of the CRT factorization
-# ---------------------------------------------------------------------------
-
-def n_table_direct(t: SexticType, sign: int, a2: int, a4: int) -> int:
-    """n_table recomputed in one sweep over (Z/15552)^3 without the CRT split.
-
-    Iterates a1bar, splits a3bar into (2-div, 3-div) classes, and looks the
-    a5bar-count up in precomputed tables g[(e2, e3)][t] = #{a5bar in class
-    (e2, e3) : t * a5bar^5 in the Type set}.  A few seconds per key.
-    """
-    mod = TYPE_MOD
-    a, b = type_table()
-    in_set = (a == t.i) & (b == t.j)
-    fixed2 = _fixed_part(64, 2, 4, (a2, a4), (2, 4))
-    fixed3 = _fixed_part(243, 3, 9, (a2, a4), (2, 4))
-    if fixed2 is None or fixed3 is None:
-        return 0
-    budget2, budget3 = 1 - fixed2[1], 1 - fixed3[1]
-    const = (sign * pow(a2, 2, mod) * pow(a4, 4, mod)) % mod
-    r = np.arange(mod, dtype=np.int64)
-    p5 = np.array([pow(int(x), 5, mod) for x in range(mod)], dtype=np.int64)
-    p3 = np.array([pow(int(x), 3, mod) for x in range(mod)], dtype=np.int64)
-    adm = ((r % 4) != 0) & ((r % 9) != 0)
-    d2 = (r % 2 == 0)
-    d3 = (r % 3 == 0)
-    classes = {(c2, c3): np.flatnonzero(adm & (d2 == bool(c2)) & (d3 == bool(c3)))
-               for c2 in (0, 1) for c3 in (0, 1)}
-    ts = np.arange(mod, dtype=np.int64)
-    g = {}
-    for cls, members in classes.items():
-        acc = np.zeros(mod, dtype=np.int64)
-        for r5 in members:
-            acc += in_set[(ts * int(p5[r5])) % mod]
-        g[cls] = acc
-    # gsum[(me2, me3)] = a5bar-count table when classes up to (me2, me3) are allowed
-    gsum = {}
-    for me2 in (0, 1):
-        for me3 in (0, 1):
-            acc = g[(0, 0)].copy()
-            if me2:
-                acc += g[(1, 0)]
-            if me3:
-                acc += g[(0, 1)]
-            if me2 and me3:
-                acc += g[(1, 1)]
-            gsum[(me2, me3)] = acc
-    p3_class = {cls: p3[members] for cls, members in classes.items()}
-    total = 0
-    for r1 in np.flatnonzero(adm):
-        b2 = budget2 - int(d2[r1])
-        b3 = budget3 - int(d3[r1])
-        if b2 < 0 or b3 < 0:
-            continue
-        k = const * int(r1) % mod
-        for (c2, c3), pvals in p3_class.items():
-            if c2 > b2 or c3 > b3:
-                continue
-            sel = gsum[(min(b2 - c2, 1), min(b3 - c3, 1))]
-            tv = (k * pvals) % mod
-            total += int(sel[tv].sum())
-    return total
 
 
 # ---------------------------------------------------------------------------

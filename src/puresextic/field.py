@@ -51,7 +51,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -273,15 +273,6 @@ class CarefreeTuple:
     def m(self) -> int:
         a1, a2, a3, a4, a5 = self.a
         return self.sign * a1 * a2 ** 2 * a3 ** 3 * a4 ** 4 * a5 ** 5
-
-    def validate(self) -> None:
-        for i, x in enumerate(self.a):
-            if x <= 0 or not is_squarefree(x):
-                raise ValueError(f"a{i + 1}={x} is not a positive squarefree integer")
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if math.gcd(self.a[i], self.a[j]) != 1:
-                    raise ValueError(f"a{i + 1} and a{j + 1} are not coprime")
 
     def to_json(self) -> dict:
         return {"sign": self.sign, "a": list(self.a)}

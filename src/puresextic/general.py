@@ -216,8 +216,7 @@ def shape_exponents(n: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fr(2 * i * j - 2 * n * (i * j // n) - n, n) for j in range(1, n))
 
 
-def general_shape_params(n: int, a: tuple[int, ...]) -> dict:
-    """Exponent vectors of lam_1..lam_floor(n/2); for even n the rule gives
-    lam_{n/2} = 1 / (a_2 a_4 ... a_{n-2})."""
-    assert len(a) == n - 1
+def general_shape_params(n: int) -> dict:
+    """Exponent vectors of lam_1..lam_floor(n/2) on a_1..a_{n-1}; for even n the
+    rule gives lam_{n/2} = 1 / (a_2 a_4 ... a_{n-2})."""
     return {i: shape_exponents(n, i) for i in range(1, n // 2 + 1)}

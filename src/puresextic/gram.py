@@ -10,7 +10,8 @@ where C' is the lower-right 5x5 block of the transition matrix (row/column 1
 drops out because 1^perp = 0); the diagonal is the integer triples
 216 gamma^t over C_t^2, and C' comes from the field's one derived transition
 (memoised in basis).  Shape parameters are kept as monomials in
-(a1..a5) with rational exponents, so all shape identities are exact.
+(a1..a5) with rational exponents, which `shape` prints as they are; the tests
+check the shape identities exactly on their prime exponents.
 
 Seven entries of the reference tables circulate in a form that only holds
 when C3 = 3 (resp. C4 = 1, C2 = 1); this module stores the corrected forms,
@@ -47,43 +48,10 @@ class NotCanonical(ValueError):
 
 @dataclass(frozen=True)
 class Monomial:
-    """prod a_j^(e_j); the exact form of every shape quantity."""
+    """prod a_j^(e_j); the exact form of every shape quantity.  Equal as
+    dataclasses, by bases and exponents, not as the numbers they stand for."""
     bases: tuple[int, int, int, int, int]
     exponents: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        assert self.bases == other.bases
-        return Monomial(self.bases, tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        assert self.bases == other.bases
-        return Monomial(self.bases, tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def __pow__(self, k) -> "Monomial":
-        k = Fr(k)
-        return Monomial(self.bases, tuple(e * k for e in self.exponents))
-
-    def inverse(self) -> "Monomial":
-        return self ** -1
-
-    def reduced(self) -> dict[int, Fraction]:
-        """Exponent on each prime factor of the a_i (drops bases equal to 1)."""
-        from .field import factorize
-        out: dict[int, Fraction] = {}
-        for b, e in zip(self.bases, self.exponents):
-            if e == 0 or b == 1:
-                continue
-            for p, k in factorize(b).items():
-                out[p] = out.get(p, Fr(0)) + k * e
-        return {p: e for p, e in out.items() if e != 0}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.reduced() == other.reduced()
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.reduced().items()))
 
     def value(self, prec: int = 30) -> mpmath.mpf:
         import mpmath

@@ -4,13 +4,16 @@ Each function here checks a package function by a different route: numeric
 embeddings against the exact trace, the pairing entry by entry against the
 integer Gram products, Faddeev-LeVerrier on the multiplication matrix against
 power sums, loops over the bounding box against the slice and window walks, and
-brute-force residue loops against the closed-form local counts.  Nothing in the
-package, the CLI or the bench calls them; tests import them with
-`from oracles import ...` (pytest puts this directory on sys.path).
+brute-force residue loops against the closed-form local counts and the CRT
+split of the 2/3-part counts.  Nothing in the package, the CLI or the bench
+calls them; tests import them with `from oracles import ...` (pytest puts this
+directory on sys.path).
 radical_char_poly is no oracle: it is the package's power-sum char poly at any
 degree n, which only tests ask for (SexticNum.char_poly runs it at n = 6).
 is_positive_definite is no oracle either: the tests of gram6 and the shape Gram
-read positive definiteness off det() on the leading corners.
+read positive definiteness off det() on the leading corners, and cubic_sign,
+sextic_trace, check_carefree and the monomial algebra are likewise what only
+tests ask of the package's values.
 """
 
 import math
@@ -20,8 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from puresextic.algebra import (CubicMatrix, CubicNum, SexticNum, _den, _imul, _ints,
-                                _mpf_frac, _power_sum_char_poly)
-from puresextic.field import iroot
+                                _mpf_frac, _norm3, _power_sum_char_poly)
+from puresextic.field import CarefreeTuple, factorize, iroot, is_squarefree
+from puresextic.gram import Monomial
+from puresextic.types import TYPE_MOD, SexticType, type_table
 
 Fr = Fraction
 
@@ -33,7 +38,7 @@ Fr = Fraction
 def trace_numeric(x: SexticNum, prec: int = 60):
     """Sum of x over all six archimedean embeddings, numerically.
 
-    Cross-checks SexticNum.trace(): the embeddings send theta to |m|^(1/6) * w
+    Cross-checks sextic_trace(): the embeddings send theta to |m|^(1/6) * w
     with w running over the sixth roots of sign(m).
     """
     import mpmath
@@ -67,11 +72,27 @@ def gram_pair(x: SexticNum, y: SexticNum) -> CubicNum:
     return CubicNum(m, acc, x.den * y.den)
 
 
+def sextic_trace(x: SexticNum) -> Fraction:
+    """The exact trace: Tr(theta^t) = 0 for 1 <= t <= 5, so it is 6 x_0."""
+    return Fraction(6 * x.nums[0], x.den)
+
+
+def cubic_sign(q: CubicNum) -> int:
+    """Exact sign of the value at the real cube root of m.
+
+    The conjugate pair of complex embeddings contributes the positive factor
+    |q(wc)|^2 to the norm, so sign(q(c)) = sign(N(q)).  No floating point is
+    involved.
+    """
+    n = _norm3(q.nums, q.m)
+    return (n > 0) - (n < 0)
+
+
 def is_positive_definite(g: CubicMatrix) -> bool:
     """Every leading principal minor of the symmetric g positive at the real cube
     root: the exact signs of det() on its k x k corners, k = 1..n."""
     rows = g.entries
-    return all(CubicMatrix(k, k, [row[:k] for row in rows[:k]], g.m).det().sign() > 0
+    return all(cubic_sign(CubicMatrix(k, k, [row[:k] for row in rows[:k]], g.m).det()) > 0
                for k in range(1, g.rows + 1))
 
 
@@ -115,6 +136,42 @@ def char_poly_rational(a: Sequence[Sequence[Fraction]]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# field and gram: carefree tuples, and monomials compared by their primes
+# ---------------------------------------------------------------------------
+
+def check_carefree(t: CarefreeTuple) -> None:
+    """ValueError unless a1..a5 are positive, squarefree and pairwise coprime."""
+    for i, x in enumerate(t.a):
+        if x <= 0 or not is_squarefree(x):
+            raise ValueError(f"a{i + 1}={x} is not a positive squarefree integer")
+    for i in range(5):
+        for j in range(i + 1, 5):
+            if math.gcd(t.a[i], t.a[j]) != 1:
+                raise ValueError(f"a{i + 1} and a{j + 1} are not coprime")
+
+
+def mono_reduced(x: Monomial) -> dict[int, Fraction]:
+    """Exponent on each prime factor of the a_i (drops bases equal to 1): two
+    monomials are the same number iff their reduced forms are equal."""
+    out: dict[int, Fraction] = {}
+    for b, e in zip(x.bases, x.exponents):
+        if e == 0 or b == 1:
+            continue
+        for p, k in factorize(b).items():
+            out[p] = out.get(p, Fr(0)) + k * e
+    return {p: e for p, e in out.items() if e != 0}
+
+
+def mono_product(x: Monomial, y: Monomial) -> Monomial:
+    assert x.bases == y.bases
+    return Monomial(x.bases, tuple(a + b for a, b in zip(x.exponents, y.exponents)))
+
+
+def mono_power(x: Monomial, k) -> Monomial:
+    return Monomial(x.bases, tuple(e * Fr(k) for e in x.exponents))
+
+
+# ---------------------------------------------------------------------------
 # geometry: lattice counts by loops over the bounding box
 # ---------------------------------------------------------------------------
 
@@ -148,7 +205,8 @@ def count_lattice_M2_brute(M, L1p, L1) -> int:
 
 
 # ---------------------------------------------------------------------------
-# densities: Omega_l for l >= 5, closed forms and residue loops
+# densities: Omega_l for l >= 5, closed forms and residue loops, and the
+# 2/3-part counts without their CRT split
 # ---------------------------------------------------------------------------
 
 def omega_count(l: int) -> int:
@@ -186,3 +244,64 @@ def local_pair_triple_counts(l: int, fixed_divisible: int, free: int) -> int:
     for _ in range(free - 1):
         s = s[..., None] + div
     return int((s <= budget).sum())
+
+
+def n_table_direct(t: SexticType, sign: int, a2: int, a4: int) -> int:
+    """densities.n_table recomputed in one sweep over (Z/15552)^3 without the CRT
+    split, and without its reduction of the fixed coordinates.
+
+    Iterates a1bar, splits a3bar into (2-div, 3-div) classes, and looks the
+    a5bar-count up in precomputed tables g[(e2, e3)][t] = #{a5bar in class
+    (e2, e3) : t * a5bar^5 in the Type set}.  A few seconds per key.
+    """
+    if any(a % 4 == 0 or a % 9 == 0 for a in (a2, a4)):
+        return 0
+    # at most one of the five coordinates divisible by 2, and by 3
+    budget2 = 1 - sum(a % 2 == 0 for a in (a2, a4))
+    budget3 = 1 - sum(a % 3 == 0 for a in (a2, a4))
+    mod = TYPE_MOD
+    a, b = type_table()
+    in_set = (a == t.i) & (b == t.j)
+    const = (sign * pow(a2, 2, mod) * pow(a4, 4, mod)) % mod
+    r = np.arange(mod, dtype=np.int64)
+    p5 = np.array([pow(int(x), 5, mod) for x in range(mod)], dtype=np.int64)
+    p3 = np.array([pow(int(x), 3, mod) for x in range(mod)], dtype=np.int64)
+    adm = ((r % 4) != 0) & ((r % 9) != 0)
+    d2 = (r % 2 == 0)
+    d3 = (r % 3 == 0)
+    classes = {(c2, c3): np.flatnonzero(adm & (d2 == bool(c2)) & (d3 == bool(c3)))
+               for c2 in (0, 1) for c3 in (0, 1)}
+    ts = np.arange(mod, dtype=np.int64)
+    g = {}
+    for cls, members in classes.items():
+        acc = np.zeros(mod, dtype=np.int64)
+        for r5 in members:
+            acc += in_set[(ts * int(p5[r5])) % mod]
+        g[cls] = acc
+    # gsum[(me2, me3)] = a5bar-count table when classes up to (me2, me3) are allowed
+    gsum = {}
+    for me2 in (0, 1):
+        for me3 in (0, 1):
+            acc = g[(0, 0)].copy()
+            if me2:
+                acc += g[(1, 0)]
+            if me3:
+                acc += g[(0, 1)]
+            if me2 and me3:
+                acc += g[(1, 1)]
+            gsum[(me2, me3)] = acc
+    p3_class = {cls: p3[members] for cls, members in classes.items()}
+    total = 0
+    for r1 in np.flatnonzero(adm):
+        b2 = budget2 - int(d2[r1])
+        b3 = budget3 - int(d3[r1])
+        if b2 < 0 or b3 < 0:
+            continue
+        k = const * int(r1) % mod
+        for (c2, c3), pvals in p3_class.items():
+            if c2 > b2 or c3 > b3:
+                continue
+            sel = gsum[(min(b2 - c2, 1), min(b3 - c3, 1))]
+            tv = (k * pvals) % mod
+            total += int(sel[tv].sum())
+    return total

@@ -6,10 +6,10 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (char_poly_rational, gram_pair, is_positive_definite, mult_matrix,
-                     radical_char_poly, trace_numeric)
-from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum, _adj3,
-                                _imul, _norm3, hermitian_gram, mat_det, mat_solve)
+from oracles import (char_poly_rational, cubic_sign, gram_pair, is_positive_definite,
+                     mult_matrix, radical_char_poly, sextic_trace, trace_numeric)
+from puresextic.algebra import (CubicMatrix, CubicNum, RadicandMismatch, SexticNum, _imul,
+                                hermitian_gram, mat_det, mat_solve)
 
 rat = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -30,18 +30,11 @@ def test_cubic_radicand_mismatch():
         C(2, 1, 0, 0) * C(3, 1, 0, 0)
 
 
-def test_cubic_inverse_and_division():
-    x = C(7, 3, Fr(1, 2), -2)
-    assert x * x.inverse() == C(7, 1, 0, 0)
-    y = C(7, 0, 1, 0)
-    assert (x / y) * y == x
-
-
 def test_cubic_sign_norm_vs_numeric():
     for m in (2, 5, -3, -10, 44):
         for coeffs in [(1, 1, 0), (-3, 1, 1), (0, -2, 1), (10, -5, Fr(1, 3))]:
             x = C(m, *coeffs)
-            assert x.sign() == (1 if x.evaluate(60) > 0 else -1)
+            assert cubic_sign(x) == (1 if x.evaluate(60) > 0 else -1)
 
 
 @given(st.integers(min_value=2, max_value=60), rat, rat, rat, rat, rat, rat)
@@ -80,13 +73,6 @@ def test_one_format_matches_fraction_arithmetic(n, m, data):
     assert (x * r).coeffs == (r * x).coeffs == tuple(p * r for p in a)
     assert (x / r).coeffs == tuple(p / r for p in a)
     assert any(x.nums) == any(a)
-    if n == 3:
-        norm = _norm3(a, m)
-        if norm:
-            assert x.inverse().coeffs == tuple(v / norm for v in _adj3(a, m))
-        else:
-            with pytest.raises(ZeroDivisionError):
-                x.inverse()
 
 
 def test_sextic_mul_examples():
@@ -99,7 +85,7 @@ def test_sextic_mul_examples():
 
 def test_sextic_trace():
     x = SexticNum.of(10, (Fr(3, 2), 1, 2, 3, 4, 5))
-    assert x.trace() == 9
+    assert sextic_trace(x) == 9
     # numerical trace over all six embeddings agrees to 1e-9 relative
     t = trace_numeric(x, 60)
     assert abs(complex(t.real, t.imag) - 9) < 1e-9
@@ -158,7 +144,7 @@ def test_gram_bilinear_symmetric(m, xs, ys):
     y = SexticNum.of(m, ys)
     assert gram_pair(x, y) == gram_pair(y, x)
     if any(x.nums):
-        assert gram_pair(x, x).sign() == 1
+        assert cubic_sign(gram_pair(x, x)) == 1
 
 
 def test_det_examples():
@@ -329,15 +315,6 @@ def test_singular_solve_raises_zero_division():
         mat_solve([[Fr(1), Fr(2)], [Fr(2), Fr(4)]], [[Fr(1)], [Fr(0)]])
 
 
-@given(st.integers(min_value=-60, max_value=60).filter(lambda m: round(abs(m) ** (1 / 3)) ** 3 != abs(m)),
-       rat, rat, rat)
-@settings(max_examples=60, deadline=None)
-def test_cubic_inverse_multiplies_to_one(m, q0, q1, q2):
-    x = C(m, q0, q1, q2)
-    assume(any(x.nums))
-    assert x * x.inverse() == C(m, 1)
-
-
 def test_congruence_needs_a_rational_matrix():
     g = CubicMatrix.from_rational(5, [[1, 0], [0, 1]])
     b = CubicMatrix(2, 2, [[C(5, 1), C(5, 0, 1, 0)], [C(5, 0), C(5, 1)]], 5)
@@ -420,7 +397,7 @@ def test_positive_definite_iff_leading_minors_positive(m, n, data):
     a = data.draw(cubic_rows(m, n))
     a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     minors = [leibniz_det_cubic(m, [row[:k] for row in a[:k]]) for k in range(1, n + 1)]
-    assert is_positive_definite(CubicMatrix(n, n, a, m)) == all(d.sign() > 0 for d in minors)
+    assert is_positive_definite(CubicMatrix(n, n, a, m)) == all(cubic_sign(d) > 0 for d in minors)
 
 
 def test_positive_definite_needs_every_leading_minor():

@@ -151,8 +151,9 @@ def test_cache_dir_is_an_unknown_option(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--cache-dir", "x", "classify", "--m", "2"])
     assert e.value.code == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and "--cache-dir" not in err  # the usage line no longer lists it
+    usage, said = capsys.readouterr().err.split("error:")
+    assert "--cache-dir" not in usage  # the usage line no longer lists it
+    assert BEFORE.format("--cache-dir") == "error:" + said.rstrip("\n")
 
 
 def test_puresextic_cache_in_the_environment_changes_nothing(tmp_path):
@@ -197,12 +198,12 @@ def test_classify_rejects_m_without_a_pure_sextic_field(capsys, m):
 
 @pytest.mark.parametrize("cmd", ["gram", "shape"])
 def test_digits_before_or_after_the_subcommand(capsys, cmd):
-    """--digits belongs to gram and shape: before the subcommand it is no flag, and
-    its value is read as the command."""
+    """--digits belongs to gram and shape: before the subcommand it is a usage
+    error that names the flag."""
     with pytest.raises(SystemExit) as e:
         main(["--digits", "12", cmd, "--m", "2"])
     assert e.value.code == 2
-    assert "argument cmd: invalid choice: '12'" in capsys.readouterr().err
+    assert BEFORE.format("--digits") in capsys.readouterr().err
     _, after = run(capsys, cmd, "--m", "2", "--digits", "12")
     data = json.loads(after)
     assert "config" not in data
@@ -231,7 +232,8 @@ GEOMETRY_UNREAD = {"geometry volume": _M3_UNREAD, "geometry count": _M3_UNREAD,
                    "geometry area": _M2_UNREAD, "geometry count2": _M2_UNREAD,
                    "geometry mc": ["--ladder 1000", "--csv"],
                    "geometry diagnose": ["--N 10", "--samples 5"]}
-UNREAD = ([(f"{flag} {cmd} {CHEAP[cmd]}", f"argument cmd: invalid choice: {flag.split()[1]!r}")
+BEFORE = "error: {} is given before a command: flags go after their command"
+UNREAD = ([(f"{flag} {cmd} {CHEAP[cmd]}", BEFORE.format(flag.split()[0]))
            for flag, readers in GLOBAL_READERS.items() for cmd in CHEAP if cmd not in readers]
           + [(f"{cmd} {CHEAP[cmd]} {flag}", f"unrecognized arguments: {flag}")
              for cmd, flags in GEOMETRY_UNREAD.items() for flag in flags])
@@ -239,8 +241,8 @@ UNREAD = ([(f"{flag} {cmd} {CHEAP[cmd]}", f"argument cmd: invalid choice: {flag.
 
 @pytest.mark.parametrize("argv, said", UNREAD, ids=[argv for argv, _ in UNREAD])
 def test_a_flag_the_command_does_not_read_exit_2(capsys, argv, said):
-    """Before the command a flag's value is read as the command; after it, the
-    flag is unrecognized."""
+    """Before the command a flag is named as given there; after it, the flag is
+    unrecognized."""
     with pytest.raises(SystemExit) as e:
         main(argv.split())
     assert e.value.code == 2
@@ -300,11 +302,15 @@ def test_partition_beyond_the_int64_bound_exit_1(capsys):
 
 
 def test_density_validate_with_a3_exit_2(capsys):
-    assert main(["density", "--type", "1,1", "--a2", "1", "--a3", "1", "--a4", "1",
-                 "--validate"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: --validate checks the n-count only")
+    """The direct mod-15552 count is a test oracle: --validate is no flag, with
+    --a3 or without."""
+    for a3 in (["--a3", "1"], []):
+        with pytest.raises(SystemExit) as e:
+            main(["density", "--type", "1,1", "--a2", "1", *a3, "--a4", "1", "--validate"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --validate" in captured.err
 
 
 def test_density_of_a_triple_that_is_not_coprime_exit_1(capsys):
@@ -357,6 +363,18 @@ def run_module(*argv):
     proc = subprocess.run([sys.executable, "-m", "puresextic", *argv],
                           capture_output=True, text=True, timeout=60, env=env)
     return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+def test_a_flag_before_its_command_is_named():
+    """Apart from its value, a flag before the command names itself, not its value;
+    with "=" or after the command, argparse calls it unrecognized."""
+    code, err, _ = run_module("--seed", "1", "classify", "--m", "5")
+    assert code == 2
+    assert BEFORE.format("--seed") in err and "invalid choice" not in err
+    assert "Traceback" not in err
+    for argv in (["--seed=1", "classify", "--m", "5"], ["classify", "--m", "5", "--seed", "1"]):
+        code, err, _ = run_module(*argv)
+        assert code == 2 and "unrecognized arguments: --seed" in err and "Traceback" not in err
 
 
 def test_equidist_beyond_the_coordinate_limit_exit_1_fast():
@@ -474,11 +492,10 @@ def test_count_option_that_is_not_positive_exit_2(capsys, argv):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_that_is_not_positive_exit_2(capsys, workers):
-    """The shards run in one process: --workers is no flag, whatever its value.
-    Written apart from its value, the value is read as the command."""
+    """The shards run in one process: --workers is no flag, whatever its value."""
     rest = ["equidist", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6",
             "--ladder", "1000000", "--prime-bound", "1000"]
-    for flag, said in ((["--workers", workers], f"argument cmd: invalid choice: {workers!r}"),
+    for flag, said in ((["--workers", workers], BEFORE.format("--workers")),
                        ([f"--workers={workers}"], f"unrecognized arguments: --workers={workers}")):
         with pytest.raises(SystemExit) as e:
             main(flag + rest)

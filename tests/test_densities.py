@@ -3,8 +3,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from oracles import (local_pair_triple_counts, omega_count, omega_count_exhaustive,
-                     omega_count_strict)
+from oracles import (local_pair_triple_counts, n_table_direct, omega_count,
+                     omega_count_exhaustive, omega_count_strict)
 from puresextic import densities as D
 from puresextic.geometry import Box3, box_cells
 from puresextic.types import SexticType, type_table
@@ -80,7 +80,7 @@ def test_m_table_112_instance():
 
 def test_crt_direct_one_key():
     t = SexticType(1, 1)
-    assert D.n_table_direct(t, 1, 1, 1) == D.n_table(t, 1, 1, 1)
+    assert n_table_direct(t, 1, 1, 1) == D.n_table(t, 1, 1, 1)
 
 
 def test_type_marginal_identity():
@@ -248,6 +248,19 @@ def test_types_sharing_a_row_share_its_memo_entry(monkeypatch):
     assert D.n_table(SexticType(1, 1), 1, 1, 1) == n2(1, 1, 1, 1) * n3(1, 1, 1, 1)
     assert D.n_table(SexticType(1, 2), 1, 1, 1) == n2(1, 1, 1, 1) * n3(2, 1, 1, 1)
     assert calls == {"n2": 1, "n3": 2}
+
+
+def test_keys_with_one_reduced_pair_share_its_memo_entry(monkeypatch):
+    """a4 = 1 and a4 = 485 = 5 * 97 = -1 (mod 243) give one n3 key, 1 * (-1)^4: the
+    mod-243 count is computed once.  (Mod 64 they differ: 485^4 = 49.)"""
+    calls = []
+    n3 = D.n3_count
+    monkeypatch.setattr(D, "n3_count", lambda *args: calls.append(args) or n3(*args))
+    monkeypatch.setattr(D, "_CACHE", {})
+    t = SexticType(1, 1)
+    assert D.n_table(t, 1, 1, 1) == D.n2_count(1, 1, 1, 1) * n3(1, 1, 1, 1)
+    assert D.n_table(t, 1, 1, 485) == D.n2_count(1, 1, 1, 485) * n3(1, 1, 1, 485)
+    assert calls == [(1, 1, 1, 1)]
 
 
 def count_free_brute(mod, p, psq, powers, const, in_set, budget):

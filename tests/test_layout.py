@@ -7,6 +7,13 @@ use is a reference in the code, read off the syntax tree: a name, an attribute,
 an imported name, or a string that is the name (the bench's tracer wraps
 functions by getattr).  A mention in a comment or in the words of a docstring
 is no use.
+
+The rule reads names, not bindings: a member escapes it when some other
+attribute, field or method of the package or the bench has the same name.
+CubicNum.sign hid behind dataclass fields named sign, SexticNum.trace behind
+the bench's trace, CubicNum.inverse behind the call in its own __truediv__;
+each was found and moved or deleted by hand, and a new member whose name is
+already taken needs the same look.
 """
 
 import ast
