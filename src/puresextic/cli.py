@@ -1,9 +1,9 @@
 """Command-line interface: single-field queries, density/measure computation,
 geometry diagnostics, equidistribution runs, and the identity verification suite.
 
-Each option belongs to the one subcommand (or geometry op) that reads it; there
-are no global flags, and a flag before the command is a usage error.  JSON
-output holds the command's own inputs and results.
+Each option belongs to the one subcommand that reads it; there are no global
+flags, and a flag before the command is a usage error.  JSON output holds the
+command's own inputs and results.
 Exit codes: 0 success, 1 verification failure or invalid input (`error: ...` on
 stderr), 2 usage error.
 """
@@ -21,8 +21,7 @@ from .algebra import CubicMatrix
 from .basis import build_basis, derived_transition, tabulated_transition
 from .field import dual, sextic_field
 from .general import general_integral_basis, general_shape_params, wild_data
-from .geometry import (Box3, area_A, count_lattice_M2, count_lattice_M3, error_law_M2,
-                       error_law_M3, monte_carlo_volume_M3, volume_V)
+from .geometry import Box3, error_law_M2, error_law_M3, parse_rational
 from .gram import gram6, gram_power, shape_gram, shape_params, normalized_shape_diag
 from .harness import compare, report_to_json
 from .types import ALL_TYPES, SexticType, classify, smallest_m_of_type, type_partition_check
@@ -51,6 +50,13 @@ def _positive_int(s: str, what: str = "", least: int = 1) -> int:
 
 def _nonnegative_int(s: str) -> int:
     return _positive_int(s, least=0)
+
+
+def _rational(s: str) -> Fraction:
+    try:
+        return parse_rational(s)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _parse_ladder(s: str) -> list[int]:
@@ -117,43 +123,17 @@ def cmd_shape(args) -> int:
     return 0
 
 
-# geometry's region flags and their defaults; the 2d ops take the first three
-_REGION = {"N": 10 ** 6, "L1p": 1, "L1": 2, "L2p": 1, "L2": 2}
-_3D, _2D = tuple(_REGION), tuple(_REGION)[:3]
-
-
-def _mc(args, *region) -> None:
-    est, se = monte_carlo_volume_M3(*region, samples=args.samples, seed=args.seed)
-    _emit({"estimate": est, "standard_error": se, "exact": volume_V(*region),
-           "samples": args.samples, "seed": args.seed})
-
-
-def _diagnose(args, *windows) -> None:
+def cmd_diagnose(args) -> int:
+    windows = args.L1p, args.L1, args.L2p, args.L2
     rows3 = error_law_M3(args.ladder, *windows)
     rows2 = error_law_M2(args.ladder, *windows[:2])
     if not args.csv:
         _emit({"M3": [asdict(r) for r in rows3], "M2": [asdict(r) for r in rows2]})
-        return
+        return 0
     print("kind,N,count,volume,scaled_error,discrete_term")
     for kind, rows in (("M3", rows3), ("M2", rows2)):
         for r in rows:
             print(f"{kind},{r.N},{r.count},{r.volume},{r.scaled_error},{r.discrete_term}")
-
-
-# op -> (the region flags it takes, in the order it passes them on; what it prints)
-_GEOMETRY_OPS = {
-    "volume": (_3D, lambda args, *region: _emit({"volume": volume_V(*region)})),
-    "count": (_3D, lambda args, *region: _emit({"count": count_lattice_M3(*region)})),
-    "area": (_2D, lambda args, *region: _emit({"area": area_A(*region)})),
-    "count2": (_2D, lambda args, *region: _emit({"count": count_lattice_M2(*region)})),
-    "mc": (_3D, _mc),
-    "diagnose": (_3D[1:], _diagnose),
-}
-
-
-def cmd_geometry(args) -> int:
-    flags, run = _GEOMETRY_OPS[args.op]
-    run(args, *(getattr(args, flag) for flag in flags))
     return 0
 
 
@@ -271,17 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decimal digits for numeric output")
         p.set_defaults(fn=fn)
 
-    ops = sub.add_parser("geometry").add_subparsers(dest="op", required=True)
-    for op, (flags, _) in _GEOMETRY_OPS.items():
-        p = ops.add_parser(op)
-        for flag in flags:
-            p.add_argument(f"--{flag}", type=Fraction, default=Fraction(_REGION[flag]))
-        p.set_defaults(fn=cmd_geometry)
-    ops.choices["mc"].add_argument("--samples", type=_positive_int, default=10 ** 6)
-    ops.choices["mc"].add_argument("--seed", type=int, default=0)
-    ops.choices["diagnose"].add_argument("--ladder", type=_parse_ladder,
-                                         default="1000000,100000000")
-    ops.choices["diagnose"].add_argument("--csv", action="store_true")
+    p = sub.add_parser("geometry").add_subparsers(dest="op", required=True).add_parser("diagnose")
+    for flag, default in (("L1p", "1"), ("L1", "2"), ("L2p", "1"), ("L2", "2")):
+        p.add_argument(f"--{flag}", type=_rational, default=default)
+    p.add_argument("--ladder", type=_parse_ladder, default="1000000,100000000")
+    p.add_argument("--csv", action="store_true")
+    p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("density")
     p.add_argument("--type", required=True)
@@ -337,7 +312,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

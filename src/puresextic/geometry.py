@@ -21,12 +21,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import rational_json
 from .field import ceil_root, divisors, floor_root, iroot, is_squarefree
 
 Fr = Fraction
+
+
+def parse_rational(s: str) -> Fraction:
+    """The Fraction that s writes as an int, a decimal or p/q, if its float (which the
+    volume and density formulas take) is finite; otherwise ValueError, naming s."""
+    try:
+        q = Fr(s)
+        float(q)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{s!r} is not a rational p/q with q nonzero and |p/q| "
+                         f"within float range") from None
+    return q
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,7 @@ class Box3:
 
     @staticmethod
     def parse(spec: str, kind: str = "C") -> "Box3":
-        parts = [Fr(p) for p in spec.split(",")]
+        parts = [parse_rational(p) for p in spec.split(",")]
         if len(parts) != 6:
             raise ValueError("box spec needs 6 comma-separated rationals")
         return Box3(*parts, kind=kind)
@@ -108,6 +118,11 @@ _WALK_LIMIT = 10 ** 6
 def _x1_cap(M: int, Sp: Fraction) -> int:
     """The largest x1 with x1 * max(1, sqrt(S') x1) <= M: floor((M^2 / S')^(1/4)) or M."""
     return M if Sp <= 0 else min(M, math.isqrt(math.isqrt(M * M * Sp.denominator // Sp.numerator)))
+
+
+def _size(xs) -> int:
+    """len(xs); a range of step 1 by its ends, since len() stops at sys.maxsize."""
+    return max(0, xs.stop - xs.start) if isinstance(xs, range) else len(xs)
 
 
 def _check_walk(steps: int, where: str, what: str) -> None:
@@ -151,7 +166,7 @@ def slices_M3(n: int, Sp, S, L2p, L2) -> list[tuple[int, int, Fraction, Fraction
         return []
     x3s = _x3_range(Sp, S, L2p, L2, n)
     region, what = f"region x1^5 x3^3 x5^5 <= {n}", "values of x3 and x1"
-    _check_walk(len(x3s), region, what)
+    _check_walk(_size(x3s), region, what)
     slices = [(x3, iroot(n // x3 ** 3, 5), *_x3_window(x3, Sp, S, L2p, L2)) for x3 in x3s]
     _check_walk(len(slices) + sum(_x1_cap(M, Sq) for _, M, Sq, _ in slices), region, what)
     return slices
@@ -233,7 +248,7 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
                 windows = _x3_cells(a3s, region)
             else:
                 a3s = windows = [(x3, Sq, Sx) for x3, _, Sq, Sx in slices_M3(n, *region)]
-        count += len(a3s)
+        count += _size(a3s)
         _check_walk(pairs + count, where, "(a2, a4) pairs and cells")
         plan.append((a2, a4, windows))
     return [(a2, a4, *w) for a2, a4, windows in plan for w in windows]
@@ -256,13 +271,8 @@ def _slices_of_M(N, L1p, L1, L2p, L2) -> list[tuple[int, int, Fraction, Fraction
     return slices_M3(math.floor(Fr(N)), L1p ** 2, L1 ** 2, L2p, L2)
 
 
-def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
-    """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}, exact."""
-    return count_slices(_slices_of_M(N, L1p, L1, L2p, L2))
-
-
 def discrete_term_M3(N, slices) -> float:
-    """The main term of count_lattice_M3 at N, slice by slice: the sum over its
+    """The main term at N of count_slices(slices), slice by slice: the sum over the
     x3-slices (x3, M, S', S) of the area (N^(1/5)/2) x3^(-3/5) (1/2) log(S/S') of
     the 2d region {x1 x5 <= (N / x3^3)^(1/5), (x5/x1)^2 in [S', S]}.  With both
     ratio windows bounded x3 takes finitely many values, so this sum, not
@@ -275,49 +285,6 @@ def count_lattice_M2(M, L1p, L1) -> int:
     """#{(x1,x5) positive integers : x1 x5 <= M, x5/x1 in [L1', L1]}, exact."""
     L1p, L1 = max(Fr(L1p), 0), max(Fr(L1), 0)
     return count_slices([(1, math.floor(Fr(M)), L1p ** 2, L1 ** 2)])
-
-
-# --- Monte Carlo volume check ------------------------------------------------
-
-# The most samples one estimate may draw: about 4 s on a 2-CPU host.
-_SAMPLE_LIMIT = 10 ** 8
-
-
-def monte_carlo_volume_M3(N, L1p, L1, L2p, L2, samples: int = 10 ** 6,
-                          seed: int = 0) -> tuple[float, float]:
-    """(estimate, standard_error) for vol(M(...)) via a seeded indicator average."""
-    if samples > _SAMPLE_LIMIT:
-        raise ValueError(f"{samples} samples are above the sample limit {_SAMPLE_LIMIT}")
-    N, L1p, L1, L2p, L2 = map(float, (N, L1p, L1, L2p, L2))
-    if L1p <= 0 or L2p <= 0:
-        raise ValueError(f"Monte Carlo needs a bounded region: L1' = {L1p} and L2' = {L2p} "
-                         f"must be positive")
-    x1_max = (N * L2 / L1p ** 6) ** 0.1
-    x3_max = (L1 / L2p) ** (1 / 3)
-    x5_max = L1 * x1_max
-    box = x1_max * x3_max * x5_max
-    rng = np.random.Generator(np.random.PCG64(seed))
-    hits = 0
-    n_done = 0
-    chunk = 1 << 18
-    while n_done < samples:
-        k = min(chunk, samples - n_done)
-        x1 = rng.random(k) * x1_max
-        x3 = rng.random(k) * x3_max
-        x5 = rng.random(k) * x5_max
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ind = (x1 ** 5 * x3 ** 3 * x5 ** 5 <= N)
-            r1 = x5 / x1
-            ind &= (r1 >= L1p) & (r1 <= L1)
-            r2 = x5 / (x3 ** 3 * x1)
-            ind &= (r2 >= L2p) & (r2 <= L2)
-        hits += int(ind.sum())
-        n_done += k
-    p = hits / samples
-    # with no hits, or only hits, p(1 - p) = 0 would claim an exact answer; the
-    # Laplace estimate (hits + 1) / (samples + 2) keeps the interval honest there
-    q = p if 0 < hits < samples else (hits + 1) / (samples + 2)
-    return box * p, box * math.sqrt(q * (1 - q) / samples)
 
 
 # --- error-law diagnostics ----------------------------------------------------

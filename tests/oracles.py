@@ -3,9 +3,10 @@
 Each function here checks a package function by a different route: numeric
 embeddings against the exact trace, the pairing entry by entry against the
 integer Gram products, Faddeev-LeVerrier on the multiplication matrix against
-power sums, loops over the bounding box against the slice and window walks, and
-brute-force residue loops against the closed-form local counts and the CRT
-split of the 2/3-part counts.  Nothing in the package, the CLI or the bench
+power sums, loops over the bounding box against the slice and window walks, a
+seeded Monte Carlo average against the closed-form volume, and brute-force
+residue loops against the closed-form local counts and the CRT split of the
+2/3-part counts.  Nothing in the package, the CLI or the bench
 calls them; tests import them with `from oracles import ...` (pytest puts this
 directory on sys.path).
 radical_char_poly is no oracle: it is the package's power-sum char poly at any
@@ -172,7 +173,8 @@ def mono_power(x: Monomial, k) -> Monomial:
 
 
 # ---------------------------------------------------------------------------
-# geometry: lattice counts by loops over the bounding box
+# geometry: lattice counts by loops over the bounding box, and the volume by
+# Monte Carlo
 # ---------------------------------------------------------------------------
 
 def count_lattice_M3_brute(N, L1p, L1, L2p, L2) -> int:
@@ -202,6 +204,41 @@ def count_lattice_M2_brute(M, L1p, L1) -> int:
             if L1p * x1 <= x5 <= L1 * x1:
                 total += 1
     return total
+
+
+def monte_carlo_volume_M3(N, L1p, L1, L2p, L2, samples: int = 10 ** 6,
+                          seed: int = 0) -> tuple[float, float]:
+    """(estimate, standard_error) for vol(M(...)) via a seeded indicator average."""
+    N, L1p, L1, L2p, L2 = map(float, (N, L1p, L1, L2p, L2))
+    if L1p <= 0 or L2p <= 0:
+        raise ValueError(f"Monte Carlo needs a bounded region: L1' = {L1p} and L2' = {L2p} "
+                         f"must be positive")
+    x1_max = (N * L2 / L1p ** 6) ** 0.1
+    x3_max = (L1 / L2p) ** (1 / 3)
+    x5_max = L1 * x1_max
+    box = x1_max * x3_max * x5_max
+    rng = np.random.Generator(np.random.PCG64(seed))
+    hits = 0
+    n_done = 0
+    chunk = 1 << 18
+    while n_done < samples:
+        k = min(chunk, samples - n_done)
+        x1 = rng.random(k) * x1_max
+        x3 = rng.random(k) * x3_max
+        x5 = rng.random(k) * x5_max
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ind = (x1 ** 5 * x3 ** 3 * x5 ** 5 <= N)
+            r1 = x5 / x1
+            ind &= (r1 >= L1p) & (r1 <= L1)
+            r2 = x5 / (x3 ** 3 * x1)
+            ind &= (r2 >= L2p) & (r2 <= L2)
+        hits += int(ind.sum())
+        n_done += k
+    p = hits / samples
+    # with no hits, or only hits, p(1 - p) = 0 would claim an exact answer; the
+    # Laplace estimate (hits + 1) / (samples + 2) keeps the interval honest there
+    q = p if 0 < hits < samples else (hits + 1) / (samples + 2)
+    return box * p, box * math.sqrt(q * (1 - q) / samples)
 
 
 # ---------------------------------------------------------------------------

@@ -210,9 +210,11 @@ def test_digits_before_or_after_the_subcommand(capsys, cmd):
     assert "gram_decimal" in data if cmd == "gram" else data["lambdas"]["decimal"]
 
 
-# A cheap run of each command and geometry op.  Before each option moved to the
-# command that reads it, every run below exited 0 with one more flag that it
-# took and never read: a global flag before the command, or a geometry flag.
+# A cheap run of each command, and of each geometry op that diagnose's rows
+# replaced (GONE).  Before each option moved to the command that reads it, every
+# run below exited 0 with one more flag that it took and never read: a global
+# flag before the command, or a geometry flag.  Since the GONE ops were deleted,
+# each of their runs is an invalid choice of op, whatever flag follows it.
 CHEAP = {"classify": "--m 5", "basis": "--m 17", "general-basis": "--n 4 --m 5",
          "gram": "--m 2", "shape": "--m 32", "density": "--type 1,1 --a2 1 --a4 1",
          "euler": "--bound 1000",
@@ -223,7 +225,8 @@ CHEAP = {"classify": "--m 5", "basis": "--m 17", "general-basis": "--n 4 --m 5",
          "geometry volume": "", "geometry count": "", "geometry area": "",
          "geometry count2": "", "geometry mc": "--samples 1000",
          "geometry diagnose": "--ladder 1000000 --csv"}
-GLOBAL_READERS = {"--digits 3": ("gram", "shape"), "--seed 1": ("geometry mc",),
+GONE = ("geometry volume", "geometry count", "geometry area", "geometry count2", "geometry mc")
+GLOBAL_READERS = {"--digits 3": ("gram", "shape"), "--seed 1": (),
                   "--format pretty": tuple(c for c in CHEAP if c not in
                                            ("equidist", "verify", "geometry diagnose"))}
 _M3_UNREAD = ["--samples 5", "--ladder 1000", "--csv"]
@@ -235,14 +238,15 @@ GEOMETRY_UNREAD = {"geometry volume": _M3_UNREAD, "geometry count": _M3_UNREAD,
 BEFORE = "error: {} is given before a command: flags go after their command"
 UNREAD = ([(f"{flag} {cmd} {CHEAP[cmd]}", BEFORE.format(flag.split()[0]))
            for flag, readers in GLOBAL_READERS.items() for cmd in CHEAP if cmd not in readers]
-          + [(f"{cmd} {CHEAP[cmd]} {flag}", f"unrecognized arguments: {flag}")
+          + [(f"{cmd} {CHEAP[cmd]} {flag}", f"invalid choice: {cmd.split()[1]!r}" if cmd in GONE
+              else f"unrecognized arguments: {flag}")
              for cmd, flags in GEOMETRY_UNREAD.items() for flag in flags])
 
 
 @pytest.mark.parametrize("argv, said", UNREAD, ids=[argv for argv, _ in UNREAD])
 def test_a_flag_the_command_does_not_read_exit_2(capsys, argv, said):
     """Before the command a flag is named as given there; after it, the flag is
-    unrecognized."""
+    unrecognized, and after a deleted geometry op the op is."""
     with pytest.raises(SystemExit) as e:
         main(argv.split())
     assert e.value.code == 2
@@ -456,16 +460,54 @@ def test_a_narrow_box_of_large_a2a4_runs_fast():
     assert code == 0 and err == ""
 
 
-@pytest.mark.parametrize("op,N", [("count", 10 ** 61), ("count2", 10 ** 30)],
-                         ids=["count-1e61", "count2-1e30"])
-def test_geometry_count_beyond_the_walk_limit_exit_1_fast(op, N):
-    """The 3d walk at N = 10^61 has ~1.26 * 10^6 values of x1 (one x3), the 2d walk
-    at 10^30 has 10^15: both are refused before they start."""
-    code, err, seconds = run_module("geometry", op, "--N", str(N))
-    assert seconds < 10
-    assert code == 1
-    assert err.startswith("error: the region") and "walk limit" in err
-    assert "Traceback" not in err
+RATIONAL = "is not a rational p/q with q nonzero and |p/q| within float range"
+WALK = "needs more than 1000000 {}, above the walk limit"
+# Inputs that ended in a traceback (a range too long for len(), a zero denominator,
+# a value past float range, an --out in a missing directory) and the walk-limit
+# refusals of the 3d and 2d regions: each exits 1 (invalid input) or 2 (usage)
+# with an error line that says what was wrong.  {dir} is a missing directory.
+FAIL_FAST = {
+    "equidist-a3-range": (f"equidist --family C --type 1,1 --box 1,8,1/{10 ** 60},8,1,6 "
+                          "--ladder 1000", 1, f"error: the C box 1,8,1/{10 ** 60},8,1,6 "
+                          + WALK.format("(a2, a4) pairs and cells")),
+    "measure-a3-range": (f"measure --family T --type 1,1 --box 1,4,1,6,1,{10 ** 60}", 1,
+                         f"error: the T box 1,4,1,6,1,{10 ** 60} "
+                         + WALK.format("(a2, a4) pairs and cells")),
+    "diagnose-x3-range": (f"geometry diagnose --ladder {10 ** 200} --L2p 1/{10 ** 120}", 1,
+                          f"error: the region x1^5 x3^3 x5^5 <= {10 ** 200} "
+                          + WALK.format("values of x3 and x1")),
+    "diagnose-zero-denominator": ("geometry diagnose --L1 1/0", 2,
+                                  f"error: argument --L1: '1/0' {RATIONAL}"),
+    "box-zero-denominator": ("equidist --family C --type 1,1 --box 1,8,1/0,8,1,6 --ladder 1000",
+                             1, f"error: '1/0' {RATIONAL}"),
+    "diagnose-past-float": ("geometry diagnose --L1 1e400", 2,
+                            f"error: argument --L1: '1e400' {RATIONAL}"),
+    "box-past-float": ("measure --family T --type 1,1 --box 1,1e400,1,6,1,3", 1,
+                       f"error: '1e400' {RATIONAL}"),
+    "equidist-out-missing-dir": ("equidist --family C --type 1,1 --box 1,8,1/8,8,1,6 "
+                                 "--ladder 1000000 --prime-bound 1000 --out {dir}/x.json", 1,
+                                 "error: [Errno 2] No such file or directory: '{dir}/x.json'"),
+    "diagnose-3d-walk-1e61": (f"geometry diagnose --ladder {10 ** 61}", 1,
+                              f"error: the region x1^5 x3^3 x5^5 <= {10 ** 61} "
+                              + WALK.format("values of x3 and x1")),
+    "diagnose-2d-walk-1e30": (f"geometry diagnose --ladder {10 ** 30}", 1,
+                              f"error: the region x1 x5 <= {10 ** 30} "
+                              + WALK.format("values of x1")),
+}
+
+
+@pytest.mark.parametrize("argv, code, said", FAIL_FAST.values(), ids=FAIL_FAST)
+def test_bad_input_fails_fast_with_an_error_line(tmp_path, argv, code, said):
+    """A fresh interpreter under a 10 s timeout: the refusal comes before any long
+    walk, and no traceback reaches stderr."""
+    missing = tmp_path / "missing"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "puresextic",
+                           *argv.format(dir=missing).split()],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == code
+    assert said.format(dir=missing) in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [("euler", "--bound", "0"), ("euler", "--bound", "-5"),
@@ -474,13 +516,12 @@ def test_geometry_count_beyond_the_walk_limit_exit_1_fast(op, N):
                                   ("equidist", "--family", "C", "--type", "1,1",
                                    "--box", "1,8,1/8,8,1,6", "--ladder", "1000",
                                    "--prime-bound", "-1"),
-                                  ("geometry", "mc", "--samples", "0"),
                                   ("verify", "--per-type", "-1"), ("verify", "--per-type", "0"),
                                   ("density", "--type", "1,1", "--a2", "-3", "--a4", "1"),
                                   ("density", "--type", "1,1", "--a2", "1", "--a4", "0"),
                                   ("density", "--type", "1,1", "--a2", "1", "--a3", "-1",
                                    "--a4", "1")],
-                         ids=["euler-0", "euler--5", "measure-0", "equidist--1", "mc-0",
+                         ids=["euler-0", "euler--5", "measure-0", "equidist--1",
                               "verify--1", "verify-0", "density-a2--3", "density-a4-0",
                               "density-a3--1"])
 def test_count_option_that_is_not_positive_exit_2(capsys, argv):
@@ -509,13 +550,11 @@ def test_workers_that_is_not_positive_exit_2(capsys, workers):
                           (("measure", "--family", "C", "--type", "1,1", "--box",
                             "1,8,1/8,8,1,6", "--prime-bound", "100000000000"),
                            "prime limit 100000000"),
-                          (("geometry", "mc", "--N", "1000000", "--samples", "100000000000"),
-                           "sample limit 100000000"),
                           (("verify", "--types", "all", "--per-type", "1000000"),
                            "corpus limit 1000"),
                           (("general-basis", "--n", "1000000", "--m", "5"),
                            "degree limit 500")],
-                         ids=["euler-bound", "measure-prime-bound", "mc-samples",
+                         ids=["euler-bound", "measure-prime-bound",
                               "verify-per-type", "general-basis-degree"])
 def test_input_above_a_limit_fails_fast_exit_1(argv, limit):
     """A fresh interpreter, so no warm cache hides the cost of an input past the limit."""
@@ -527,41 +566,14 @@ def test_input_above_a_limit_fails_fast_exit_1(argv, limit):
     assert "Traceback" not in proc.stderr
 
 
-def test_monte_carlo_records_its_seed_and_samples(capsys):
-    code, out = run(capsys, "geometry", "mc", "--samples", "1000", "--seed", "3")
-    assert code == 0
-    data = json.loads(out)
-    assert (data["seed"], data["samples"]) == (3, 1000)
-    _, again = run(capsys, "geometry", "mc", "--samples", "1000", "--seed", "3")
-    _, other = run(capsys, "geometry", "mc", "--samples", "1000", "--seed", "4")
-    assert again == out
-    assert json.loads(other)["estimate"] != data["estimate"]
-
-
-def test_monte_carlo_without_a_hit_has_an_honest_interval(capsys):
-    code, out = run(capsys, "geometry", "mc", "--samples", "1", "--N", "1000")
-    assert code == 0
-    data = json.loads(out)
-    assert data["estimate"] == 0.0
-    assert abs(data["estimate"] - data["exact"]) <= 2 * data["standard_error"]
-
-
-@pytest.mark.parametrize("argv", [("geometry", "mc", "--L1p", "0", "--samples", "1000"),
-                                  ("geometry", "mc", "--L2p", "0", "--samples", "1000")],
-                         ids=["mc-L1p-0", "mc-L2p-0"])
-def test_monte_carlo_on_an_unbounded_region_exit_1(capsys, argv):
-    assert main(list(argv)) == 1
-    assert capsys.readouterr().err.startswith("error: Monte Carlo needs a bounded region")
-
-
-@pytest.mark.parametrize("argv", [("geometry", "area", "--L1p", "0"),
-                                  ("geometry", "diagnose", "--L1p", "0", "--ladder", "1000")],
+@pytest.mark.parametrize("N, column", [("1000000", "discrete_term"), ("1000", "volume")],
                          ids=["area", "diagnose"])
-def test_area_with_no_lower_ratio_bound_is_infinite(capsys, argv):
-    code, out = run(capsys, *argv)
+def test_area_with_no_lower_ratio_bound_is_infinite(capsys, N, column):
+    """The 2d row's volume is the area, and so is its discrete term (the area
+    `geometry area` printed at its default N = 10^6)."""
+    code, out = run(capsys, "geometry", "diagnose", "--L1p", "0", "--ladder", N)
     assert code == 0
-    data = json.loads(out)
-    assert (data["area"] if "area" in data else data["M2"][0]["volume"]) == math.inf
+    assert json.loads(out)["M2"][0][column] == math.inf
 
 
 @pytest.mark.parametrize("entry", ["0", "-5", "10^50", "1e20"])

@@ -4,11 +4,15 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import count_lattice_M2_brute, count_lattice_M3_brute
+from oracles import count_lattice_M2_brute, count_lattice_M3_brute, monte_carlo_volume_M3
 from puresextic.field import iroot
-from puresextic.geometry import (Box3, area_A, count_lattice_M2, count_lattice_M3, error_law_M2,
-                                 error_law_M3, monte_carlo_volume_M3, slices_M3, volume_V,
-                                 windows_M2)
+from puresextic.geometry import (Box3, _slices_of_M, area_A, count_lattice_M2, count_slices,
+                                 error_law_M2, error_law_M3, slices_M3, volume_V, windows_M2)
+
+
+def count_lattice_M3(N, L1p, L1, L2p, L2) -> int:
+    """#{(x1,x3,x5) positive integers in M(N, L1', L1, L2', L2)}: the count error_law_M3 takes."""
+    return count_slices(_slices_of_M(N, L1p, L1, L2p, L2))
 
 
 def test_volume_examples():
@@ -118,6 +122,18 @@ def test_monte_carlo_with_no_hit_or_only_hits_keeps_an_interval():
     assert se_miss == se_hit == pytest.approx(hit * math.sqrt(2 / 9))
 
 
+def test_monte_carlo_is_reproducible_per_seed():
+    est, se = monte_carlo_volume_M3(10 ** 6, 1, 2, 1, 2, samples=1000, seed=3)
+    assert monte_carlo_volume_M3(10 ** 6, 1, 2, 1, 2, samples=1000, seed=3) == (est, se)
+    assert monte_carlo_volume_M3(10 ** 6, 1, 2, 1, 2, samples=1000, seed=4)[0] != est
+
+
+def test_monte_carlo_without_a_hit_has_an_honest_interval():
+    est, se = monte_carlo_volume_M3(1000, 1, 2, 1, 2, samples=1)
+    assert est == 0.0
+    assert abs(est - volume_V(1000, 1, 2, 1, 2)) <= 2 * se
+
+
 def test_unbounded_ratio_windows():
     """L1' <= 0 (resp. L2' <= 0) is no lower bound: the 2d area is infinite, the 3d
     volume drops the L1' term (resp. is infinite), and Monte Carlo has no bounded box."""
@@ -125,9 +141,10 @@ def test_unbounded_ratio_windows():
     assert area_A(100, -2, -1) == 0.0
     assert volume_V(10 ** 5, -1, 2, 1, 2) == volume_V(10 ** 5, 0, 2, 1, 2) > 0
     assert volume_V(10 ** 5, 1, 2, -1, 2) == volume_V(10 ** 5, 1, 2, 0, 2) == math.inf
-    for l1p, l2p in ((0, 1), (1, 0), (-1, 1)):
-        with pytest.raises(ValueError, match="Monte Carlo"):
-            monte_carlo_volume_M3(10 ** 5, l1p, 2, l2p, 2, samples=10)
+    for N, l1p, l2p, samples in ((10 ** 5, 0, 1, 10), (10 ** 5, 1, 0, 10), (10 ** 5, -1, 1, 10),
+                                 (10 ** 6, 0, 1, 1000), (10 ** 6, 1, 0, 1000)):
+        with pytest.raises(ValueError, match="^Monte Carlo needs a bounded region"):
+            monte_carlo_volume_M3(N, l1p, 2, l2p, 2, samples=samples)
 
 
 def test_error_law_m2_stable():

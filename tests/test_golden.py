@@ -19,9 +19,15 @@ that rebuilds it from the old stdout:
   the value it always printed there, and gained a last column
   `discrete_term`: the old header renamed, the new column appended to each row.
 - `verify` echoes no config and prints no new column; its digest never changed.
+- `geometry count` and `count2`, which printed one count each, were deleted;
+  `geometry diagnose` prints the same count in its M3 and M2 rows.  Their
+  digests stay as recorded and are checked on the old stdout rebuilt from a
+  one-rung diagnose row: json.dumps({"count": row.count}, indent=2,
+  sort_keys=True) + "\n".
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -38,10 +44,6 @@ GOLDEN = {
         "daa55d710ac09984be9528e6a02130d0aec672fb5fb11a656d40ac55fcbafff9",
     ("verify", "--types", "all", "--per-type", "5"):
         "c49ff824a0a341358966a674a644bd98aa2f20188cbbf2b177c63940674b795d",
-    ("geometry", "count", "--N", "100000"):
-        "d8414cb6c0ff664926cfee385bb5589464c953ae716862363bfcc0759f125151",
-    ("geometry", "count2", "--N", "500", "--L1p", "1/3", "--L1", "7"):
-        "e5a55c5ed6ce8ad2d530771c62c7091a6999d97d1e62d9aa862451dcc0662f41",
     ("geometry", "diagnose", "--ladder", "1000000,100000000", "--csv"):
         "f1eb1f8e51783789e9b65d2ccf948b98a69dedcbd9447b99110680deffc7f754",
     ("equidist", "--family", "C", "--type", "1,1", "--sign", "+", "--box", "1,8,1/8,8,1,6",
@@ -64,3 +66,22 @@ def test_cli_output_matches_the_recorded_digest(argv, capsys):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+
+
+# (diagnose argv, the row kind that holds the count, digest): the deleted
+# `geometry count --N 100000` and `geometry count2 --N 500 --L1p 1/3 --L1 7`
+COUNT_GOLDEN = [
+    (("geometry", "diagnose", "--ladder", "100000"), "M3",
+     "d8414cb6c0ff664926cfee385bb5589464c953ae716862363bfcc0759f125151"),
+    (("geometry", "diagnose", "--ladder", "500", "--L1p", "1/3", "--L1", "7"), "M2",
+     "e5a55c5ed6ce8ad2d530771c62c7091a6999d97d1e62d9aa862451dcc0662f41"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, digest", COUNT_GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in COUNT_GOLDEN])
+def test_diagnose_count_matches_the_recorded_digest(argv, kind, digest, capsys):
+    assert main(list(argv)) == 0
+    row, = json.loads(capsys.readouterr().out)[kind]
+    out = json.dumps({"count": row["count"]}, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
