@@ -17,13 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import SexticNum, rational_json
+from .algebra import SexticNum
 from .field import SexticField
 from .types import SexticType, classify
-
-
-class CaseMismatch(ValueError):
-    pass
 
 
 class AuxUndefined(ValueError):
@@ -164,18 +160,14 @@ class IntegralBasis:
 
 
 @lru_cache(maxsize=2)
-def build_basis(f: SexticField, t: SexticType | None = None) -> IntegralBasis:
+def build_basis(f: SexticField) -> IntegralBasis:
     """Instantiate the Table-2 basis as exact coefficient vectors over {1, theta, ..., theta^5}.
 
     Memoised for the last two calls: the checks of one field ask for its basis
     more than once (`verify`, `shape_gram`), and a small bound keeps memory flat
     over a corpus.
     """
-    actual = classify(f.m)
-    if t is None:
-        t = actual
-    elif t != actual:
-        raise CaseMismatch(f"m={f.m} has type {actual}, not {t}")
+    t = classify(f.m)
     x = aux_constants(f, t)
     bk, gk, dk = TABLE2[(t.i, t.j)]
     m = f.m
@@ -209,9 +201,6 @@ def power_type_basis(f: SexticField) -> tuple[SexticNum, ...]:
 class TransitionMatrix:
     type: SexticType
     entries: tuple[tuple[Fraction, ...], ...]  # 6x6, columns = basis elements over {theta^t/C_t}
-
-    def to_json(self) -> list:
-        return [[rational_json(x) for x in row] for row in self.entries]
 
 
 @lru_cache(maxsize=2)

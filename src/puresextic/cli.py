@@ -152,15 +152,16 @@ def cmd_density(args) -> int:
 
 
 def cmd_euler(args) -> int:
-    val, tail = densities.euler_product(args.kind, args.bound)
-    _emit({"kind": args.kind, "prime_bound": args.bound, "value": val, "tail_bound": tail})
+    val, tail = densities.euler_product(args.kind)
+    _emit({"kind": args.kind, "prime_bound": densities.EULER_PRIME_BOUND, "value": val,
+           "tail_bound": tail})
     return 0
 
 
 def cmd_measure(args) -> int:
     t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
-    out = densities.integrate_measure(t, args.sign, box, args.prime_bound)
+    out = densities.integrate_measure(t, args.sign, box)
     _emit({"family": args.family, "type": str(t), "sign": args.sign,
            "box": box.to_json(), "variants": out})
     return 0
@@ -169,7 +170,7 @@ def cmd_measure(args) -> int:
 def cmd_equidist(args) -> int:
     t = SexticType.parse(args.type)
     box = Box3.parse(args.box, kind=args.family)
-    report = compare(args.family, t, args.sign, box, args.ladder, prime_bound=args.prime_bound)
+    report = compare(args.family, t, args.sign, box, args.ladder)
     text = report_to_json(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -267,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("euler")
-    p.add_argument("--kind", choices=tuple(densities._EULER_KINDS), default="carefree")
-    p.add_argument("--bound", type=_positive_int, default=10 ** 6)
+    p.add_argument("--kind", choices=tuple(densities.EULER_PRODUCTS), default="carefree")
     p.set_defaults(fn=cmd_euler)
 
     p = sub.add_parser("measure")
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", required=True)
     p.add_argument("--sign", type=_parse_sign, default=1)
     p.add_argument("--box", required=True, help="R1p,R1,R2p,R2,R3p,R3")
-    p.add_argument("--prime-bound", type=_positive_int, default=10 ** 6)
     p.set_defaults(fn=cmd_measure)
 
     p = sub.add_parser("equidist")
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", type=_parse_sign, default=1)
     p.add_argument("--box", required=True)
     p.add_argument("--ladder", type=_parse_ladder, required=True, help="N1,N2,...")
-    p.add_argument("--prime-bound", type=_positive_int, default=10 ** 6)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_equidist)
 

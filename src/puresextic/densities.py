@@ -20,7 +20,9 @@ Measure integrals come in variants:
               README about the 3d count lemma), a sum over the carefree
               cells of geometry.box_cells, the cells the counts walk.
 Each local flavor is 'loose' (mod-l^2 closed forms) or 'strict' (true local
-densities of squarefree pairwise-coprime tuples).
+densities of squarefree pairwise-coprime tuples).  Each variant multiplies by
+an Euler product over the primes l >= 5, read from the literal table
+EULER_PRODUCTS: the product to 10^6 and a rigorous bound on the rest.
 """
 
 from __future__ import annotations
@@ -46,15 +48,9 @@ class InvalidPair(ValueError):
 # Primes
 # ---------------------------------------------------------------------------
 
-# The largest n to sieve: 0.6 s and 120 MB on a 2-CPU host (naive_scan uses 1.2e7).
-_PRIME_LIMIT = 10 ** 8
-
-
 @lru_cache(maxsize=None)
 def primes_up_to(n: int) -> np.ndarray:
     """The primes <= n, sieved once per n per process; the shared array is read-only."""
-    if n > _PRIME_LIMIT:
-        raise ValueError(f"primes up to {n} are above the prime limit {_PRIME_LIMIT}")
     if n < 2:
         out = np.zeros(0, dtype=np.int64)
     else:
@@ -224,28 +220,22 @@ def m_table(t: SexticType, sign: int, a2: int, a3: int, a4: int) -> int:
 # Euler products over primes l != 2, 3
 # ---------------------------------------------------------------------------
 
-_EULER_KINDS = {
-    # kind -> (log-factor fn on prime array, |x_l| bound coefficient c with x <= c/l^2)
-    "carefree": (lambda l: np.log1p(-3.0 / l ** 2 + 2.0 / l ** 3), 3.0),
-    "basic": (lambda l: np.log1p(-1.0 / l ** 2), 1.0),
-    "carefree_strict": (lambda l: np.log1p(-6.0 / l ** 2 + 8.0 / l ** 3 - 3.0 / l ** 4), 6.0),
+EULER_PRIME_BOUND = 10 ** 6
+
+# kind -> (prod (1 - x_l) over the primes 5 <= l <= B = EULER_PRIME_BOUND, tail bound).
+# The true value lies in [value * exp(-tail), value]: each omitted x_l is in
+# (0, c/l^2], and sum_{n > B} (c/n^2 + c^2/n^4) < c/B + c^2/(3 B^3).  The floats
+# are those a sieve to B gives; tests/oracles.py sieves them again.
+EULER_PRODUCTS = {
+    "carefree": (0.7742182141925465, 3.0000000000030003e-06),  # 1 - 3/l^2 + 2/l^3, c = 3
+    "basic": (0.9118907145850614, 1.0000000000003333e-06),  # 1 - 1/l^2, c = 1
+    "carefree_strict": (0.6203740903107079, 6.000000000012e-06),  # 1 - 6/l^2 + 8/l^3 - 3/l^4, c = 6
 }
 
 
-@lru_cache(maxsize=None)
-def euler_product(kind: str, prime_bound: int = 10 ** 6) -> tuple[float, float]:
-    """(truncated product over the primes 5 <= l <= prime_bound, rigorous tail bound).
-
-    The true value lies in [value * exp(-tail), value]: each omitted factor is
-    1 - x_l with 0 < x_l <= c/l^2, and sum_{n > B} (c/n^2 + c^2/n^4) < c/B + c^2/(3 B^3).
-    Computed once per (kind, prime_bound) per process.
-    """
-    fn, c = _EULER_KINDS[kind]
-    ps = primes_up_to(prime_bound)
-    val = float(np.exp(fn(ps[ps >= 5].astype(np.float64)).sum()))
-    b = float(prime_bound)
-    tail = c / b + c * c / (3 * b ** 3)
-    return val, tail
+def euler_product(kind: str) -> tuple[float, float]:
+    """(value, tail bound) of the Euler product `kind`, from EULER_PRODUCTS."""
+    return EULER_PRODUCTS[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +298,10 @@ def _weight(n_product: int, num, den) -> float:
     return w
 
 
-def mu_box_stated(t: SexticType, sign: int, box: Box3,
-                 prime_bound: int = 10 ** 6) -> dict:
+def mu_box_stated(t: SexticType, sign: int, box: Box3) -> dict:
     """The stated closed-form constant: 25/124416 * prod(1-3/l^2+2/l^3)
     * (R1^(1/15)-R1'^(1/15)) * (R2'^(-2/15)-R2^(-2/15)) * sum alpha-style."""
-    ep, tail = euler_product("carefree", prime_bound)
+    ep, tail = euler_product("carefree")
     i1 = float(box.r1) ** (1 / 15) - float(box.r1p) ** (1 / 15)
     i2 = float(box.r2p) ** (-2 / 15) - float(box.r2) ** (-2 / 15)
     s3 = 0.0
@@ -322,15 +311,14 @@ def mu_box_stated(t: SexticType, sign: int, box: Box3,
     return {"value": val, "euler_tail": tail}
 
 
-def mu_box_volume(t: SexticType, sign: int, box: Box3, strict: bool = False,
-                  prime_bound: int = 10 ** 6) -> dict:
+def mu_box_volume(t: SexticType, sign: int, box: Box3, strict: bool = False) -> dict:
     """Volume-based form with the density normalisation n_{i,j}/15552^3.
 
     loose: local factors (1-3/l^2+2/l^3), weight (l-1)/(l+2) on l | a2 a4;
     strict: (1-1/l)^3 (1+3/l), weight l/(l+3) -- the true triple densities.
     """
     kind = "carefree_strict" if strict else "carefree"
-    ep, tail = euler_product(kind, prime_bound)
+    ep, tail = euler_product(kind)
     i1 = float(box.r1) ** (1 / 15) - float(box.r1p) ** (1 / 15)
     i2 = float(box.r2p) ** (-2 / 15) - float(box.r2) ** (-2 / 15)
     s = 0.0
@@ -354,14 +342,14 @@ def _mu_log_width(box: Box3, a2: int, a4: int, a3: int) -> float:
 
 
 def nu_box_linear(t: SexticType, sign: int, box: Box3, cells: list,
-                  stated_weight: bool = False, prime_bound: int = 10 ** 6) -> dict:
+                  stated_weight: bool = False) -> dict:
     """The stated linear-in-N closed form for the ratio-window family.
 
     sum of beta(a3, a2*a4) over the T box's cells (box_cells); default weight
     (l-1)/(l+1) per the beta definition and the proof, stated_weight=True for
     the alternative (l-1)/(l+2) weighting.
     """
-    ep, tail = euler_product("basic", prime_bound)
+    ep, tail = euler_product("basic")
     # beta(a3, n) sums over the divisors of n = a2 a4 itself: one term per (n, a3), at a2 = 1
     s = sum((beta_value(t, sign, a3, a4, stated_weight=stated_weight)
              for a2, a4, a3, _, _ in cells if a2 == 1), Fr(0))
@@ -369,8 +357,7 @@ def nu_box_linear(t: SexticType, sign: int, box: Box3, cells: list,
     return {"value": val, "euler_tail": tail}
 
 
-def box_discrete(t: SexticType, sign: int, box: Box3, cells: list, strict: bool = True,
-                 prime_bound: int = 10 ** 6) -> dict:
+def box_discrete(t: SexticType, sign: int, box: Box3, cells: list, strict: bool = True) -> dict:
     """Pair-based asymptotic constant lim #C_cf / N^(1/5) or lim #T_cf / N^(1/5)
     (discrete a3-sum), over the carefree cells of the box's cells (box_cells).
 
@@ -381,7 +368,7 @@ def box_discrete(t: SexticType, sign: int, box: Box3, cells: list, strict: bool 
     has width 1, its log(R1/R1') is in the constant.
     """
     kind = "carefree" if strict else "basic"
-    ep, tail = euler_product(kind, prime_bound)
+    ep, tail = euler_product(kind)
     s = 0.0
     for a2, a4, a3, Sp, S in cells:
         if Sp == S or not is_squarefree(a2 * a3 * a4):
@@ -398,22 +385,22 @@ def box_discrete(t: SexticType, sign: int, box: Box3, cells: list, strict: bool 
     return {"value": (scale * ep) * s, "euler_tail": tail}
 
 
-def integrate_measure(t: SexticType, sign: int, box: Box3, prime_bound: int = 10 ** 6) -> dict:
+def integrate_measure(t: SexticType, sign: int, box: Box3) -> dict:
     """All prediction variants for the box's family: mu (C, lambda windows) or
     nu (T, ratio windows).  The box's cells are listed once, first, so a box
     with too many of them is refused before any variant is computed."""
     cells = box_cells(box)
     if box.kind == "C":
         return {
-            "stated": mu_box_stated(t, sign, box, prime_bound),
-            "volume_loose": mu_box_volume(t, sign, box, False, prime_bound),
-            "volume_strict": mu_box_volume(t, sign, box, True, prime_bound),
-            "discrete_loose": box_discrete(t, sign, box, cells, False, prime_bound),
-            "discrete_strict": box_discrete(t, sign, box, cells, True, prime_bound),
+            "stated": mu_box_stated(t, sign, box),
+            "volume_loose": mu_box_volume(t, sign, box, False),
+            "volume_strict": mu_box_volume(t, sign, box, True),
+            "discrete_loose": box_discrete(t, sign, box, cells, False),
+            "discrete_strict": box_discrete(t, sign, box, cells, True),
         }
     return {
-        "linear_stated": nu_box_linear(t, sign, box, cells, True, prime_bound),
-        "linear_derived": nu_box_linear(t, sign, box, cells, False, prime_bound),
-        "discrete_loose": box_discrete(t, sign, box, cells, False, prime_bound),
-        "discrete_strict": box_discrete(t, sign, box, cells, True, prime_bound),
+        "linear_stated": nu_box_linear(t, sign, box, cells, True),
+        "linear_derived": nu_box_linear(t, sign, box, cells, False),
+        "discrete_loose": box_discrete(t, sign, box, cells, False),
+        "discrete_strict": box_discrete(t, sign, box, cells, True),
     }

@@ -274,9 +274,6 @@ class CarefreeTuple:
         a1, a2, a3, a4, a5 = self.a
         return self.sign * a1 * a2 ** 2 * a3 ** 3 * a4 ** 4 * a5 ** 5
 
-    def to_json(self) -> dict:
-        return {"sign": self.sign, "a": list(self.a)}
-
 
 def carefree_decompose_n(n: int, m: int) -> tuple[int, ...]:
     """(a_1, ..., a_{n-1}) with |m| = prod a_j^j, a_j squarefree pairwise coprime."""
@@ -333,10 +330,6 @@ class SexticField:
     tuple: CarefreeTuple
     big_c: tuple[int, int, int, int, int]
     canonical: bool
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "tuple": self.tuple.to_json(),
-                "C": list(self.big_c), "canonical": self.canonical}
 
 
 @lru_cache(maxsize=65536)

@@ -29,10 +29,12 @@ Fr = Fraction
 
 def parse_rational(s: str) -> Fraction:
     """The Fraction that s writes as an int, a decimal or p/q, if its float (which the
-    volume and density formulas take) is finite; otherwise ValueError, naming s."""
+    volume and density formulas take) is finite, and zero only when the Fraction is
+    (an underflow would read as no bound); otherwise ValueError, naming s."""
     try:
         q = Fr(s)
-        float(q)
+        if q and not float(q):
+            raise ValueError
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"{s!r} is not a rational p/q with q nonzero and |p/q| "
                          f"within float range") from None

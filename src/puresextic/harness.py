@@ -315,8 +315,7 @@ def _ladder_counts(spec: EnumSpec, ladder: list[int]) -> list[tuple[int, int]]:
     return counts
 
 
-def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int],
-            prime_bound: int = 10 ** 6) -> dict:
+def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int]) -> dict:
     """Empirical counts over the ladder vs every prediction variant.
 
     Both counts of every rung come from one walk of the box at the largest N of
@@ -328,7 +327,7 @@ def compare(family: str, t: SexticType, sign: int, box: Box3, ladder: list[int],
     reading, and flags which one the data supports.
     """
     _check_family("compare", box, family)
-    preds = densities.integrate_measure(t, sign, box, prime_bound)
+    preds = densities.integrate_measure(t, sign, box)
     counts = _ladder_counts(EnumSpec(max(ladder), sign, t, box), ladder) if ladder else []
     rows = []
     for N, (raw, cf) in zip(ladder, counts):

@@ -4,11 +4,11 @@ Each function here checks a package function by a different route: numeric
 embeddings against the exact trace, the pairing entry by entry against the
 integer Gram products, Faddeev-LeVerrier on the multiplication matrix against
 power sums, loops over the bounding box against the slice and window walks, a
-seeded Monte Carlo average against the closed-form volume, and brute-force
+seeded Monte Carlo average against the closed-form volume, brute-force
 residue loops against the closed-form local counts and the CRT split of the
-2/3-part counts.  Nothing in the package, the CLI or the bench
-calls them; tests import them with `from oracles import ...` (pytest puts this
-directory on sys.path).
+2/3-part counts, and a sieve against the Euler-product literals.  Nothing in
+the package, the CLI or the bench calls them; tests import them with
+`from oracles import ...` (pytest puts this directory on sys.path).
 radical_char_poly is no oracle: it is the package's power-sum char poly at any
 degree n, which only tests ask for (SexticNum.char_poly runs it at n = 6).
 is_positive_definite is no oracle either: the tests of gram6 and the shape Gram
@@ -25,6 +25,7 @@ import numpy as np
 
 from puresextic.algebra import (CubicMatrix, CubicNum, SexticNum, _den, _imul, _ints,
                                 _mpf_frac, _norm3, _power_sum_char_poly)
+from puresextic.densities import primes_up_to
 from puresextic.field import CarefreeTuple, factorize, iroot, is_squarefree
 from puresextic.gram import Monomial
 from puresextic.types import TYPE_MOD, SexticType, type_table
@@ -242,9 +243,32 @@ def monte_carlo_volume_M3(N, L1p, L1, L2p, L2, samples: int = 10 ** 6,
 
 
 # ---------------------------------------------------------------------------
-# densities: Omega_l for l >= 5, closed forms and residue loops, and the
-# 2/3-part counts without their CRT split
+# densities: Omega_l for l >= 5, closed forms and residue loops, the 2/3-part
+# counts without their CRT split, and the Euler products by a sieve
 # ---------------------------------------------------------------------------
+
+_EULER_KINDS = {
+    # kind -> (log-factor fn on prime array, |x_l| bound coefficient c with x <= c/l^2)
+    "carefree": (lambda l: np.log1p(-3.0 / l ** 2 + 2.0 / l ** 3), 3.0),
+    "basic": (lambda l: np.log1p(-1.0 / l ** 2), 1.0),
+    "carefree_strict": (lambda l: np.log1p(-6.0 / l ** 2 + 8.0 / l ** 3 - 3.0 / l ** 4), 6.0),
+}
+
+
+def euler_product_sieved(kind: str, prime_bound: int) -> tuple[float, float]:
+    """(truncated product over the primes 5 <= l <= prime_bound, rigorous tail bound).
+
+    The true value lies in [value * exp(-tail), value]: each omitted factor is
+    1 - x_l with 0 < x_l <= c/l^2, and sum_{n > B} (c/n^2 + c^2/n^4) < c/B + c^2/(3 B^3).
+    At prime_bound = 10^6 it gives densities.EULER_PRODUCTS bit for bit.
+    """
+    fn, c = _EULER_KINDS[kind]
+    ps = primes_up_to(prime_bound)
+    val = float(np.exp(fn(ps[ps >= 5].astype(np.float64)).sum()))
+    b = float(prime_bound)
+    tail = c / b + c * c / (3 * b ** 3)
+    return val, tail
+
 
 def omega_count(l: int) -> int:
     """(l^2-l)^5 + 5 l (l^2-l)^4 = l^10 (1-1/l)^4 (1+4/l)."""

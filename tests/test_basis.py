@@ -2,8 +2,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from puresextic.basis import (AuxUndefined, CaseMismatch, build_basis, derived_transition,
-                              tabulated_transition, power_type_basis)
+from puresextic.basis import (build_basis, derived_transition, tabulated_transition,
+                              power_type_basis)
 from puresextic.field import sextic_field
 from puresextic.general import same_lattice
 from puresextic.types import ALL_TYPES, SexticType, classify, smallest_m_of_type
@@ -23,14 +23,9 @@ def test_basis_m17_table_row():
     assert delta.coeffs == (0, Fr(-1, 3), Fr(1, 2), Fr(-17, 3), 0, Fr(1, 6))
 
 
-def test_case_mismatch():
-    with pytest.raises(CaseMismatch):
-        build_basis(sextic_field(17), SexticType(1, 1))
-
-
 def test_aux_undefined_unreachable_for_valid_types():
     # every B3/B4 field has 27 | m, every A4 field has 8 | C5; constructing a
-    # basis never raises AuxUndefined when the type matches
+    # basis never raises AuxUndefined
     for t in ALL_TYPES:
         for m in smallest_m_of_type(t, 3):
             build_basis(sextic_field(m))

@@ -126,7 +126,7 @@ def test_equidist_report_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _ = run(capsys, "equidist", "--family", "C", "--type", "1,1", "--sign", "+",
                   "--box", "1,8,1/8,8,1,6", "--ladder", "1000000,100000000",
-                  "--prime-bound", "10000", "--out", str(out_file))
+                  "--out", str(out_file))
     assert code == 0
     data = json.loads(out_file.read_text())
     assert data["rows"][0]["carefree_count"] == 5
@@ -173,7 +173,7 @@ def test_puresextic_cache_in_the_environment_changes_nothing(tmp_path):
 
 
 def test_euler_command(capsys):
-    code, out = run(capsys, "euler", "--kind", "basic", "--bound", "100000")
+    code, out = run(capsys, "euler", "--kind", "basic")
     data = json.loads(out)
     assert abs(data["value"] - 0.911891) < 1e-4
     assert data["tail_bound"] < 1e-4
@@ -181,7 +181,7 @@ def test_euler_command(capsys):
 
 def test_measure_command(capsys):
     code, out = run(capsys, "measure", "--family", "T", "--type", "1,1",
-                    "--box", "1,4,1,6,1,3", "--prime-bound", "10000")
+                    "--box", "1,4,1,6,1,3")
     data = json.loads(out)
     assert "discrete_strict" in data["variants"]
 
@@ -217,10 +217,9 @@ def test_digits_before_or_after_the_subcommand(capsys, cmd):
 # each of their runs is an invalid choice of op, whatever flag follows it.
 CHEAP = {"classify": "--m 5", "basis": "--m 17", "general-basis": "--n 4 --m 5",
          "gram": "--m 2", "shape": "--m 32", "density": "--type 1,1 --a2 1 --a4 1",
-         "euler": "--bound 1000",
-         "measure": "--family T --type 1,1 --box 1,4,1,6,1,3 --prime-bound 1000",
-         "equidist": "--family C --type 1,1 --box 1,8,1/8,8,1,6 --ladder 1000000 "
-                     "--prime-bound 1000",
+         "euler": "--kind basic",
+         "measure": "--family T --type 1,1 --box 1,4,1,6,1,3",
+         "equidist": "--family C --type 1,1 --box 1,8,1/8,8,1,6 --ladder 1000000",
          "verify": "--types 1,1 --per-type 1", "partition": "--lo -10 --hi 10",
          "geometry volume": "", "geometry count": "", "geometry area": "",
          "geometry count2": "", "geometry mc": "--samples 1000",
@@ -340,7 +339,7 @@ def test_zero_digits_means_no_decimals(capsys):
 
 def test_fractional_t_box_exit_1(capsys):
     code = main(["equidist", "--family", "T", "--type", "1,1", "--box", "1,4,3/2,6,1,3",
-                 "--ladder", "10000000", "--prime-bound", "1000"])
+                 "--ladder", "10000000"])
     assert code == 1
     assert "integer" in capsys.readouterr().err
 
@@ -384,8 +383,7 @@ def test_a_flag_before_its_command_is_named():
 def test_equidist_beyond_the_coordinate_limit_exit_1_fast():
     """a5/a1 near 10^7: a handful of candidates, but a5 would overflow the sieve."""
     code, err, _ = run_module("equidist", "--family", "T", "--type", "1,1", "--sign", "+",
-                              "--box", "10000000,10000001,1,6,1,3", "--ladder", str(10 ** 40),
-                              "--prime-bound", "1000")
+                              "--box", "10000000,10000001,1,6,1,3", "--ladder", str(10 ** 40))
     assert code == 1
     assert err.startswith(f"error: N={10 ** 40} needs tuple coordinates up to ")
     assert "enumeration limit" in err and "Traceback" not in err
@@ -396,7 +394,7 @@ def test_equidist_top_rung_beyond_the_coordinate_limit_exit_1_fast():
     is refused before the lower rung is counted."""
     code, err, seconds = run_module("equidist", "--family", "T", "--type", "1,1", "--sign", "+",
                                     "--box", "10000000,10000001,1,6,1,3",
-                                    "--ladder", f"1000000,{10 ** 40}", "--prime-bound", "1000")
+                                    "--ladder", f"1000000,{10 ** 40}")
     assert seconds < 10
     assert code == 1
     assert err.startswith(f"error: N={10 ** 40} needs tuple coordinates")
@@ -409,7 +407,7 @@ def test_equidist_beyond_the_candidate_limit_exit_1_fast(family, box, N):
     """Coordinates under 10^6 (T: a5 <= 2 * 10^4) but ~7 * 10^7 (T) or ~9 * 10^9 (C)
     candidates in one shard: refused before they are expanded."""
     code, err, seconds = run_module("equidist", "--family", family, "--type", "1,1", "--sign",
-                                    "+", "--box", box, "--ladder", str(N), "--prime-bound", "1000")
+                                    "+", "--box", box, "--ladder", str(N))
     assert seconds < 10
     assert code == 1
     assert err.startswith(f"error: N={N} needs ") and "candidates in one shard" in err
@@ -463,9 +461,10 @@ def test_a_narrow_box_of_large_a2a4_runs_fast():
 RATIONAL = "is not a rational p/q with q nonzero and |p/q| within float range"
 WALK = "needs more than 1000000 {}, above the walk limit"
 # Inputs that ended in a traceback (a range too long for len(), a zero denominator,
-# a value past float range, an --out in a missing directory) and the walk-limit
-# refusals of the 3d and 2d regions: each exits 1 (invalid input) or 2 (usage)
-# with an error line that says what was wrong.  {dir} is a missing directory.
+# a value past float range, an --out in a missing directory), a value whose float
+# underflows to 0 (once read as no bound), and the walk-limit refusals of the 3d
+# and 2d regions: each exits 1 (invalid input) or 2 (usage) with an error line
+# that says what was wrong.  {dir} is a missing directory.
 FAIL_FAST = {
     "equidist-a3-range": (f"equidist --family C --type 1,1 --box 1,8,1/{10 ** 60},8,1,6 "
                           "--ladder 1000", 1, f"error: the C box 1,8,1/{10 ** 60},8,1,6 "
@@ -482,10 +481,12 @@ FAIL_FAST = {
                              1, f"error: '1/0' {RATIONAL}"),
     "diagnose-past-float": ("geometry diagnose --L1 1e400", 2,
                             f"error: argument --L1: '1e400' {RATIONAL}"),
+    "diagnose-underflow": ("geometry diagnose --L1p 1e-400 --ladder 1000 --csv", 2,
+                           f"error: argument --L1p: '1e-400' {RATIONAL}"),
     "box-past-float": ("measure --family T --type 1,1 --box 1,1e400,1,6,1,3", 1,
                        f"error: '1e400' {RATIONAL}"),
     "equidist-out-missing-dir": ("equidist --family C --type 1,1 --box 1,8,1/8,8,1,6 "
-                                 "--ladder 1000000 --prime-bound 1000 --out {dir}/x.json", 1,
+                                 "--ladder 1000000 --out {dir}/x.json", 1,
                                  "error: [Errno 2] No such file or directory: '{dir}/x.json'"),
     "diagnose-3d-walk-1e61": (f"geometry diagnose --ladder {10 ** 61}", 1,
                               f"error: the region x1^5 x3^3 x5^5 <= {10 ** 61} "
@@ -510,32 +511,41 @@ def test_bad_input_fails_fast_with_an_error_line(tmp_path, argv, code, said):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [("euler", "--bound", "0"), ("euler", "--bound", "-5"),
-                                  ("measure", "--family", "C", "--type", "1,1",
-                                   "--box", "1,8,1/8,8,1,6", "--prime-bound", "0"),
-                                  ("equidist", "--family", "C", "--type", "1,1",
-                                   "--box", "1,8,1/8,8,1,6", "--ladder", "1000",
-                                   "--prime-bound", "-1"),
-                                  ("verify", "--per-type", "-1"), ("verify", "--per-type", "0"),
-                                  ("density", "--type", "1,1", "--a2", "-3", "--a4", "1"),
-                                  ("density", "--type", "1,1", "--a2", "1", "--a4", "0"),
-                                  ("density", "--type", "1,1", "--a2", "1", "--a3", "-1",
-                                   "--a4", "1")],
+NOT_POSITIVE = "is not a positive integer; write it in digits"
+
+
+@pytest.mark.parametrize("argv, said",
+                         [(("euler", "--bound", "0"), "unrecognized arguments: --bound 0"),
+                          (("euler", "--bound", "-5"), "unrecognized arguments: --bound -5"),
+                          (("measure", "--family", "C", "--type", "1,1",
+                            "--box", "1,8,1/8,8,1,6", "--prime-bound", "0"),
+                           "unrecognized arguments: --prime-bound 0"),
+                          (("equidist", "--family", "C", "--type", "1,1",
+                            "--box", "1,8,1/8,8,1,6", "--ladder", "1000", "--prime-bound", "-1"),
+                           "unrecognized arguments: --prime-bound -1"),
+                          (("verify", "--per-type", "-1"), NOT_POSITIVE),
+                          (("verify", "--per-type", "0"), NOT_POSITIVE),
+                          (("density", "--type", "1,1", "--a2", "-3", "--a4", "1"), NOT_POSITIVE),
+                          (("density", "--type", "1,1", "--a2", "1", "--a4", "0"), NOT_POSITIVE),
+                          (("density", "--type", "1,1", "--a2", "1", "--a3", "-1", "--a4", "1"),
+                           NOT_POSITIVE)],
                          ids=["euler-0", "euler--5", "measure-0", "equidist--1",
                               "verify--1", "verify-0", "density-a2--3", "density-a4-0",
                               "density-a3--1"])
-def test_count_option_that_is_not_positive_exit_2(capsys, argv):
+def test_count_option_that_is_not_positive_exit_2(capsys, argv, said):
+    """A count below 1 is a usage error.  The Euler products are constants, so the
+    prime bound that euler --bound and --prime-bound once set is no flag at all."""
     with pytest.raises(SystemExit) as e:
         main(list(argv))
     assert e.value.code == 2
-    assert "is not a positive integer; write it in digits" in capsys.readouterr().err
+    assert said in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_that_is_not_positive_exit_2(capsys, workers):
     """The shards run in one process: --workers is no flag, whatever its value."""
     rest = ["equidist", "--family", "C", "--type", "1,1", "--box", "1,8,1/8,8,1,6",
-            "--ladder", "1000000", "--prime-bound", "1000"]
+            "--ladder", "1000000"]
     for flag, said in ((["--workers", workers], BEFORE.format("--workers")),
                        ([f"--workers={workers}"], f"unrecognized arguments: --workers={workers}")):
         with pytest.raises(SystemExit) as e:
@@ -545,17 +555,11 @@ def test_workers_that_is_not_positive_exit_2(capsys, workers):
 
 
 @pytest.mark.parametrize("argv, limit",
-                         [(("euler", "--kind", "carefree", "--bound", "1000000000000"),
-                           "prime limit 100000000"),
-                          (("measure", "--family", "C", "--type", "1,1", "--box",
-                            "1,8,1/8,8,1,6", "--prime-bound", "100000000000"),
-                           "prime limit 100000000"),
-                          (("verify", "--types", "all", "--per-type", "1000000"),
+                         [(("verify", "--types", "all", "--per-type", "1000000"),
                            "corpus limit 1000"),
                           (("general-basis", "--n", "1000000", "--m", "5"),
                            "degree limit 500")],
-                         ids=["euler-bound", "measure-prime-bound",
-                              "verify-per-type", "general-basis-degree"])
+                         ids=["verify-per-type", "general-basis-degree"])
 def test_input_above_a_limit_fails_fast_exit_1(argv, limit):
     """A fresh interpreter, so no warm cache hides the cost of an input past the limit."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(puresextic.__file__)))

@@ -3,8 +3,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from oracles import (local_pair_triple_counts, n_table_direct, omega_count,
-                     omega_count_exhaustive, omega_count_strict)
+from oracles import (euler_product_sieved, local_pair_triple_counts, n_table_direct,
+                     omega_count, omega_count_exhaustive, omega_count_strict)
 from puresextic import densities as D
 from puresextic.geometry import Box3, box_cells
 from puresextic.types import SexticType, type_table
@@ -94,22 +94,36 @@ def test_type_marginal_identity():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 97, 12345])
 def test_primes_up_to_matches_trial_division(n):
-    # the uncached sieve, so the cache stays cold for the bound 12345 of test_harness.py
     want = [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    got = D.primes_up_to.__wrapped__(n)
+    got = D.primes_up_to(n)
     assert got.dtype == "int64" and got.tolist() == want
+    assert not got.flags.writeable  # one array per n, shared by every caller
 
 
 def test_euler_basic_closed_form():
-    val, tail = D.euler_product("basic", 10 ** 6)
+    val, tail = euler_product_sieved("basic", 10 ** 6)
     assert abs(val - 9 / math.pi ** 2) < 1e-6
     assert tail < 2e-6
 
 
 def test_euler_carefree_stability():
-    v1, _ = D.euler_product("carefree", 10 ** 5)
-    v2, _ = D.euler_product("carefree", 10 ** 6)
+    v1, _ = euler_product_sieved("carefree", 10 ** 5)
+    v2, _ = euler_product_sieved("carefree", 10 ** 6)
     assert abs(v1 - v2) < 1e-5
+
+
+@pytest.mark.parametrize("kind", ["carefree", "basic", "carefree_strict"])
+def test_euler_literal_is_the_sieve_to_its_bound(kind):
+    """Each literal is the float the sieve gives at its bound 10^6, digit for digit."""
+    assert D.EULER_PRODUCTS[kind] == euler_product_sieved(kind, D.EULER_PRIME_BOUND)
+
+
+@pytest.mark.parametrize("kind", ["carefree", "basic", "carefree_strict"])
+def test_euler_literal_tail_bound_holds_at_1e7(kind):
+    """The product to 10^7, ten times further, lies within the literal's stated tail."""
+    value, tail = D.euler_product(kind)
+    longer, _ = euler_product_sieved(kind, 10 ** 7)
+    assert value * math.exp(-tail) <= longer <= value
 
 
 def test_alpha_examples():
@@ -140,23 +154,23 @@ def test_measure_additivity_and_monotonicity():
     box = Box3(1, 8, Fr(1, 8), 8, 1, 6, kind="C")
     left = Box3(1, 4, Fr(1, 8), 8, 1, 6, kind="C")
     right = Box3(4, 8, Fr(1, 8), 8, 1, 6, kind="C")
-    full = D.mu_box_stated(t, 1, box, 10 ** 4)["value"]
-    a = D.mu_box_stated(t, 1, left, 10 ** 4)["value"]
-    b = D.mu_box_stated(t, 1, right, 10 ** 4)["value"]
+    full = D.mu_box_stated(t, 1, box)["value"]
+    a = D.mu_box_stated(t, 1, left)["value"]
+    b = D.mu_box_stated(t, 1, right)["value"]
     assert abs(full - (a + b)) < 1e-9 * full
     smaller = Box3(1, 8, Fr(1, 8), 8, 1, 3, kind="C")
-    assert D.box_discrete(t, 1, smaller, box_cells(smaller), prime_bound=10 ** 4)["value"] <= \
-        D.box_discrete(t, 1, box, box_cells(box), prime_bound=10 ** 4)["value"]
+    assert D.box_discrete(t, 1, smaller, box_cells(smaller))["value"] <= \
+        D.box_discrete(t, 1, box, box_cells(box))["value"]
 
 
 def test_integrate_measure_variants_present():
     t = SexticType(1, 1)
     box = Box3(1, 8, Fr(1, 8), 8, 1, 2, kind="C")
-    out = D.integrate_measure(t, 1, box, 10 ** 4)
+    out = D.integrate_measure(t, 1, box)
     assert set(out) == {"stated", "volume_loose", "volume_strict",
                         "discrete_loose", "discrete_strict"}
     boxt = Box3(1, 4, 1, 2, 1, 2, kind="T")
-    outt = D.integrate_measure(t, 1, boxt, 10 ** 4)
+    outt = D.integrate_measure(t, 1, boxt)
     assert set(outt) == {"linear_stated", "linear_derived",
                          "discrete_loose", "discrete_strict"}
 
@@ -212,9 +226,8 @@ def test_omega7_sampled_frequency():
 def test_measure_empty_box_zero():
     t = SexticType(1, 1)
     degenerate = Box3(2, 2, Fr(1, 8), 8, 1, 6, kind="C")
-    assert D.mu_box_stated(t, 1, degenerate, 10 ** 3)["value"] == 0.0
-    assert D.box_discrete(t, 1, degenerate, box_cells(degenerate),
-                          prime_bound=10 ** 3)["value"] == 0.0
+    assert D.mu_box_stated(t, 1, degenerate)["value"] == 0.0
+    assert D.box_discrete(t, 1, degenerate, box_cells(degenerate))["value"] == 0.0
 
 
 def test_a_point_window_adds_nothing_to_the_discrete_sum():
@@ -227,8 +240,7 @@ def test_a_point_window_adds_nothing_to_the_discrete_sum():
     assert D._mu_log_width(box, 3, 1, 1) > 0
     for sign in (1, -1):
         for strict in (True, False):
-            assert D.box_discrete(SexticType(1, 1), sign, box, cells, strict,
-                                  10 ** 3)["value"] == 0.0
+            assert D.box_discrete(SexticType(1, 1), sign, box, cells, strict)["value"] == 0.0
 
 
 def test_types_sharing_a_row_share_its_memo_entry(monkeypatch):

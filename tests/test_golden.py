@@ -19,6 +19,8 @@ that rebuilds it from the old stdout:
   the value it always printed there, and gained a last column
   `discrete_term`: the old header renamed, the new column appended to each row.
 - `verify` echoes no config and prints no new column; its digest never changed.
+- The `euler` digests were recorded while the products were still sieved to the
+  default bound 10^6, before they became literals and the bound a constant.
 - `geometry count` and `count2`, which printed one count each, were deleted;
   `geometry diagnose` prints the same count in its M3 and M2 rows.  Their
   digests stay as recorded and are checked on the old stdout rebuilt from a
@@ -58,6 +60,12 @@ GOLDEN = {
         "c3aca064ab0078bd90eb399ea9824fbba3c6522efdb825a87116a5cbb18b3c57",
     ("measure", "--family", "C", "--type", "3,2", "--sign", "-", "--box", "1,8,1/8,8,1,6"):
         "d1d5195f0a4e2e1ed30553d05eda8db52d728698026537ec35cdbc197eefec11",
+    ("euler", "--kind", "carefree"):
+        "9587afee794964c0939df4b3c42d897e7dd776a85186cfdf3f4e234b08990b3e",
+    ("euler", "--kind", "basic"):
+        "1e0e8cf8a333bd1cbbf226161fcfd10c174ccf0a306f0a79f481b4c772a12057",
+    ("euler", "--kind", "carefree_strict"):
+        "f4e77f61f2375bc893c0cd0ff34c8ee2f3883b23d730bc997de64f32d6564802",
 }
 
 

@@ -121,13 +121,13 @@ def test_box_additivity():
 def test_report_reproducible_bytes():
     """The same bytes on a second run."""
     ladder = [10 ** 6, 10 ** 8]
-    r1 = compare("C", T11, 1, BOX_C, ladder, prime_bound=10 ** 4)
-    r2 = compare("C", T11, 1, BOX_C, ladder, prime_bound=10 ** 4)
+    r1 = compare("C", T11, 1, BOX_C, ladder)
+    r2 = compare("C", T11, 1, BOX_C, ladder)
     assert report_to_json(r1) == report_to_json(r2)
 
 
 def test_report_fields():
-    rep = compare("T", T11, 1, BOX_T, [10 ** 6, 10 ** 8], prime_bound=10 ** 4)
+    rep = compare("T", T11, 1, BOX_T, [10 ** 6, 10 ** 8])
     assert rep["supported_normalization"] in ("N", "N^(1/5)")
     row = rep["rows"][0]
     for key in ("N", "raw_count", "carefree_count", "ratio_fifth_root", "ratio_linear"):
@@ -275,7 +275,7 @@ def test_compare_counts_every_rung_as_its_own_enumeration(family, box, sign, t):
     edge = max(((a1 * a5) ** 5 * (a2 * a4) ** 4 * a3 ** 3 for a1, a2, a3, a4, a5
                 in enum(EnumSpec(3 * 10 ** 7, sign, t, box))), default=3 * 10 ** 7)
     ladder = [10 ** 8, 10 ** 6, edge, 10 ** 6]
-    rows = compare(family, t, sign, box, ladder, prime_bound=10 ** 3)["rows"]
+    rows = compare(family, t, sign, box, ladder)["rows"]
     assert [r["N"] for r in rows] == ladder
     for r in rows:
         assert r["carefree_count"] == len(enum(EnumSpec(r["N"], sign, t, box)))
@@ -285,7 +285,7 @@ def test_compare_counts_every_rung_as_its_own_enumeration(family, box, sign, t):
 
 @pytest.mark.parametrize("family, box", [("C", BOX_C), ("T", BOX_T)])
 def test_compare_on_an_empty_ladder(family, box):
-    rep = compare(family, T11, 1, box, [], prime_bound=10 ** 3)
+    rep = compare(family, T11, 1, box, [])
     assert rep["rows"] == [] and math.isnan(rep["fitted_slope"])
 
 
@@ -310,7 +310,7 @@ def test_compare_walks_each_slice_of_the_top_rung_once(monkeypatch):
     monkeypatch.setattr(harness, "raw_count_T", refuse)
     monkeypatch.setattr(harness, "windows_M2", counting_windows_M2)
     ladder = [10 ** 7, 10 ** 9, 10 ** 6, 10 ** 8]
-    compare("T", T11, 1, BOX_T, ladder, prime_bound=10 ** 3)
+    compare("T", T11, 1, BOX_T, ladder)
     want = [iroot(10 ** 9 // ((a2 * a4) ** 4 * a3 ** 3), 5)
             for n in range(1, 7) for a2 in range(1, n + 1) if n % a2 == 0
             for a4 in [n // a2] for a3 in range(1, 4)]
@@ -321,8 +321,8 @@ def test_compare_walks_each_slice_of_the_top_rung_once(monkeypatch):
 def test_t_report_reproducible_bytes():
     """The same bytes on a second run."""
     ladder = [10 ** 6, 10 ** 9]
-    r1 = compare("T", T11, 1, BOX_T, ladder, prime_bound=10 ** 4)
-    r2 = compare("T", T11, 1, BOX_T, ladder, prime_bound=10 ** 4)
+    r1 = compare("T", T11, 1, BOX_T, ladder)
+    r2 = compare("T", T11, 1, BOX_T, ladder)
     assert report_to_json(r1) == report_to_json(r2)
     assert r1["rows"][0]["carefree_count"] > 0
 
@@ -333,7 +333,7 @@ def test_rungs_below_every_tuple_bound_count_zero(family, box):
     """Every lattice point of these boxes has a1^5 a2^4 a3^3 a4^4 a5^5 >= 7^4 (C) or
     2^4 5^3 (T), above the rungs 1 and 10^3; the top rung holds tuples."""
     enum, raw = (enumerate_C, raw_count_C) if family == "C" else (enumerate_T, raw_count_T)
-    rows = compare(family, T11, 1, box, [1, 10 ** 3, 10 ** 12], prime_bound=10 ** 3)["rows"]
+    rows = compare(family, T11, 1, box, [1, 10 ** 3, 10 ** 12])["rows"]
     assert [(r["raw_count"], r["carefree_count"]) for r in rows[:2]] == [(0, 0), (0, 0)]
     assert rows[2]["carefree_count"] == len(enum(EnumSpec(10 ** 12, 1, T11, box))) > 0
     assert rows[2]["raw_count"] == raw(10 ** 12, box)
@@ -348,7 +348,7 @@ def test_c_rungs_that_lose_top_rung_slices_count_as_their_own_walks():
 
     ladder = [10 ** 8, 10 ** 3, 10 ** 4, 10 ** 5]
     assert all(slices(N) != slices(ladder[0]) for N in ladder[1:])
-    rows = compare("C", T11, 1, BOX_C, ladder, prime_bound=10 ** 3)["rows"]
+    rows = compare("C", T11, 1, BOX_C, ladder)["rows"]
     for r in rows:
         assert r["raw_count"] == raw_count_C(r["N"], BOX_C)
         assert r["carefree_count"] == len(enumerate_C(EnumSpec(r["N"], 1, T11, BOX_C))) > 0
@@ -359,7 +359,7 @@ def test_compare_counts_windows_beyond_int64():
     above 2^63: the raw counts stay exact."""
     box = Box3(10 ** 12, 10 ** 12 + 1, 4, 4, 1, 1, kind="T")
     ladder = [10 ** 100, 10 ** 80, 10 ** 60]
-    rows = compare("T", T11, 1, box, ladder, prime_bound=10 ** 3)["rows"]
+    rows = compare("T", T11, 1, box, ladder)["rows"]
     assert [r["raw_count"] for r in rows] == [raw_count_T(N, box) for N in ladder]
     assert rows[0]["raw_count"] > 0 and all(r["carefree_count"] == 0 for r in rows)
 
@@ -369,7 +369,7 @@ def test_compare_refuses_a_top_rung_over_the_candidate_limit():
     with pytest.raises(ValueError, match="candidates in one shard") as want:
         enumerate_C(EnumSpec(10 ** 50, 1, T11, BOX_C))
     with pytest.raises(ValueError, match="candidates in one shard") as got:
-        compare("C", T11, 1, BOX_C, [10 ** 6, 10 ** 50], prime_bound=10 ** 3)
+        compare("C", T11, 1, BOX_C, [10 ** 6, 10 ** 50])
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(f"N={10 ** 50} needs ")
 
@@ -383,19 +383,14 @@ def test_a_c_box_whose_a3_cells_fit_one_by_one_is_counted():
     sizes = [count_slices([(a3, iroot(N // a3 ** 3, 5), Sp, S)])
              for a2, a4, a3, Sp, S in box_cells(BOX_C, N) if (a2, a4) == (1, 1)]
     assert max(sizes) <= _CANDIDATE_LIMIT < sum(sizes)
-    row, = compare("C", T11, 1, BOX_C, [N], prime_bound=10 ** 3)["rows"]
+    row, = compare("C", T11, 1, BOX_C, [N])["rows"]
     assert row["carefree_count"] == len(enumerate_C(EnumSpec(N, 1, T11, BOX_C))) == 502764
     assert row["raw_count"] == raw_count_C(N, BOX_C)
 
 
-def test_one_compare_sieves_the_primes_once():
+def test_compare_sieves_no_primes():
+    """The Euler products are literals: a compare never reaches the sieve."""
     from puresextic import densities
-    bound = 12345  # a bound no other test uses, so the caches start cold for it
     before = densities.primes_up_to.cache_info()
-    euler_before = densities.euler_product.cache_info()
-    compare("C", T11, 1, BOX_C, [10 ** 6, 10 ** 8], prime_bound=bound)
-    after = densities.primes_up_to.cache_info()
-    assert after.misses - before.misses == 1
-    # one product per kind: carefree, carefree_strict and basic
-    assert densities.euler_product.cache_info().misses - euler_before.misses == 3
-    assert not densities.primes_up_to(bound).flags.writeable
+    compare("C", T11, 1, BOX_C, [10 ** 6, 10 ** 8])
+    assert densities.primes_up_to.cache_info() == before

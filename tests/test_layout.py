@@ -11,9 +11,10 @@ is no use.
 The rule reads names, not bindings: a member escapes it when some other
 attribute, field or method of the package or the bench has the same name.
 CubicNum.sign hid behind dataclass fields named sign, SexticNum.trace behind
-the bench's trace, CubicNum.inverse behind the call in its own __truediv__;
-each was found and moved or deleted by hand, and a new member whose name is
-already taken needs the same look.
+the bench's trace, CubicNum.inverse behind the call in its own __truediv__,
+SexticField.to_json, CarefreeTuple.to_json and TransitionMatrix.to_json behind
+the to_json of the outputs; each was found and moved or deleted by hand, and a
+new member whose name is already taken needs the same look.
 """
 
 import ast

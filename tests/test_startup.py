@@ -37,7 +37,7 @@ assert gram6(f, b).det().is_rational()
 assert shape_gram(f).certificate_holds()
 assert all(e.is_algebraic_integer() for e in b.elements)
 rep = compare("C", SexticType(1, 1), 1, Box3(1, 8, Fr(1, 8), 8, 1, 6, kind="C"),
-              [10 ** 6, 10 ** 8], prime_bound=10 ** 3)
+              [10 ** 6, 10 ** 8])
 assert [r["N"] for r in rep["rows"]] == [10 ** 6, 10 ** 8]
 loaded = [m for m in {LAZY!r} if m in sys.modules]
 assert not loaded, loaded
