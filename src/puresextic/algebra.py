@@ -136,10 +136,6 @@ def _mul_radical(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
 
 class CubicNum(_RadicalNum):
 
-    @staticmethod
-    def of(m: int, q0=0, q1=0, q2=0) -> "CubicNum":
-        return CubicNum._of_rationals(m, (q0, q1, q2))
-
     def is_rational(self) -> bool:
         return not (self.nums[1] or self.nums[2])
 

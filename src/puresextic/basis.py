@@ -149,7 +149,6 @@ class IntegralBasis:
     field: SexticField
     type: SexticType
     elements: tuple[SexticNum, ...]  # (1, theta, theta^2/C2, beta, gamma, delta)
-    aux: Aux
 
     def to_json(self) -> dict:
         return {
@@ -186,7 +185,7 @@ def build_basis(f: SexticField) -> IntegralBasis:
         mk(_gamma(gk, x)),
         mk(_delta(dk, x)),
     )
-    return IntegralBasis(f, t, elements, x)
+    return IntegralBasis(f, t, elements)
 
 
 def power_type_basis(f: SexticField) -> tuple[SexticNum, ...]:

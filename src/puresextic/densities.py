@@ -71,30 +71,19 @@ def primes_up_to(n: int) -> np.ndarray:
 # The 2/3-part counters
 # ---------------------------------------------------------------------------
 
-def _free_masks(mod: int, p: int, psq: int) -> tuple[np.ndarray, np.ndarray]:
-    """(admissible, divisible-by-p) masks for one residue coordinate.
-
-    Admissible means v_p <= 1 (the pairwise p^2-free conditions force it).
-    """
-    r = np.arange(mod)
-    adm = (r % psq) != 0
-    div = (r % p) == 0
-    return adm, div
-
-
 @lru_cache(maxsize=None)
-def _step(mod: int, p: int, psq: int, e: int, divisible: bool) -> np.ndarray:
-    """step[v, w] = #{r in Z/mod : v_p(r) <= 1, (p | r) == divisible, v * r^e = w}."""
+def _step(mod: int, p: int, e: int, divisible: bool) -> np.ndarray:
+    """step[v, w] = #{r in Z/mod : v_p(r) <= 1, (p | r) == divisible, v * r^e = w};
+    the pairwise p^2-free conditions force v_p(r) <= 1."""
     r = np.arange(mod, dtype=np.int64)
-    adm, div = _free_masks(mod, p, psq)
-    pw = r[adm & (div == divisible)] ** e % mod
+    pw = r[(r % (p * p) != 0) & ((r % p == 0) == divisible)] ** e % mod
     step = np.bincount((r[:, None] * mod + r[:, None] * pw % mod).ravel(),
                        minlength=mod * mod).reshape(mod, mod).astype(np.uint8)  # counts <= mod <= 243
     step.flags.writeable = False
     return step
 
 
-def _count_free(mod: int, p: int, psq: int, powers: tuple[int, ...], const: int,
+def _count_free(mod: int, p: int, powers: tuple[int, ...], const: int,
                 in_set: np.ndarray, budget: int) -> int:
     """Count tuples (r_1..r_k) in (Z/mod)^k, each v_p <= 1, at most `budget`
     divisible by p, with const * prod r_i^powers[i] mod `mod` in `in_set`.
@@ -109,8 +98,8 @@ def _count_free(mod: int, p: int, psq: int, powers: tuple[int, ...], const: int,
     hist[0, const % mod] = 1
     for e in powers:
         v = np.flatnonzero(hist.any(axis=0))  # the residues some prefix reaches
-        new = hist[:, v] @ _step(mod, p, psq, e, False)[v]
-        new[1:] += hist[:-1, v] @ _step(mod, p, psq, e, True)[v]
+        new = hist[:, v] @ _step(mod, p, e, False)[v]
+        new[1:] += hist[:-1, v] @ _step(mod, p, e, True)[v]
         hist = new
     return int(hist[:, in_set].sum())
 
@@ -143,8 +132,7 @@ def _local_count(p: int, case: int, sign: int, fixed: tuple[int, ...],
     if part is None:
         return 0
     const, ndiv = part
-    return _count_free(mod, p, p * p, free, const,
-                       type_table()[p - 2][:mod] == case, 1 - ndiv)
+    return _count_free(mod, p, free, const, type_table()[p - 2][:mod] == case, 1 - ndiv)
 
 
 def n2_count(i: int, sign: int, a2: int, a4: int) -> int:
@@ -170,7 +158,8 @@ def m3_count(j: int, sign: int, a2: int, a3: int, a4: int) -> int:
 # Keyed by (kind, case, _fixed_part's pair): a count reads its sign and fixed
 # coordinates only through that pair, so n3, say, has at most 2 * 243 entries
 # for its 243^2 residue pairs (a2, a4).  Types sharing an A-row share their
-# n2/m2 entries, Types sharing a B-row their n3/m3 entries.
+# n2/m2 entries, Types sharing a B-row their n3/m3 entries.  _table is the one
+# place that reads or fills it.
 _CACHE: dict[tuple, int] = {}
 
 
@@ -179,41 +168,34 @@ def set_cache_dir(path: str | None) -> None:
     callers written when they could also be cached on disk."""
 
 
-def _cached(kind: str, case: int, p: int, sign: int, fixed: tuple[int, ...],
-            weights: tuple[int, ...], compute) -> int:
-    """`compute` names its kernel at call time, so a wrapper set on the module
+def _table(kinds: tuple[str, str], t: SexticType, sign: int, weights: tuple[int, ...],
+           coords: tuple[int, ...]) -> int:
+    """The mod-64 times the mod-243 count (`kinds`, say ("n2", "n3")) at the fixed
+    coordinates, the one of weight w being a_w, each count memoised.  InvalidPair
+    unless their product is squarefree (they are squarefree and pairwise coprime).
+    A miss calls the kernel named at call time, so a wrapper set on the module
     attribute (a tracer, a test counter) sees every miss."""
-    ck = (kind, case, _fixed_part(p, sign, fixed, weights))
-    if ck not in _CACHE:
-        _CACHE[ck] = compute()
-    return _CACHE[ck]
-
-
-def _check_coordinates(**coords: int) -> None:
-    """InvalidPair unless the coordinates are squarefree and pairwise coprime, that
-    is, unless their product is squarefree."""
-    if not is_squarefree(math.prod(coords.values())):
-        raise InvalidPair(", ".join(f"{k}={v}" for k, v in coords.items())
+    if not is_squarefree(math.prod(coords)):
+        raise InvalidPair(", ".join(f"a{w}={v}" for w, v in zip(weights, coords))
                           + " must be coprime squarefree")
+    total = 1
+    for kind, p, case in zip(kinds, (2, 3), (t.i, t.j)):
+        key = (kind, case, _fixed_part(p, sign, coords, weights))
+        if key not in _CACHE:
+            _CACHE[key] = globals()[kind + "_count"](case, sign, *coords)
+        total *= _CACHE[key]
+    return total
 
 
 def n_table(t: SexticType, sign: int, a2: int, a4: int) -> int:
     """#{(a1bar, a3bar, a5bar) in (Z/15552)^3} satisfying the survivor and Type
     conditions, as a product of the mod-64 and mod-243 counts (cached)."""
-    _check_coordinates(a2=a2, a4=a4)
-    c2 = _cached("n2", t.i, 2, sign, (a2, a4), (2, 4), lambda: n2_count(t.i, sign, a2, a4))
-    c3 = _cached("n3", t.j, 3, sign, (a2, a4), (2, 4), lambda: n3_count(t.j, sign, a2, a4))
-    return c2 * c3
+    return _table(("n2", "n3"), t, sign, (2, 4), (a2, a4))
 
 
 def m_table(t: SexticType, sign: int, a2: int, a3: int, a4: int) -> int:
     """#{(a1bar, a5bar) in (Z/15552)^2} survivor pairs for fixed (a2, a3, a4)."""
-    _check_coordinates(a2=a2, a3=a3, a4=a4)
-    c2 = _cached("m2", t.i, 2, sign, (a2, a3, a4), (2, 3, 4),
-                 lambda: m2_count(t.i, sign, a2, a3, a4))
-    c3 = _cached("m3", t.j, 3, sign, (a2, a3, a4), (2, 3, 4),
-                 lambda: m3_count(t.j, sign, a2, a3, a4))
-    return c2 * c3
+    return _table(("m2", "m3"), t, sign, (2, 3, 4), (a2, a3, a4))
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +224,21 @@ def euler_product(kind: str) -> tuple[float, float]:
 # Coefficient functions alpha(n), beta(m, n)
 # ---------------------------------------------------------------------------
 
+def _exact_weight(n: int, num: int, den: int) -> Fraction:
+    """prod over primes l >= 5 dividing n of (l + num)/(l + den), exactly."""
+    w = Fr(1)
+    for l in factorize(n):
+        if l not in (2, 3):
+            w *= Fr(l + num, l + den)
+    return w
+
+
 def alpha_terms(t: SexticType, sign: int, n: int) -> list[tuple[Fraction, int]]:
     """alpha(n) as exact terms [(coef, n1)] with value sum coef * n1^(-3/5);
     zero terms list when n is not squarefree."""
     if n < 1 or not is_squarefree(n):
         return []
-    w = Fr(1)
-    for l in factorize(n):
-        if l not in (2, 3):
-            w *= Fr(l - 1, l + 2)
+    w = _exact_weight(n, -1, 2)
     out = []
     for n1 in sorted(divisors(n)):
         n2 = n // n1
@@ -270,10 +258,7 @@ def beta_value(t: SexticType, sign: int, m: int, n: int,
     stated_weight=True for the alternative (l-1)/(l+2) weighting."""
     if m < 1 or n < 1 or not is_squarefree(m * n):
         return Fr(0)
-    w = Fr(1)
-    for l in factorize(m * n):
-        if l not in (2, 3):
-            w *= Fr(l - 1, l + 2) if stated_weight else Fr(l - 1, l + 1)
+    w = _exact_weight(m * n, -1, 2 if stated_weight else 1)
     total = Fr(0)
     for n1 in sorted(divisors(n)):
         n2 = n // n1
@@ -284,10 +269,6 @@ def beta_value(t: SexticType, sign: int, m: int, n: int,
 # ---------------------------------------------------------------------------
 # Box integrals of the limiting measures
 # ---------------------------------------------------------------------------
-
-_MOD3 = Fr(TYPE_MOD) ** 3
-_MOD2 = Fr(TYPE_MOD) ** 2
-
 
 def _weight(n_product: int, num, den) -> float:
     """prod over primes l >= 5 dividing n_product of (l + num)/(l + den)."""
@@ -307,7 +288,7 @@ def mu_box_stated(t: SexticType, sign: int, box: Box3) -> dict:
     s3 = 0.0
     for n in range(int(box.r3p), int(box.r3) + 1):
         s3 += alpha_value(t, sign, n)
-    val = float(Fr(25, 124416)) * ep * i1 * i2 * s3
+    val = 25 / 124416 * ep * i1 * i2 * s3
     return {"value": val, "euler_tail": tail}
 
 
@@ -327,7 +308,7 @@ def mu_box_volume(t: SexticType, sign: int, box: Box3, strict: bool = False) -> 
         if not cnt:
             continue
         w = _weight(a2 * a4, 0, 3) if strict else _weight(a2 * a4, -1, 2)
-        s += float(Fr(cnt) / _MOD3) * w / (a2 ** 0.6 * a4)
+        s += cnt / TYPE_MOD ** 3 * w / (a2 ** 0.6 * a4)
     val = (75 / 8) * ep * i1 * i2 * s
     return {"value": val, "euler_tail": tail}
 
@@ -353,7 +334,7 @@ def nu_box_linear(t: SexticType, sign: int, box: Box3, cells: list,
     # beta(a3, n) sums over the divisors of n = a2 a4 itself: one term per (n, a3), at a2 = 1
     s = sum((beta_value(t, sign, a3, a4, stated_weight=stated_weight)
              for a2, a4, a3, _, _ in cells if a2 == 1), Fr(0))
-    val = float(Fr(1, 2592)) * math.log(float(box.r1) / float(box.r1p)) * ep * float(s)
+    val = 1 / 2592 * math.log(float(box.r1) / float(box.r1p)) * ep * float(s)
     return {"value": val, "euler_tail": tail}
 
 
@@ -380,7 +361,7 @@ def box_discrete(t: SexticType, sign: int, box: Box3, cells: list, strict: bool 
         if not cnt:
             continue
         w = _weight(a2 * a3 * a4, 0, 2) if strict else _weight(a2 * a3 * a4, -1, 1)
-        s += float(Fr(cnt) / _MOD2) * w * width / (a2 ** 0.8 * a3 ** 0.6 * a4 ** 0.8)
+        s += cnt / TYPE_MOD ** 2 * w * width / (a2 ** 0.8 * a3 ** 0.6 * a4 ** 0.8)
     scale = 0.5 if box.kind == "C" else 0.5 * math.log(float(box.r1) / float(box.r1p))
     return {"value": (scale * ep) * s, "euler_tail": tail}
 

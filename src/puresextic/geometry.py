@@ -115,6 +115,10 @@ def area_A(M, L1p, L1) -> float:
 # host: its values of x3 plus the values of x1 of its slices.  Past the limit a
 # walk, which grows like N^(1/10) (3d) or M^(1/2) (2d), could run for hours.
 _WALK_LIMIT = 10 ** 6
+# The most (a2, a4) pairs and cells one box may list.  box_cells and the
+# predictions spend 21-69 us on each on a 2-CPU host, so 10^6 of them let a box
+# run for 20-70 s; 10^5 hold it to a few seconds.
+_CELL_LIMIT = 10 ** 5
 
 
 def _x1_cap(M: int, Sp: Fraction) -> int:
@@ -127,10 +131,10 @@ def _size(xs) -> int:
     return max(0, xs.stop - xs.start) if isinstance(xs, range) else len(xs)
 
 
-def _check_walk(steps: int, where: str, what: str) -> None:
-    if steps > _WALK_LIMIT:
-        raise ValueError(f"the {where} needs more than {_WALK_LIMIT} {what}, "
-                         f"above the walk limit")
+def _check_walk(steps: int, where: str, what: str, limit: int = _WALK_LIMIT,
+                name: str = "walk") -> None:
+    if steps > limit:
+        raise ValueError(f"the {where} needs more than {limit} {what}, above the {name} limit")
 
 
 def windows_M2(M: int, Sp, S):
@@ -218,8 +222,8 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
     and a5/(a1 a3^3) in [R2'/r, R2/r] pin a3 to the x3 of slices_M3, each with its
     cut window.  Given N, only the cells with K <= N, and a C cell list goes
     through slices_M3 and its walk check.  More than _WALK_LIMIT values of a2 a4,
-    or (a2, a4) pairs and cells together, raise ValueError before any cell's
-    window is cut; a box whose pairs alone pass the limit, before the first pair.
+    or _CELL_LIMIT (a2, a4) pairs and cells together, raise ValueError before any
+    cell's window is cut; a box whose pairs alone pass the limit, before the first pair.
     The pairs are counted exactly while sqrt(a2 a4) stays within _WALK_LIMIT;
     above it, by the lower bound of two pairs for each n >= 2.
     """
@@ -234,7 +238,8 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
         all_pairs = _pair_count(hi) - _pair_count(lo - 1)
     else:  # each n >= 2 has at least the two pairs (1, n) and (n, 1)
         all_pairs = 2 * (hi - lo + 1) - (lo == 1)
-    _check_walk(all_pairs, where, "(a2, a4) pairs and cells")
+    cell_check = where, "(a2, a4) pairs and cells", _CELL_LIMIT, "cell"
+    _check_walk(all_pairs, *cell_check)
     plan, count, Sp, S = [], 0, box.r1p ** 2, box.r1 ** 2
     for pairs, (a2, a4) in enumerate(divisor_pairs(lo, hi, squarefree=False), 1):
         n = None if N is None else N // (a2 * a4) ** 4
@@ -251,7 +256,7 @@ def box_cells(box: Box3, N: int | None = None) -> list[tuple[int, int, int, Frac
             else:
                 a3s = windows = [(x3, Sq, Sx) for x3, _, Sq, Sx in slices_M3(n, *region)]
         count += _size(a3s)
-        _check_walk(pairs + count, where, "(a2, a4) pairs and cells")
+        _check_walk(pairs + count, *cell_check)
         plan.append((a2, a4, windows))
     return [(a2, a4, *w) for a2, a4, windows in plan for w in windows]
 

@@ -360,13 +360,15 @@ def gram6(f: SexticField, basis: IntegralBasis | None = None) -> CubicMatrix:
 # Trace-zero projection and its certificate
 # ---------------------------------------------------------------------------
 
+_CERT_SCALE = 216  # the certificate's diagonal is 216 gamma^t / C_t^2
+
+
 @dataclass(frozen=True)
 class ShapeGram:
     field: SexticField
     type: SexticType
     entries: CubicMatrix                       # 5x5 Gram of {alpha_t^perp}
     cert_c: tuple[tuple[Fraction, ...], ...]   # 5x5 rational factor C'
-    cert_scale: int                            # 216
 
     def certificate_holds(self) -> bool:
         """P == C'^T * (216 diag(gamma^t / C_t^2)) * C', exactly (computed once)."""
@@ -378,7 +380,7 @@ class ShapeGram:
         m = f.m
         s, am = (1 if m > 0 else -1), abs(m)
         gam = [(0, s, 0), (0, 0, 1), (am, 0, 0), (0, s * am, 0), (0, 0, am)]  # gamma^t, t = 1..5
-        d = CubicMatrix.diagonal(m, [CubicNum(m, [self.cert_scale * v for v in g], c * c)
+        d = CubicMatrix.diagonal(m, [CubicNum(m, [_CERT_SCALE * v for v in g], c * c)
                                      for g, c in zip(gam, f.big_c)])
         return d.congruence(CubicMatrix.from_rational(m, self.cert_c)) == self.entries
 
@@ -388,7 +390,7 @@ class ShapeGram:
             "type": str(self.type),
             "perp_gram": self.entries.to_json(),
             "certificate": {
-                "scale": self.cert_scale,
+                "scale": _CERT_SCALE,
                 "C": [[rational_json(v) for v in row] for row in self.cert_c],
             },
         }
@@ -407,4 +409,4 @@ def shape_gram(f: SexticField) -> ShapeGram:
     perp = [SexticNum(m, (0,) + a.nums[1:], a.den) for a in b.elements[1:]]
     trans = derived_transition(b)
     cert_c = tuple(tuple(trans.entries[s][t] for t in range(1, 6)) for s in range(1, 6))
-    return ShapeGram(f, b.type, hermitian_gram(perp) * 36, cert_c, 216)
+    return ShapeGram(f, b.type, hermitian_gram(perp) * 36, cert_c)

@@ -12,9 +12,9 @@ the package, the CLI or the bench calls them; tests import them with
 radical_char_poly is no oracle: it is the package's power-sum char poly at any
 degree n, which only tests ask for (SexticNum.char_poly runs it at n = 6).
 is_positive_definite is no oracle either: the tests of gram6 and the shape Gram
-read positive definiteness off det() on the leading corners, and cubic_sign,
-sextic_trace, check_carefree and the monomial algebra are likewise what only
-tests ask of the package's values.
+read positive definiteness off det() on the leading corners, and cubic_num,
+cubic_sign, sextic_trace, check_carefree and the monomial algebra are likewise
+what only tests ask of the package's values.
 """
 
 import math
@@ -36,6 +36,11 @@ Fr = Fraction
 # ---------------------------------------------------------------------------
 # algebra: the numeric trace, the pairing, and the char poly of the matrix
 # ---------------------------------------------------------------------------
+
+def cubic_num(m: int, q0=0, q1=0, q2=0) -> CubicNum:
+    """q0 + q1 c + q2 c^2, c the real cube root of m, from rationals."""
+    return CubicNum._of_rationals(m, (q0, q1, q2))
+
 
 def trace_numeric(x: SexticNum, prec: int = 60):
     """Sum of x over all six archimedean embeddings, numerically.

@@ -425,28 +425,32 @@ def test_equidist_beyond_the_c_walk_limit_exit_1_fast():
     assert "walk limit" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("measure", "--family", "T", "--box", "1,4,1,6,1,10000000000"),
-    ("equidist", "--family", "T", "--box", "1,4,1,6,1,10000000000", "--ladder", "1000000"),
-    ("measure", "--family", "C", "--box", f"1,{10 ** 60},1/8,8,1,6"),
-    ("measure", "--family", "C", "--box", f"1,8,1/8,8,1,{10 ** 12}"),
-    ("measure", "--family", "C", "--box", "1,1,1,1,1,1000000"),
-    ("measure", "--family", "C", "--box", "1,8,1/8,8,1,1000000"),
-    ("measure", "--family", "C", "--box", f"1,8,1/8,8,{10 ** 20},{10 ** 20}"),
-    ("measure", "--family", "C", "--box", f"1,8,1/8,8,{10 ** 12},{10 ** 12 + 5}"),
+@pytest.mark.parametrize("argv, limit", [
+    (("measure", "--family", "T", "--box", "1,4,1,6,1,10000000000"), "cell"),
+    (("equidist", "--family", "T", "--box", "1,4,1,6,1,10000000000", "--ladder", "1000000"),
+     "cell"),
+    (("measure", "--family", "C", "--box", f"1,{10 ** 60},1/8,8,1,6"), "cell"),
+    (("measure", "--family", "C", "--box", f"1,8,1/8,8,1,{10 ** 12}"), "walk"),
+    (("measure", "--family", "C", "--box", "1,1,1,1,1,1000000"), "cell"),
+    (("measure", "--family", "C", "--box", "1,8,1/8,8,1,1000000"), "cell"),
+    (("measure", "--family", "C", "--box", f"1,8,1/8,8,{10 ** 20},{10 ** 20}"), "cell"),
+    (("measure", "--family", "C", "--box", f"1,8,1/8,8,{10 ** 12},{10 ** 12 + 5}"), "cell"),
+    (("measure", "--family", "C", "--box", "1,1,1,1,1,80000"), "cell"),
 ], ids=["T-measure", "T-equidist", "C-measure-R1", "C-measure-R3", "C-measure-pairs",
-        "C-measure-pairs-criterion-10", "C-measure-narrow-1e20", "C-measure-narrow-1e12"])
-def test_a_box_of_too_many_cells_exit_1_fast(argv):
+        "C-measure-pairs-criterion-10", "C-measure-narrow-1e20", "C-measure-narrow-1e12",
+        "C-measure-pairs-80000"])
+def test_a_box_of_too_many_cells_exit_1_fast(argv, limit):
     """10^10 values of a3, about 10^10 of x3 (lambda1^3 up to 10^60), 10^12 of a2*a4,
-    about 1.4 * 10^7 (a2, a4) pairs, or a few a2*a4 near 10^20 or 10^12 whose
-    pairs hold about 10^10 or 10^6 cells: the box's cells are refused before the
-    predictions or counts start."""
+    about 1.4 * 10^7 or 9 * 10^5 (a2, a4) pairs, or a few a2*a4 near 10^20 or 10^12
+    whose pairs hold about 10^10 or 10^6 cells: the box's cells are refused before
+    the predictions or counts start.  The 9 * 10^5 pairs of a2*a4 <= 80000 were
+    once accepted and ran for about 40 s."""
     code, err, seconds = run_module(*argv, "--type", "1,1")
     assert seconds < 10
     assert code == 1
     box = argv[argv.index("--box") + 1]
     assert err.startswith(f"error: the {argv[2]} box {box} needs more than ")
-    assert "walk limit" in err and "Traceback" not in err
+    assert f"above the {limit} limit" in err and "Traceback" not in err
 
 
 def test_a_narrow_box_of_large_a2a4_runs_fast():
@@ -460,6 +464,7 @@ def test_a_narrow_box_of_large_a2a4_runs_fast():
 
 RATIONAL = "is not a rational p/q with q nonzero and |p/q| within float range"
 WALK = "needs more than 1000000 {}, above the walk limit"
+CELLS = "needs more than 100000 (a2, a4) pairs and cells, above the cell limit"
 # Inputs that ended in a traceback (a range too long for len(), a zero denominator,
 # a value past float range, an --out in a missing directory), a value whose float
 # underflows to 0 (once read as no bound), and the walk-limit refusals of the 3d
@@ -467,11 +472,9 @@ WALK = "needs more than 1000000 {}, above the walk limit"
 # that says what was wrong.  {dir} is a missing directory.
 FAIL_FAST = {
     "equidist-a3-range": (f"equidist --family C --type 1,1 --box 1,8,1/{10 ** 60},8,1,6 "
-                          "--ladder 1000", 1, f"error: the C box 1,8,1/{10 ** 60},8,1,6 "
-                          + WALK.format("(a2, a4) pairs and cells")),
+                          "--ladder 1000", 1, f"error: the C box 1,8,1/{10 ** 60},8,1,6 " + CELLS),
     "measure-a3-range": (f"measure --family T --type 1,1 --box 1,4,1,6,1,{10 ** 60}", 1,
-                         f"error: the T box 1,4,1,6,1,{10 ** 60} "
-                         + WALK.format("(a2, a4) pairs and cells")),
+                         f"error: the T box 1,4,1,6,1,{10 ** 60} " + CELLS),
     "diagnose-x3-range": (f"geometry diagnose --ladder {10 ** 200} --L2p 1/{10 ** 120}", 1,
                           f"error: the region x1^5 x3^3 x5^5 <= {10 ** 200} "
                           + WALK.format("values of x3 and x1")),

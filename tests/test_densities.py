@@ -243,9 +243,12 @@ def test_a_point_window_adds_nothing_to_the_discrete_sum():
             assert D.box_discrete(SexticType(1, 1), sign, box, cells, strict)["value"] == 0.0
 
 
-def test_types_sharing_a_row_share_its_memo_entry(monkeypatch):
-    """A1,B1 then A1,B2 at one (sign, a2, a4): the A-row count is computed once."""
-    calls = {"n2": 0, "n3": 0}
+@pytest.mark.parametrize("kind, fixed", [("n", (1, 1)), ("m", (1, 1, 1))], ids=["n", "m"])
+def test_types_sharing_a_row_share_its_memo_entry(monkeypatch, kind, fixed):
+    """A1,B1 then A1,B2 at one (sign, a2, a4) or (sign, a2, a3, a4): the A-row count
+    (n2 or m2) is computed once, the B-row count (n3 or m3) twice."""
+    row, other = f"{kind}2", f"{kind}3"
+    calls = {row: 0, other: 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -253,13 +256,14 @@ def test_types_sharing_a_row_share_its_memo_entry(monkeypatch):
             return fn(*args)
         return wrapper
 
-    n2, n3 = D.n2_count, D.n3_count
-    monkeypatch.setattr(D, "n2_count", counting("n2", n2))
-    monkeypatch.setattr(D, "n3_count", counting("n3", n3))
+    a_count, b_count = getattr(D, f"{row}_count"), getattr(D, f"{other}_count")
+    monkeypatch.setattr(D, f"{row}_count", counting(row, a_count))
+    monkeypatch.setattr(D, f"{other}_count", counting(other, b_count))
     monkeypatch.setattr(D, "_CACHE", {})
-    assert D.n_table(SexticType(1, 1), 1, 1, 1) == n2(1, 1, 1, 1) * n3(1, 1, 1, 1)
-    assert D.n_table(SexticType(1, 2), 1, 1, 1) == n2(1, 1, 1, 1) * n3(2, 1, 1, 1)
-    assert calls == {"n2": 1, "n3": 2}
+    table = getattr(D, f"{kind}_table")
+    assert table(SexticType(1, 1), 1, *fixed) == a_count(1, 1, *fixed) * b_count(1, 1, *fixed)
+    assert table(SexticType(1, 2), 1, *fixed) == a_count(1, 1, *fixed) * b_count(2, 1, *fixed)
+    assert calls == {row: 1, other: 2}
 
 
 def test_keys_with_one_reduced_pair_share_its_memo_entry(monkeypatch):

@@ -2,8 +2,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from oracles import is_positive_definite, mono_power, mono_product, mono_reduced
-from puresextic.algebra import CubicMatrix, CubicNum
+from oracles import cubic_num, is_positive_definite, mono_power, mono_product, mono_reduced
+from puresextic.algebra import CubicMatrix
 from puresextic.basis import build_basis, derived_transition, tabulated_transition
 from puresextic.field import decompose, dual, sextic_field
 from puresextic.gram import (Monomial, NotCanonical, g_table, gram6, gram_power,
@@ -14,15 +14,15 @@ from puresextic.types import ALL_TYPES, SexticType, classify, smallest_m_of_type
 def test_gram6_m2_diagonal():
     g = gram6(sextic_field(2))
     expected = CubicMatrix.diagonal(2, [
-        CubicNum.of(2, 6), CubicNum.of(2, 0, 6, 0), CubicNum.of(2, 0, 0, 6),
-        CubicNum.of(2, 12), CubicNum.of(2, 0, 12, 0), CubicNum.of(2, 0, 0, 12)])
+        cubic_num(2, 6), cubic_num(2, 0, 6, 0), cubic_num(2, 0, 0, 6),
+        cubic_num(2, 12), cubic_num(2, 0, 12, 0), cubic_num(2, 0, 0, 12)])
     assert g == expected
 
 
 def test_gram6_m17_entries():
     g = g_table(SexticType(2, 2), sextic_field(17))
-    assert g.entries[0][3] == CubicNum.of(17, Fr(1, 2))
-    assert g.entries[0][4] == CubicNum.of(17, Fr(-1, 3))
+    assert g.entries[0][3] == cubic_num(17, Fr(1, 2))
+    assert g.entries[0][4] == cubic_num(17, Fr(-1, 3))
     assert gram6(sextic_field(17)) == g * 6
 
 
@@ -78,7 +78,7 @@ def test_shape_scale_invariance():
     sg = shape_gram(f)
     for i in range(5):
         for j in range(5):
-            direct = gram_pair(alphas[i], alphas[j]) * 36 - CubicNum.of(
+            direct = gram_pair(alphas[i], alphas[j]) * 36 - cubic_num(
                 17, 6 * sextic_trace(alphas[i]) * sextic_trace(alphas[j]))
             assert direct == sg.entries.entries[i][j] * Fr(9, 4)
 

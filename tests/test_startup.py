@@ -42,7 +42,7 @@ assert [r["N"] for r in rep["rows"]] == [10 ** 6, 10 ** 8]
 loaded = [m for m in {LAZY!r} if m in sys.modules]
 assert not loaded, loaded
 
-v = CubicNum.of(2, 1, 1, 0).evaluate(30)  # 1 + 2^(1/3)
+v = CubicNum(2, (1, 1, 0), 1).evaluate(30)  # 1 + 2^(1/3)
 assert "mpmath" in sys.modules
 assert abs(v - 1 - 2 ** (1 / 3)) < 1e-15, v
 """
